@@ -18,9 +18,11 @@ from hashlib import blake2b
 from math import gcd
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import (InvalidParameter, Timeout, TooLarge,
                      VerificationFailure)
-from .graph import NonCyclicGraph, complement_clique_sizes
+from .graph import NonCyclicGraph, _bit_matrix, complement_clique_sizes
 from .groups import _is_prime
 
 DEFAULT_VERTEX_CAP = 2048
@@ -43,19 +45,17 @@ def _rows_of(graph_or_rows) -> tuple:
     return tuple(graph_or_rows)
 
 
+def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
+    """Rows of the subgraph induced on the vertices idx, with idx[i]
+    renamed to i."""
+    sub = _bit_matrix(rows)[np.ix_(idx, idx)]
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple:
     """Rows of the graph with vertex v renamed to perm[v]."""
-    n = len(rows)
-    out = [0] * n
-    for v, row in enumerate(rows):
-        acc = 0
-        r = row
-        while r:
-            b = r & -r
-            acc |= 1 << perm[b.bit_length() - 1]
-            r ^= b
-        out[perm[v]] = acc
-    return tuple(out)
+    return induced_rows(rows, np.argsort(perm))
 
 
 def _deadline(timeout: Optional[float]) -> float:
@@ -174,19 +174,7 @@ class _Search:
 
     def _leaf(self, cells, seq, fixed):
         lab = [c[0] for c in cells]
-        pos = [0] * self.k
-        for p, v in enumerate(lab):
-            pos[v] = p
-        mat = []
-        for v in lab:
-            acc = 0
-            r = self.qrows[v]
-            while r:
-                b = r & -r
-                acc |= 1 << pos[b.bit_length() - 1]
-                r ^= b
-            mat.append(acc)
-        mat = tuple(mat)
+        mat = induced_rows(self.qrows, lab)
         key = (seq, mat)
         gamma = None
         if self.first_mat is None:
@@ -300,23 +288,13 @@ def _merge_classes(qrows, descs, members, key_of, tag):
         return None
     classes = sorted(groups.values(), key=lambda c: min(members[v][0]
                                                         for v in c))
-    index_of = [0] * k
-    for i, cls in enumerate(classes):
-        for v in cls:
-            index_of[v] = i
-    new_rows = []
+    # twins share their neighborhoods, so the representatives' induced
+    # subgraph is the quotient
+    new_rows = induced_rows(qrows, [cls[0] for cls in classes])
     new_descs = []
     new_members = []
     for cls in classes:
         rep = cls[0]
-        acc = 0
-        r = qrows[rep]
-        while r:
-            b = r & -r
-            acc |= 1 << index_of[b.bit_length() - 1]
-            r ^= b
-        acc &= ~(1 << index_of[rep])
-        new_rows.append(acc)
         if len(cls) == 1:
             new_descs.append(descs[rep])
         else:
@@ -405,15 +383,10 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
 
 
 def _verify_bijection(rows1, rows2, mapping) -> None:
-    for v, row in enumerate(rows1):
-        acc = 0
-        r = row
-        while r:
-            b = r & -r
-            acc |= 1 << mapping[b.bit_length() - 1]
-            r ^= b
-        if acc != rows2[mapping[v]]:
-            raise VerificationFailure("bijection does not preserve adjacency")
+    if sorted(mapping) != list(range(len(rows1))):
+        raise VerificationFailure("vertex mapping is not a bijection")
+    if relabel_rows(rows1, mapping) != tuple(rows2):
+        raise VerificationFailure("bijection does not preserve adjacency")
 
 
 def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],

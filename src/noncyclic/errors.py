@@ -54,10 +54,6 @@ class VerificationFailure(NonCyclicError):
     failed its validation, which indicates an implementation bug."""
 
 
-class NotApplicable(NonCyclicError):
-    """A bound or check does not apply to the given instance."""
-
-
 class Timeout(NonCyclicError):
     """A computation exceeded its time budget."""
 

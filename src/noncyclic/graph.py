@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cyclicizers import (CyclicizerTable, bits_to_indices, cyclicizer_table,
                           prime_graph)
 from .errors import Disconnected, GroupIsCyclic, VerificationFailure
@@ -42,6 +44,17 @@ def _make_compressor(keep: Sequence[int]):
         return acc
 
     return compress
+
+
+def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
+    """Boolean n x n matrix with entry [i, j] = bit j of rows[i]."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in rows),
+        dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(packed, axis=1, count=n,
+                         bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ def _bfs_levels(adj: Sequence[int], start: int):
     visited = 1 << start
     frontier = visited
     dist = 0
-    yield dist, frontier, visited
+    yield dist, frontier
     while True:
         nxt = 0
         f = frontier
@@ -106,7 +119,7 @@ def _bfs_levels(adj: Sequence[int], start: int):
         visited |= nxt
         frontier = nxt
         dist += 1
-        yield dist, frontier, visited
+        yield dist, frontier
 
 
 @dataclass(frozen=True)
@@ -120,38 +133,39 @@ class DiameterInfo:
 
 
 def diameter_info(graph: NonCyclicGraph) -> DiameterInfo:
-    """All-source BFS; asserts connectivity (a disconnected non-cyclic graph
-    would contradict the connectivity theorem and raises Disconnected)."""
-    adj = graph.adjacency
+    """Eccentricities by layered reachability; asserts connectivity (a
+    disconnected non-cyclic graph would contradict the connectivity theorem
+    and raises Disconnected).
+
+    Layer d holds, per source, the vertices within distance d:
+    R_d = R_{d-1} | (R_{d-1} A > 0), a float32 product that is exact for
+    fewer than 2^24 vertices.
+    """
     nv = graph.n_vertices
-    full = (1 << nv) - 1
-    ecc = [0] * nv
-    for s in range(nv):
-        visited = 1 << s
-        dist = 0
-        for dist, _, visited in _bfs_levels(adj, s):
-            pass
-        if visited != full:
+    adj = _bit_matrix(graph.adjacency).astype(np.float32)
+    reach = np.eye(nv, dtype=bool)
+    prev = reach
+    ecc = np.zeros(nv, dtype=np.intp)
+    open_rows = ~reach.all(axis=1)
+    dist = 0
+    while open_rows.any():
+        dist += 1
+        nxt = reach | (reach.astype(np.float32) @ adj > 0)
+        if np.array_equal(nxt, reach):
             raise Disconnected(
                 f"graph of {graph.group.label} is not connected")
-        ecc[s] = dist
-    diam = max(ecc)
-    witness = None
-    for s in range(nv):
-        if ecc[s] != diam:
-            continue
-        last = 0
-        for d, frontier, _ in _bfs_levels(adj, s):
-            if d == diam:
-                last = frontier
-        t = (last & -last).bit_length() - 1
-        witness = (s, t)
-        break
-    return DiameterInfo(diam, witness, tuple(ecc))
+        full = nxt.all(axis=1)
+        ecc[open_rows & full] = dist
+        prev, reach, open_rows = reach, nxt, ~full
+    # witness: the least source of maximum eccentricity and the least
+    # vertex it reaches only at that distance
+    s = int(np.argmax(ecc == dist))
+    t = int(np.argmin(prev[s]))
+    return DiameterInfo(dist, (s, t), tuple(ecc.tolist()))
 
 
 def distance(graph: NonCyclicGraph, pos_a: int, pos_b: int) -> int:
-    for d, frontier, _ in _bfs_levels(graph.adjacency, pos_a):
+    for d, frontier in _bfs_levels(graph.adjacency, pos_a):
         if (frontier >> pos_b) & 1:
             return d
     raise Disconnected(f"no path between positions {pos_a} and {pos_b}")

@@ -22,8 +22,8 @@ from .canon import canonical_form, check_goormaghtigh_condition
 from .cyclicizers import (CyclicizerTable, bits_to_indices,
                           cyclicizer_table, is_tidy, quotient_by_central,
                           quotient_by_cyclicizer)
-from .errors import (Disconnected, NonCyclicError, UnknownCheck,
-                     VerificationFailure)
+from .errors import (Disconnected, NonCyclicError, Timeout, TooLarge,
+                     UnknownCheck, VerificationFailure)
 from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
                     degree_kinds, diameter_info, distance, independence_info,
                     omega_bound_info)
@@ -230,6 +230,7 @@ class GroupProfile:
     degrees_gcd: Optional[int] = None
     certificate: Optional[bytes] = None
     cert_hash: Optional[str] = None
+    cert_error: Optional[str] = None  # why the certificate is missing
     error: Optional[str] = None
 
 
@@ -281,9 +282,13 @@ def profile_of(az: AnalyzedGroup, want_certificate: bool = True
             d = gcd(d, row.bit_count())
         prof.degrees_gcd = d
         if want_certificate:
-            cf = canonical_form(graph)
-            prof.certificate = cf.certificate
-            prof.cert_hash = cf.hash_hex
+            try:
+                cf = canonical_form(graph)
+            except (TooLarge, Timeout) as exc:
+                prof.cert_error = f"{type(exc).__name__}: {exc}"
+            else:
+                prof.certificate = cf.certificate
+                prof.cert_hash = cf.hash_hex
     return prof
 
 
@@ -299,7 +304,7 @@ class CheckResult:
     skipped: list = field(default_factory=list)        # (label, reason)
     counterexamples: list = field(default_factory=list)
     findings: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0   # rounded only when reported
 
     @property
     def passed(self) -> bool:
@@ -326,7 +331,7 @@ class CheckResult:
             "pass": self.passed,
         }
         if with_timing:
-            out["elapsed_ms"] = self.elapsed_ms
+            out["elapsed_ms"] = round(self.elapsed_ms)
         return out
 
 
@@ -894,7 +899,8 @@ def _check_transfer(profiles, result: CheckResult):
            "m > 1, gcd(n, p) = 1), two such graphs are isomorphic exactly "
            "when the part-count and part-size equations both hold", "global")
 def _check_goor(profiles, result: CheckResult):
-    members = [p for p in profiles if p.goor is not None]
+    members = [p for p in profiles
+               if p.goor is not None and p.certificate is not None]
     for a, b in combinations(members, 2):
         result.tested += 1
         (p1, m1, n1), (p2, m2, n2) = a.goor, b.goor
@@ -1001,7 +1007,7 @@ def _run_entry(entry: CatalogEntry, group_checks: list[str]):
         else:
             t0 = time.perf_counter()
             check.fn(az, scratch)
-            scratch.elapsed_ms = int(1000 * (time.perf_counter() - t0))
+            scratch.elapsed_ms = 1000 * (time.perf_counter() - t0)
         outcomes[name] = scratch
     return az.label, outcomes, profile_of(az)
 
@@ -1052,18 +1058,22 @@ def run_all(catalog: Catalog, jobs: int = 1,
             profiles.append(profile)
         for prof in profiles:
             if prof.error is not None:
-                for name in global_checks:
-                    results[name].skip(prof.label,
-                                       f"build failed ({prof.error})")
+                reason = f"build failed ({prof.error})"
+            elif prof.cert_error is not None:
+                reason = f"no certificate ({prof.cert_error})"
+            else:
+                continue
+            for name in global_checks:
+                results[name].skip(prof.label, reason)
     ok_profiles = [p for p in profiles if p.error is None]
     for name in global_checks:
         t0 = time.perf_counter()
         CHECKS[name].fn(ok_profiles, results[name])
-        results[name].elapsed_ms = int(1000 * (time.perf_counter() - t0))
+        results[name].elapsed_ms = 1000 * (time.perf_counter() - t0)
     for name in fixed_checks:
         t0 = time.perf_counter()
         CHECKS[name].fn(results[name])
-        results[name].elapsed_ms = int(1000 * (time.perf_counter() - t0))
+        results[name].elapsed_ms = 1000 * (time.perf_counter() - t0)
     return [results[n] for n in names]
 
 

@@ -42,22 +42,6 @@ def naive_maximal_cyclic(group):
             if not any(s < t for t in subs)}
 
 
-def naive_distances(adj_sets, start):
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in adj_sets[v]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def rows_to_sets(rows):
     out = []
     for row in rows:
@@ -162,3 +146,60 @@ def is_complete_multipartite(rows):
             seen |= part_of[v]
             sizes.append(len(part_of[v]))
     return sorted(sizes)
+
+
+def bit_loop_relabel(rows, perm):
+    """Rows with vertex v renamed to perm[v], one bit at a time."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        acc = 0
+        while row:
+            b = row & -row
+            acc |= 1 << perm[b.bit_length() - 1]
+            row ^= b
+        out[perm[v]] = acc
+    return tuple(out)
+
+
+def set_induced(rows, idx):
+    """Rows of the subgraph induced on idx, with idx[i] renamed to i."""
+    sets = rows_to_sets(rows)
+    return tuple(sum(1 << j for j, u in enumerate(idx) if u in sets[v])
+                 for v in idx)
+
+
+def bfs_levels(rows, start):
+    """Yield (distance, frontier bitset) of a bitset BFS from start."""
+    visited = frontier = 1 << start
+    dist = 0
+    while frontier:
+        yield dist, frontier
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            nxt |= rows[b.bit_length() - 1]
+            f ^= b
+        frontier = nxt & ~visited
+        visited |= frontier
+        dist += 1
+
+
+def bfs_diameter(rows):
+    """(diameter, witness, eccentricities) by BFS from every vertex, or
+    None when the graph is disconnected. The witness is the
+    lexicographically least pair at maximum distance."""
+    n = len(rows)
+    full = (1 << n) - 1
+    ecc = []
+    for s in range(n):
+        reached = 0
+        for dist, frontier in bfs_levels(rows, s):
+            reached |= frontier
+        if reached != full:
+            return None
+        ecc.append(dist)
+    diam = max(ecc)
+    s = ecc.index(diam)
+    last = [f for d, f in bfs_levels(rows, s) if d == diam][0]
+    return diam, (s, (last & -last).bit_length() - 1), tuple(ecc)

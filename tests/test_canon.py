@@ -4,9 +4,11 @@ import pytest
 
 from noncyclic import groups as G
 from noncyclic.canon import (are_isomorphic, canonical_form,
-                             check_goormaghtigh_condition, relabel_rows)
+                             check_goormaghtigh_condition, induced_rows,
+                             relabel_rows)
 from noncyclic.errors import InvalidParameter, TooLarge
 from noncyclic.graph import build_graph
+from noncyclic.harness import Catalog
 
 import oracles
 
@@ -39,6 +41,41 @@ def test_relabeling_stability(expr):
         assert cf.matrix == base.matrix
     assert base.labeling[0] in range(g.n_vertices)
     assert sorted(base.labeling) == list(range(g.n_vertices))
+
+
+def test_relabel_and_induced_rows_match_bit_loops(oracle_graphs):
+    rng = random.Random(4099)
+    for g in oracle_graphs:
+        rows = g.adjacency
+        n = len(rows)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert relabel_rows(rows, perm) == oracles.bit_loop_relabel(rows, perm)
+        idx = rng.sample(range(n), rng.randrange(1, n + 1))
+        assert induced_rows(rows, idx) == oracles.set_induced(rows, idx)
+
+
+INVARIANCE_SAMPLE = 250
+
+
+def test_catalog_certificates_are_labeling_invariant():
+    rng = random.Random(0x5EED)
+    entries = rng.sample(Catalog.default(max_order=200).entries,
+                         INVARIANCE_SAMPLE)
+    graphs = 0
+    for entry in entries:
+        group = G.build(entry.spec)
+        if G.is_cyclic_group(group):
+            continue
+        g = build_graph(group)
+        base = canonical_form(g)
+        for _ in range(2):
+            perm = list(range(g.n_vertices))
+            rng.shuffle(perm)
+            cf = canonical_form(relabel_rows(g.adjacency, perm))
+            assert cf.certificate == base.certificate, entry.label
+        graphs += 1
+    assert graphs > 150
 
 
 def test_certificate_matrix_is_relabeled_input():

@@ -4,8 +4,8 @@ import pytest
 
 from noncyclic import groups as G
 from noncyclic.cyclicizers import cyclicizer_table
-from noncyclic.errors import GroupIsCyclic
-from noncyclic.graph import (InvariantReport, build_graph,
+from noncyclic.errors import Disconnected, GroupIsCyclic
+from noncyclic.graph import (InvariantReport, NonCyclicGraph, build_graph,
                              clique_and_chromatic, degree_kinds,
                              diameter_info, distance, independence_info,
                              invariant_report, multipartite_profile,
@@ -74,16 +74,23 @@ def test_z6xs3_diameter_3_with_witness():
     assert distance(g, a, b) == 3
 
 
-def test_diameter_against_bfs_oracle():
-    for expr in ["Z2xZ4", "Q8", "S4", "Z6xS3"]:
-        g = graph_of(expr)
-        adj = oracles.rows_to_sets(g.adjacency)
-        ecc = []
-        for s in range(g.n_vertices):
-            dist = oracles.naive_distances(adj, s)
-            assert len(dist) == g.n_vertices
-            ecc.append(max(dist.values()))
-        assert diameter_info(g).diameter == max(ecc)
+def test_diameter_against_bfs_oracle(oracle_graphs):
+    seen = set()
+    for g in oracle_graphs:
+        info = diameter_info(g)
+        assert (info.diameter, info.witness, info.eccentricities) == \
+            oracles.bfs_diameter(g.adjacency), g.group.label
+        seen.add(info.diameter)
+    assert seen == {1, 2, 3}
+
+
+def test_disconnected_graph_raises():
+    group = G.build(G.parse_group_expr("S3"))
+    # two disjoint edges
+    g = NonCyclicGraph(group, (1, 2, 3, 4), (0b0010, 0b0001, 0b1000, 0b0100))
+    assert oracles.bfs_diameter(g.adjacency) is None
+    with pytest.raises(Disconnected, match="is not connected"):
+        diameter_info(g)
 
 
 def test_clique_and_chromatic():

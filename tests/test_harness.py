@@ -1,10 +1,13 @@
+import functools
 import json
+import types
 
 import pytest
 
+from noncyclic import canon, harness
 from noncyclic.errors import UnknownCheck
-from noncyclic.harness import (CHECKS, Catalog, all_pass, render_table,
-                               report_json, run_all, run_check)
+from noncyclic.harness import (CHECKS, Catalog, CheckResult, all_pass,
+                               render_table, report_json, run_all, run_check)
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +128,43 @@ def test_cyclic_maximal_families():
     res = run_check(Catalog([], None), "cyclic_maximal_families")
     assert res.passed
     assert res.tested >= 18
+
+
+def test_oversized_certificate_is_a_skip_reason(monkeypatch, small_catalog):
+    # Z2xZ6 (9 vertices) and Z2xZ10 (15 vertices) exceed the cap; without
+    # certificates they must not compare as isomorphic
+    monkeypatch.setattr(harness, "canonical_form",
+                        functools.partial(canon.canonical_form, vertex_cap=8))
+    cat = small_catalog.subset(["Z2xZ2", "Z2xZ6", "Z2xZ10", "Q8"])
+    results = {r.name: r for r in run_all(cat, names=[
+        "multipartite_iso_condition", "iso_order_spectrum", "diam_le_3"])}
+    goor = results["multipartite_iso_condition"]
+    assert goor.passed and goor.tested == 0
+    reason = "no certificate (TooLarge: 9 vertices exceeds the cap of 8)"
+    assert ("Z2xZ6", reason) in goor.skipped
+    assert [lab for lab, _ in goor.skipped] == ["Z2xZ6", "Z2xZ10"]
+    assert results["iso_order_spectrum"].tested == 2   # Z2xZ2 and Q8
+    assert results["diam_le_3"].tested == 4
+    assert results["diam_le_3"].skipped == []
+
+
+def test_certificate_timeout_is_a_skip_reason(monkeypatch, small_catalog):
+    monkeypatch.setenv("NONCYC_TIMEOUT_SECS", "0")
+    # Q8 contracts to one vertex and needs no search; Z2xZ4 times out
+    res = run_check(small_catalog.subset(["Q8", "Z2xZ4"]),
+                    "iso_order_spectrum")
+    assert res.passed and res.tested == 1
+    assert res.skipped == [("Z2xZ4", "no certificate (Timeout: canonical "
+                            "form search exceeded its time budget)")]
+
+
+def test_elapsed_ms_is_rounded_once(monkeypatch, small_catalog):
+    # every timed span reads 0.4 ms; five entries must report 2 ms, not 0
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(ticks) * 0.0004))
+    cat = small_catalog.subset(["Q8", "D8", "S3", "Z2xZ4", "Z2xZ2"])
+    res = run_check(cat, "omega_chi_s")
+    assert res.tested == 5
+    assert res.to_json_dict(with_timing=True)["elapsed_ms"] == 2
+    assert "elapsed_ms" not in res.to_json_dict()
