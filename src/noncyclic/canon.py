@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, Timeout, TooLarge,
                      VerificationFailure)
-from .graph import NonCyclicGraph, _bit_matrix, complement_clique_sizes
+from .graph import NonCyclicGraph, _bit_matrix
 from .groups import _is_prime
 
 DEFAULT_VERTEX_CAP = 2048
@@ -399,16 +399,6 @@ def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],
     rows1, rows2 = _rows_of(g1), _rows_of(g2)
     if len(rows1) != len(rows2):
         return None
-    p1 = complement_clique_sizes(rows1)
-    p2 = complement_clique_sizes(rows2)
-    if (p1 is None) != (p2 is None):
-        return None
-    if p1 is not None:
-        if p1 != p2:
-            return None
-        mapping = _multipartite_bijection(rows1, rows2)
-        _verify_bijection(rows1, rows2, mapping)
-        return list(enumerate(mapping))
     cf1 = canonical_form(rows1, vertex_cap=vertex_cap, timeout=timeout)
     cf2 = canonical_form(rows2, vertex_cap=vertex_cap, timeout=timeout)
     if cf1.hash_hex != cf2.hash_hex or cf1.matrix != cf2.matrix:
@@ -419,34 +409,6 @@ def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],
     mapping = [inv2[cf1.labeling[v]] for v in range(len(rows1))]
     _verify_bijection(rows1, rows2, mapping)
     return list(enumerate(mapping))
-
-
-def _parts_of_complement(rows) -> list[list[int]]:
-    nv = len(rows)
-    full = (1 << nv) - 1
-    seen = 0
-    parts = []
-    for v in range(nv):
-        if (seen >> v) & 1:
-            continue
-        non_nb = (~rows[v]) & full
-        part = [u for u in range(nv) if (non_nb >> u) & 1]
-        mask = 0
-        for u in part:
-            mask |= 1 << u
-        seen |= mask
-        parts.append(part)
-    return parts
-
-
-def _multipartite_bijection(rows1, rows2) -> list[int]:
-    parts1 = sorted(_parts_of_complement(rows1), key=lambda p: (len(p), p))
-    parts2 = sorted(_parts_of_complement(rows2), key=lambda p: (len(p), p))
-    mapping = [0] * len(rows1)
-    for pa, pb in zip(parts1, parts2):
-        for a, b in zip(pa, pb):
-            mapping[a] = b
-    return mapping
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,7 @@ EXIT_VERIFICATION = 3
 
 def _build_from_text(text: str):
     spec = parse_group_expr(text)
-    group = build(spec)
-    group.label = text
-    return group
+    return build(spec, label=text)
 
 
 def _cmd_build(args) -> int:

@@ -218,7 +218,7 @@ def quotient_by_central(group: Group, members: Iterable[int],
             row[j] = coset_of[flat[base + b]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     q = Group(table, labels=labels,
-              label=label or f"{group.label}/N{len(mem)}", check="fast")
+              label=label or f"{group.label}/N{len(mem)}")
     return Quotient(q, tuple(coset_of), tuple(reps))
 
 

@@ -26,8 +26,6 @@ from .errors import (
     ParseError,
 )
 
-ASSOC_EXACT_LIMIT = 256
-ASSOC_SAMPLE_FACTOR = 10
 DEFAULT_CLOSURE_CAP = 20160
 MAX_SYMMETRIC_DEGREE = 7
 
@@ -60,7 +58,15 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _validate_structure(t: np.ndarray, check: str) -> None:
+def _validate_structure(t: np.ndarray) -> None:
+    """Raise NotAGroup unless ``t`` is the table of a group with identity 0.
+
+    Associativity is exact at every order (Light's test): the elements g
+    with (x*g)*y == x*(g*y) for all x, y are closed under multiplication,
+    so it suffices to test each g not yet reached from the identity by right
+    multiplication with the generators that passed. A group needs at most
+    log2(n) of them, each an O(n^2) comparison. A failure names its triple.
+    """
     n = t.shape[0]
     idx = np.arange(n, dtype=t.dtype)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
@@ -68,41 +74,37 @@ def _validate_structure(t: np.ndarray, check: str) -> None:
     if not (np.array_equal(np.sort(t, axis=1), np.broadcast_to(idx, t.shape))
             and np.array_equal(np.sort(t, axis=0), np.broadcast_to(idx[:, None], t.shape))):
         raise NotAGroup("table is not a Latin square")
-    if check == "none":
-        return
-    if check == "full" and n <= ASSOC_EXACT_LIMIT:
-        # exact O(n^3), chunked by first coordinate to bound memory
-        for i in range(n):
-            left = t[t[i], :]          # (i*j)*k
-            right = t[i][t]            # i*(j*k)
-            if not np.array_equal(left, right):
-                bad = np.argwhere(left != right)
-                j, k = (int(x) for x in bad[0])
-                raise NotAGroup(
-                    f"associativity fails at ({i},{j},{k})", triple=(i, j, k))
-        return
-    # sampled check, deterministic seed
-    rng = np.random.default_rng(1009 * n + 7)
-    m = ASSOC_SAMPLE_FACTOR * n * n
-    i = rng.integers(0, n, size=m)
-    j = rng.integers(0, n, size=m)
-    k = rng.integers(0, n, size=m)
-    left = t[t[i, j], k]
-    right = t[i, t[j, k]]
-    if not np.array_equal(left, right):
-        pos = int(np.argmax(left != right))
-        triple = (int(i[pos]), int(j[pos]), int(k[pos]))
-        raise NotAGroup(f"associativity fails at {triple}", triple=triple)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens = []
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        bad = t[t[:, g], :] != t[:, t[g]]      # (x*g)*y versus x*(g*y)
+        if bad.any():
+            x, y = (int(v) for v in np.argwhere(bad)[0])
+            raise NotAGroup(f"associativity fails at ({x},{g},{y})",
+                            triple=(x, g, y))
+        gens.append(g)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            nxt = np.unique(t[np.ix_(frontier, gens)])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
 
 
 class Group:
-    """A finite group: Cayley table, labels, element orders and inverses."""
+    """A finite group: Cayley table, labels, element orders and inverses.
+
+    The table is checked exactly unless ``validate`` is False, which only
+    constructors whose tables are groups by construction pass.
+    """
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
                  "inverses", "_pair_rows", "_gen_bits", "_cyc_subgroups",
                  "_cyc_table")
 
-    def __init__(self, table, labels=None, label="G", check="fast"):
+    def __init__(self, table, labels=None, label="G", validate=True):
         t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise NotAGroup("table must be a non-empty square matrix")
@@ -114,7 +116,8 @@ class Group:
             labels = [f"e{i}" for i in range(n)]
         if len(labels) != n:
             raise NotAGroup("need exactly one label per element")
-        _validate_structure(t, check)
+        if validate:
+            _validate_structure(t)
         self.order = n
         self.label = label
         self.labels = tuple(str(x) for x in labels)
@@ -140,9 +143,8 @@ class Group:
         return range(self.order)
 
     def validate_full(self) -> None:
-        """Re-run the full axiom validation (exact associativity up to the
-        size limit, deterministic sampling beyond)."""
-        _validate_structure(self.np_table(), "full")
+        """Re-run the exact group-axiom check that construction runs."""
+        _validate_structure(self.np_table())
 
     def _orders_and_inverses(self):
         n = self.order
@@ -281,7 +283,7 @@ class Subgroup:
             for j, b in enumerate(self.members):
                 row[j] = pos[par._flat[base + b]]
         return Group(table, labels=[par.labels[m] for m in self.members],
-                     label=label or f"{par.label}|sub{n}", check="fast")
+                     label=label or f"{par.label}|sub{n}")
 
 
 def subgroup_generated(group: Group, gens: Iterable[int]) -> Subgroup:
@@ -490,14 +492,14 @@ def perm_group(degree: int, gens: Sequence[tuple]) -> GroupSpec:
 # Builders
 
 
-def _cyclic_group(n: int) -> Group:
+def _cyclic_group(n: int, label: str) -> Group:
     idx = np.arange(n, dtype=np.intc)
     t = (idx[:, None] + idx[None, :]) % n
-    return Group(t, labels=[str(i) for i in range(n)], label=f"Z{n}",
-                 check="none")
+    return Group(t, labels=[str(i) for i in range(n)], label=label,
+                 validate=False)
 
 
-def _dihedral_group(order: int) -> Group:
+def _dihedral_group(order: int, label: str) -> Group:
     n = order // 2
     t = [[0] * order for _ in range(order)]
     for k in (0, 1):
@@ -510,10 +512,10 @@ def _dihedral_group(order: int) -> Group:
                     row[l * n + j] = ((k + l) % 2) * n + jj
     labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
-    return Group(t, labels=labels, label=f"D{order}", check="fast")
+    return Group(t, labels=labels, label=label)
 
 
-def _quaternion_group(order: int) -> Group:
+def _quaternion_group(order: int, label: str) -> Group:
     m = order // 2
     half = m // 2
     t = [[0] * order for _ in range(order)]
@@ -528,7 +530,7 @@ def _quaternion_group(order: int) -> Group:
                     row[l * m + j] = ((k + l) % 2) * m + jj
     labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
     labels += ["b"] + [(f"a{i}b" if i > 1 else "ab") for i in range(1, m)]
-    return Group(t, labels=labels, label=f"Q{order}", check="fast")
+    return Group(t, labels=labels, label=label)
 
 
 def _two_generator_pgroup(p: int, n: int, r: int, label: str) -> Group:
@@ -555,7 +557,7 @@ def _two_generator_pgroup(p: int, n: int, r: int, label: str) -> Group:
             ai = "" if i == 0 else ("a" if i == 1 else f"a{i}")
             xj = "" if j == 0 else ("x" if j == 1 else f"x{j}")
             labels.append((ai + xj) or "e")
-    return Group(t, labels=labels, label=label, check="fast")
+    return Group(t, labels=labels, label=label)
 
 
 def _perm_label(p: tuple) -> str:
@@ -586,7 +588,7 @@ def _table_from_perms(perms: list[tuple], label: str) -> Group:
             row[j] = index[tuple(a[x] for x in b)]
     # composition of permutations is associative by construction
     return Group(t, labels=[_perm_label(p) for p in perms], label=label,
-                 check="none")
+                 validate=False)
 
 
 def _perm_parity_even(p: tuple) -> bool:
@@ -605,14 +607,14 @@ def _perm_parity_even(p: tuple) -> bool:
     return parity == 0
 
 
-def _symmetric_group(n: int) -> Group:
+def _symmetric_group(n: int, label: str) -> Group:
     perms = [tuple(p) for p in permutations(range(n))]
-    return _table_from_perms(perms, f"S{n}")
+    return _table_from_perms(perms, label)
 
 
-def _alternating_group(n: int) -> Group:
+def _alternating_group(n: int, label: str) -> Group:
     perms = [tuple(p) for p in permutations(range(n)) if _perm_parity_even(p)]
-    return _table_from_perms(perms, f"A{n}")
+    return _table_from_perms(perms, label)
 
 
 def _perm_closure_group(degree: int, gens: tuple, cap: int,
@@ -649,41 +651,43 @@ def _product_group(children: list[Group], label: str) -> Group:
     labels = ["(" + ",".join(parts) + ")"
               for parts in iter_product(*[c.labels for c in children])]
     # componentwise products of validated groups are associative
-    return Group(acc, labels=labels, label=label, check="none")
+    return Group(acc, labels=labels, label=label, validate=False)
 
 
-def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP) -> Group:
-    """Build and validate the group described by ``spec``."""
+def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
+          label: Optional[str] = None) -> Group:
+    """Build and validate the group described by ``spec``.
+
+    The group is labelled ``label``, else the spec's name, else after its
+    constructor (a Cayley file's basename).
+    """
     k, p = spec.kind, spec.params
+    if label is None and (k != "cayley" or spec.name is not None):
+        label = spec.label()
     if k == "cyclic":
-        g = _cyclic_group(p[0])
-    elif k == "dihedral":
-        g = _dihedral_group(p[0])
-    elif k == "quaternion":
-        g = _quaternion_group(p[0])
-    elif k == "modular":
+        return _cyclic_group(p[0], label)
+    if k == "dihedral":
+        return _dihedral_group(p[0], label)
+    if k == "quaternion":
+        return _quaternion_group(p[0], label)
+    if k == "modular":
         prime, n = p
-        g = _two_generator_pgroup(prime, n, 1 + prime ** (n - 2),
-                                  spec.label())
-    elif k == "semidihedral":
+        return _two_generator_pgroup(prime, n, 1 + prime ** (n - 2), label)
+    if k == "semidihedral":
         m = p[0]
-        g = _two_generator_pgroup(2, m, 2 ** (m - 2) - 1, spec.label())
-    elif k == "symmetric":
-        g = _symmetric_group(p[0])
-    elif k == "alternating":
-        g = _alternating_group(p[0])
-    elif k == "product":
+        return _two_generator_pgroup(2, m, 2 ** (m - 2) - 1, label)
+    if k == "symmetric":
+        return _symmetric_group(p[0], label)
+    if k == "alternating":
+        return _alternating_group(p[0], label)
+    if k == "product":
         children = [build(c, closure_cap=closure_cap) for c in spec.children]
-        g = _product_group(children, spec.label())
-    elif k == "cayley":
-        g = from_cayley_file(p[0])
-    elif k == "perm":
-        g = _perm_closure_group(p[0], p[1], closure_cap, spec.label())
-    else:
-        raise InvalidParameter(f"unknown spec kind {k!r}")
-    if spec.name is not None:
-        g.label = spec.name
-    return g
+        return _product_group(children, label)
+    if k == "cayley":
+        return from_cayley_file(p[0], label=label)
+    if k == "perm":
+        return _perm_closure_group(p[0], p[1], closure_cap, label)
+    raise InvalidParameter(f"unknown spec kind {k!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +697,9 @@ def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP) -> Group:
 # then n lines of n zero-based indices, row i giving the products of g_i.
 
 
-def from_cayley_file(path: str) -> Group:
+def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
+    """Read and validate a Cayley-table file; ``label`` defaults to the
+    file's basename."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -729,8 +735,9 @@ def from_cayley_file(path: str) -> Group:
             raise InvalidCayleyFile(
                 f"row has {len(row)} entries, expected {n}")
         table.append(row)
-    base = os.path.basename(path)
-    return Group(table, labels=labels, label=base, check="full")
+    if label is None:
+        label = os.path.basename(path)
+    return Group(table, labels=labels, label=label)
 
 
 def to_cayley_file(group: Group, path: str) -> None:

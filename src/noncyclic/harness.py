@@ -237,8 +237,7 @@ class GroupProfile:
 def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
     az = AnalyzedGroup(entry.label, entry.spec)
     try:
-        az.group = build(entry.spec)
-        az.group.label = entry.label
+        az.group = build(entry.spec, label=entry.label)
         az.ctable = cyclicizer_table(az.group)
         if not is_cyclic_group(az.group):
             az.graph = build_graph(az.group, az.ctable)
@@ -996,7 +995,8 @@ def _check_pgroup_recovery(profiles, result: CheckResult):
 # Runners
 
 
-def _run_entry(entry: CatalogEntry, group_checks: list[str]):
+def _run_entry(entry: CatalogEntry, group_checks: list[str],
+               want_certificate: bool):
     az = analyze_entry(entry)
     outcomes = {}
     for name in group_checks:
@@ -1009,7 +1009,7 @@ def _run_entry(entry: CatalogEntry, group_checks: list[str]):
             check.fn(az, scratch)
             scratch.elapsed_ms = 1000 * (time.perf_counter() - t0)
         outcomes[name] = scratch
-    return az.label, outcomes, profile_of(az)
+    return az.label, outcomes, profile_of(az, want_certificate)
 
 
 def _merge(into: CheckResult, part: CheckResult) -> None:
@@ -1042,13 +1042,15 @@ def run_all(catalog: Catalog, jobs: int = 1,
     profiles: list[GroupProfile] = []
     need_entries = bool(group_checks or global_checks)
     if need_entries:
+        want_certificate = bool(global_checks)
         if jobs > 1:
+            n = len(catalog.entries)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 entry_runs = list(pool.map(
-                    _run_entry, catalog.entries,
-                    [group_checks] * len(catalog.entries), chunksize=8))
+                    _run_entry, catalog.entries, [group_checks] * n,
+                    [want_certificate] * n, chunksize=8))
         else:
-            entry_runs = [_run_entry(e, group_checks)
+            entry_runs = [_run_entry(e, group_checks, want_certificate)
                           for e in catalog.entries]
         order_of = {e.label: i for i, e in enumerate(catalog.entries)}
         entry_runs.sort(key=lambda t: order_of[t[0]])

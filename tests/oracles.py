@@ -7,6 +7,8 @@ optimized paths, so tests can cross-check the two.
 
 from itertools import permutations
 
+import numpy as np
+
 
 def closure(group, gens):
     """Subgroup closure by plain set saturation over the full table."""
@@ -22,6 +24,20 @@ def closure(group, gens):
                     members.add(c)
                     changed = True
     return sorted(members)
+
+
+def associativity_failure(table):
+    """First triple (i, j, k), in lexicographic order, with
+    (i*j)*k != i*(j*k), or None: the exact O(n^3) loop over every triple,
+    chunked by first coordinate to bound memory."""
+    t = np.asarray(table)
+    for i in range(t.shape[0]):
+        left = t[t[i], :]          # (i*j)*k
+        right = t[i][t]            # i*(j*k)
+        if not np.array_equal(left, right):
+            j, k = (int(x) for x in np.argwhere(left != right)[0])
+            return (i, j, k)
+    return None
 
 
 def naive_pair_cyclic(group, x, y):

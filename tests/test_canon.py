@@ -175,9 +175,9 @@ def test_goormaghtigh_condition():
         check_goormaghtigh_condition(2, 2, 2, 2, 2, 1)
 
 
-def test_multipartite_fast_path_matches_search_path():
+def test_multipartite_isomorphism_agrees_with_canonical_form():
     # prime-exponent groups with coprime cyclic factors give complete
-    # multipartite graphs; the fast path and the generic path must agree
+    # multipartite graphs; are_isomorphic and canonical forms must agree
     a = graph_of("EA(2,2)xZ3")
     b = graph_of("EA(2,2)xZ5")
     c = graph_of("EA(2,2)xZ3")

@@ -1,10 +1,12 @@
 import os
+import random
 
 import pytest
 
 from noncyclic import groups as G
 from noncyclic.errors import (ClosureTooLarge, InvalidCayleyFile,
                               InvalidParameter, NotAGroup, ParseError)
+from noncyclic.harness import Catalog
 
 import oracles
 
@@ -65,7 +67,7 @@ def test_product_orders_are_lcm(expr):
 
 @pytest.mark.parametrize("expr", [
     "Z12", "Z2xZ4", "D8", "D14", "Q16", "G(2,4)", "G(3,3)", "H(4)",
-    "S4", "A4", "Z3xD8",
+    "S4", "A4", "Z3xD8", "Z300", "S6",
 ])
 def test_full_validation_per_family(expr):
     build(expr).validate_full()
@@ -232,8 +234,58 @@ def test_expression_language():
         G.parse_group_expr("Z4x")
 
 
-def test_randomized_associativity_sampling_large():
-    # beyond the exact limit the constructor falls back to sampled triples
-    g = G.build(G.cyclic(300))
-    g.validate_full()
-    assert g.order == 300
+def _intercalate_swap(t, rng):
+    """Swap one 2x2 subsquare ``a b / b a`` of the table ``t`` (lists) to
+    ``b a / a b`` off the identity row and column; False when 50 random
+    tries find none. The result is still a Latin square with identity 0."""
+    n = len(t)
+    for _ in range(50):
+        r1, r2 = rng.sample(range(1, n), 2)
+        c1 = rng.randrange(1, n)
+        c2 = t[r1].index(t[r2][c1])
+        if c2 != 0 and t[r2][c2] == t[r1][c1]:
+            t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+            t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+            return True
+    return False
+
+
+def _assert_triple_fails(t, triple):
+    i, j, k = triple
+    assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+def test_validation_matches_cubic_oracle_on_perturbed_tables():
+    rng = random.Random(0xA55C)
+    accepted = rejected = 0
+    for entry in Catalog.default(max_order=40).entries:
+        base = G.build(entry.spec).np_table().tolist()
+        if len(base) < 4:
+            continue
+        for _ in range(4):
+            t = [row[:] for row in base]
+            if not all(_intercalate_swap(t, rng)
+                       for _ in range(rng.randint(1, 2))):
+                continue
+            expected = oracles.associativity_failure(t)
+            try:
+                G.Group(t)
+            except NotAGroup as exc:
+                assert expected is not None, entry.label
+                _assert_triple_fails(t, exc.triple)
+                rejected += 1
+            else:
+                assert expected is None, entry.label
+                accepted += 1
+    assert accepted > 0 and rejected > 0
+
+
+def test_large_perturbed_table_is_rejected():
+    t = G.build(G.cyclic(300)).np_table().tolist()
+    # 150 has order 2, so rows 7, 157 and columns 11, 161 form an intercalate
+    for r in (7, 157):
+        t[r][11], t[r][161] = t[r][161], t[r][11]
+    assert oracles.associativity_failure(t) is not None
+    with pytest.raises(NotAGroup) as exc:
+        G.Group(t)
+    _assert_triple_fails(t, exc.value.triple)

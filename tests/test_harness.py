@@ -168,3 +168,12 @@ def test_elapsed_ms_is_rounded_once(monkeypatch, small_catalog):
     assert res.tested == 5
     assert res.to_json_dict(with_timing=True)["elapsed_ms"] == 2
     assert "elapsed_ms" not in res.to_json_dict()
+
+
+def test_group_checks_alone_compute_no_certificate(monkeypatch, small_catalog):
+    def no_canonical_form(*args, **kwargs):
+        raise AssertionError("canonical form computed without a global check")
+
+    monkeypatch.setattr(harness, "canonical_form", no_canonical_form)
+    res = run_check(small_catalog.subset(["Q8", "D8", "Z2xZ4"]), "diam_le_3")
+    assert res.passed and res.tested == 3
