@@ -389,6 +389,23 @@ def _verify_bijection(rows1, rows2, mapping) -> None:
         raise VerificationFailure("bijection does not preserve adjacency")
 
 
+def bijection_from_forms(g1: Union[NonCyclicGraph, Sequence[int]],
+                         g2: Union[NonCyclicGraph, Sequence[int]],
+                         cf1: CanonicalForm, cf2: CanonicalForm
+                         ) -> Optional[list[tuple[int, int]]]:
+    """are_isomorphic's answer for g1 and g2, from their canonical forms
+    cf1 and cf2."""
+    if cf1.hash_hex != cf2.hash_hex or cf1.matrix != cf2.matrix:
+        return None
+    rows1, rows2 = _rows_of(g1), _rows_of(g2)
+    inv2 = [0] * len(rows2)
+    for v, p in enumerate(cf2.labeling):
+        inv2[p] = v
+    mapping = [inv2[cf1.labeling[v]] for v in range(len(rows1))]
+    _verify_bijection(rows1, rows2, mapping)
+    return list(enumerate(mapping))
+
+
 def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],
                    g2: Union[NonCyclicGraph, Sequence[int]], *,
                    vertex_cap: int = DEFAULT_VERTEX_CAP,
@@ -401,14 +418,7 @@ def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],
         return None
     cf1 = canonical_form(rows1, vertex_cap=vertex_cap, timeout=timeout)
     cf2 = canonical_form(rows2, vertex_cap=vertex_cap, timeout=timeout)
-    if cf1.hash_hex != cf2.hash_hex or cf1.matrix != cf2.matrix:
-        return None
-    inv2 = [0] * len(rows2)
-    for v, p in enumerate(cf2.labeling):
-        inv2[p] = v
-    mapping = [inv2[cf1.labeling[v]] for v in range(len(rows1))]
-    _verify_bijection(rows1, rows2, mapping)
-    return list(enumerate(mapping))
+    return bijection_from_forms(rows1, rows2, cf1, cf2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .canon import are_isomorphic, canonical_form
+from .canon import bijection_from_forms, canonical_form
 from .cyclicizers import cyclicizer_table
 from .errors import NonCyclicError
 from .graph import InvariantReport, build_graph, invariant_report, to_dot
@@ -71,7 +71,7 @@ def _cmd_compare(args) -> int:
     graph2 = build_graph(g2)
     cf1 = canonical_form(graph1)
     cf2 = canonical_form(graph2)
-    bijection = are_isomorphic(graph1, graph2)
+    bijection = bijection_from_forms(graph1, graph2, cf1, cf2)
     out = {
         "isomorphic": bijection is not None,
         "certificate_1": cf1.hash_hex,

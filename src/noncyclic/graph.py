@@ -316,9 +316,10 @@ def degree_kinds(graph: NonCyclicGraph):
     return multiset, len(multiset), len(multiset) == 1
 
 
-def complement_clique_sizes(rows: Sequence[int]) -> Optional[list[int]]:
+def multipartite_profile(graph: NonCyclicGraph) -> Optional[list[int]]:
     """Sorted part sizes when the complement is a disjoint union of cliques
     (the graph is then complete multipartite), else None."""
+    rows = graph.adjacency
     nv = len(rows)
     full = (1 << nv) - 1
     comp = [(~rows[i]) & full & ~(1 << i) for i in range(nv)]
@@ -349,10 +350,6 @@ def complement_clique_sizes(rows: Sequence[int]) -> Optional[list[int]]:
         sizes.append(compo.bit_count())
     sizes.sort()
     return sizes
-
-
-def multipartite_profile(graph: NonCyclicGraph) -> Optional[list[int]]:
-    return complement_clique_sizes(graph.adjacency)
 
 
 @dataclass(frozen=True)

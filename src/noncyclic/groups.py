@@ -102,7 +102,7 @@ class Group:
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
                  "inverses", "_pair_rows", "_gen_bits", "_cyc_subgroups",
-                 "_cyc_table")
+                 "_cyc_table", "_sylow")
 
     def __init__(self, table, labels=None, label="G", validate=True):
         t = np.asarray(table)
@@ -129,6 +129,7 @@ class Group:
         self._gen_bits = None
         self._cyc_subgroups = None
         self._cyc_table = None
+        self._sylow = None
 
     # -- basic queries ----------------------------------------------------
 

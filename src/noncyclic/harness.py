@@ -18,7 +18,8 @@ from math import gcd
 from typing import Callable, Optional
 
 from . import structure
-from .canon import canonical_form, check_goormaghtigh_condition
+from .canon import (canonical_form, check_goormaghtigh_condition,
+                    induced_rows)
 from .cyclicizers import (CyclicizerTable, bits_to_indices,
                           cyclicizer_table, is_tidy, quotient_by_central,
                           quotient_by_cyclicizer)
@@ -27,7 +28,7 @@ from .errors import (Disconnected, NonCyclicError, Timeout, TooLarge,
 from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
                     degree_kinds, diameter_info, distance, independence_info,
                     omega_bound_info)
-from .groups import (Group, GroupSpec, Subgroup, build, center, cyclic,
+from .groups import (Group, GroupSpec, build, center, cyclic,
                      dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
                      pi_e, prime_factorization, semidihedral, symmetric,
@@ -208,29 +209,32 @@ class AnalyzedGroup:
 
 @dataclass
 class GroupProfile:
-    """Picklable cross-group summary of one analyzed catalog entry."""
+    """Picklable cross-group summary of one analyzed catalog entry; the
+    global checks read only these. For a nilpotent group with trivial
+    cyclicizer, Cyc(G) is the product of the Cyc(P), all trivial, so each
+    Sylow graph is the subgraph induced on P minus the identity;
+    ``sylow_certificates`` holds its certificate per prime, when
+    certificates are wanted."""
 
     label: str
     spec: GroupSpec
-    order: int
-    cyc_size: int
-    pi_e: tuple
-    mu: tuple
-    max_order_elem: int
-    is_cyclic: bool
-    is_nilpotent: bool
-    sylow_profile: Optional[tuple]    # ((p, size, is_cyclic), ...)
-    is_pgroup: Optional[tuple]        # (p, e)
-    is_gen_quaternion: bool
-    dihedral_n: Optional[int]
-    self_cyc_orders: tuple
-    regular_family: Optional[tuple]
-    goor: Optional[tuple]
+    order: int = 0
+    cyc_size: int = 0
+    pi_e: tuple = ()
+    is_cyclic: bool = False
+    is_nilpotent: bool = False
+    is_pgroup: Optional[tuple] = None       # (p, e)
+    is_gen_quaternion: bool = False
+    dihedral_n: Optional[int] = None
+    self_cyc_orders: tuple = ()
+    regular_family: Optional[tuple] = None
+    goor: Optional[tuple] = None
     vertex_count: Optional[int] = None
     degrees_gcd: Optional[int] = None
     certificate: Optional[bytes] = None
     cert_hash: Optional[str] = None
     cert_error: Optional[str] = None  # why the certificate is missing
+    sylow_certificates: Optional[tuple] = None   # ((p, certificate), ...)
     error: Optional[str] = None
 
 
@@ -249,23 +253,18 @@ def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
 def profile_of(az: AnalyzedGroup, want_certificate: bool = True
                ) -> GroupProfile:
     if az.error is not None:
-        return GroupProfile(az.label, az.spec, 0, 0, (), (), 0, False, False,
-                            None, None, False, None, (), None, None,
-                            error=az.error)
+        return GroupProfile(az.label, az.spec, error=az.error)
     g = az.group
     ct = az.ctable
-    sylows = structure.cyclic_sylow_profile(g)
+    sylows = structure.sylow_decomposition(g)
     prof = GroupProfile(
         label=az.label,
         spec=az.spec,
         order=g.order,
         cyc_size=ct.cyc_size,
         pi_e=pi_e(g),
-        mu=mu(g),
-        max_order_elem=max(g.elem_orders),
         is_cyclic=az.is_cyclic,
         is_nilpotent=sylows is not None,
-        sylow_profile=tuple(sylows) if sylows is not None else None,
         is_pgroup=structure.pgroup_parameters(g),
         is_gen_quaternion=structure.is_generalized_quaternion(g),
         dihedral_n=structure.dihedral_parameter(g),
@@ -283,11 +282,21 @@ def profile_of(az: AnalyzedGroup, want_certificate: bool = True
         if want_certificate:
             try:
                 cf = canonical_form(graph)
+                sylow_certs = None
+                if sylows is not None and ct.cyc_size == 1:
+                    # mem[0] is the identity, the only element off the graph
+                    sylow_certs = tuple(
+                        (p, cf.certificate if len(sylows) == 1 else
+                         canonical_form(induced_rows(graph.adjacency, [
+                             graph.position_of(x) for x in mem[1:]])
+                         ).certificate)
+                        for p, mem in sylows.items())
             except (TooLarge, Timeout) as exc:
                 prof.cert_error = f"{type(exc).__name__}: {exc}"
             else:
                 prof.certificate = cf.certificate
                 prof.cert_hash = cf.hash_hex
+                prof.sylow_certificates = sylow_certs
     return prof
 
 
@@ -856,6 +865,8 @@ def _check_fi(profiles, result: CheckResult):
            "and one is nilpotent, so is the other, with isomorphic Sylow "
            "graphs prime by prime", "global")
 def _check_transfer(profiles, result: CheckResult):
+    """Compares nilpotency, then primes, then the profiles' Sylow-graph
+    certificates prime by prime; no group is rebuilt."""
     for cls in _certificate_classes(profiles):
         if len(cls) < 2:
             continue
@@ -868,26 +879,15 @@ def _check_transfer(profiles, result: CheckResult):
                 _ce(result, pair=(a.label, b.label),
                     nilpotent=(a.is_nilpotent, b.is_nilpotent))
                 continue
-            prof_a = dict((p, (size, cyc)) for p, size, cyc in a.sylow_profile)
-            prof_b = dict((p, (size, cyc)) for p, size, cyc in b.sylow_profile)
-            if set(prof_a) != set(prof_b):
+            primes_a = [p for p, _ in a.sylow_certificates]
+            primes_b = [p for p, _ in b.sylow_certificates]
+            if primes_a != primes_b:
                 _ce(result, pair=(a.label, b.label),
-                    primes=(sorted(prof_a), sorted(prof_b)))
+                    primes=(primes_a, primes_b))
                 continue
-            ga = build(a.spec)
-            gb = build(b.spec)
-            for p in prof_a:
-                if prof_a[p][1] != prof_b[p][1]:
-                    _ce(result, pair=(a.label, b.label), prime=p,
-                        reason="one Sylow subgroup cyclic, the other not")
-                    break
-                if prof_a[p][1]:
-                    continue
-                sa = Subgroup(ga, structure.sylow_members(ga, p)).as_group()
-                sb = Subgroup(gb, structure.sylow_members(gb, p)).as_group()
-                ca = canonical_form(build_graph(sa))
-                cb = canonical_form(build_graph(sb))
-                if ca.matrix != cb.matrix:
+            for (p, cert_a), (_, cert_b) in zip(a.sylow_certificates,
+                                                b.sylow_certificates):
+                if cert_a != cert_b:
                     _ce(result, pair=(a.label, b.label), prime=p,
                         reason="Sylow graphs are not isomorphic")
                     break

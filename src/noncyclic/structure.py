@@ -9,7 +9,8 @@ regular non-cyclic graphs).
 
 from __future__ import annotations
 
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -66,16 +67,21 @@ def _order_is_p_power(o: int, p: int) -> bool:
     return o == 1
 
 
-def sylow_decomposition(group: Group) -> Optional[dict]:
+def sylow_decomposition(group: Group) -> Optional[Mapping[int, tuple]]:
     """{p: members} for every prime divisor, or None when some set of
-    p-elements is not a subgroup (the group is then not nilpotent)."""
-    out = {}
-    for p, _ in prime_factorization(group.order):
-        mem = sylow_members(group, p)
-        if mem is None:
-            return None
-        out[p] = mem
-    return out
+    p-elements is not a subgroup (the group is then not nilpotent).
+    Memoized on the group as a read-only mapping, or False for None."""
+    if group._sylow is None:
+        out = {}
+        for p, _ in prime_factorization(group.order):
+            mem = sylow_members(group, p)
+            if mem is None:
+                group._sylow = False
+                break
+            out[p] = mem
+        else:
+            group._sylow = MappingProxyType(out)
+    return None if group._sylow is False else group._sylow
 
 
 def is_nilpotent(group: Group) -> bool:
@@ -233,20 +239,6 @@ def homocyclic_parameters(group: Group) -> Optional[tuple[int, int, int]]:
     return (p, m, len(partition))
 
 
-def cyclic_sylow_profile(group: Group) -> Optional[list]:
-    """For nilpotent groups: [(p, sylow order, sylow is cyclic)] per prime.
-    None when the group is not nilpotent."""
-    dec = sylow_decomposition(group)
-    if dec is None:
-        return None
-    out = []
-    for p, members in sorted(dec.items()):
-        target = len(members)
-        cyc = any(group.elem_orders[x] == target for x in members)
-        out.append((p, target, cyc))
-    return out
-
-
 def regular_family(group: Group) -> Optional[tuple]:
     """Classify membership in the two families whose non-cyclic graphs are
     regular: ("Q8", n) for Q8 x Z_n with n odd, ("P", p, m, n) for P x Z_n
@@ -254,17 +246,16 @@ def regular_family(group: Group) -> Optional[tuple]:
 
     Returns None for cyclic groups and for groups outside both families.
     """
-    if max(group.elem_orders) == group.order:
+    dec = sylow_decomposition(group)
+    if dec is None:
         return None
-    profile = cyclic_sylow_profile(group)
-    if profile is None:
-        return None
-    noncyclic = [(p, size) for p, size, cyc in profile if not cyc]
+    noncyclic = [(p, members) for p, members in dec.items()
+                 if max(group.elem_orders[x] for x in members) < len(members)]
     if len(noncyclic) != 1:
         return None
-    p, size = noncyclic[0]
+    p, sylow = noncyclic[0]
+    size = len(sylow)
     cof = group.order // size
-    sylow = sylow_members(group, p)
     orders = {group.elem_orders[x] for x in sylow}
     if orders <= {1, p}:
         m = 0
@@ -274,8 +265,7 @@ def regular_family(group: Group) -> Optional[tuple]:
             m += 1
         return ("P", p, m, cof)
     if p == 2 and size == 8 and cof % 2 == 1:
-        sub = set(sylow)
-        if sum(1 for x in sub if group.elem_orders[x] == 2) == 1:
+        if sum(1 for x in sylow if group.elem_orders[x] == 2) == 1:
             return ("Q8", cof)
     return None
 

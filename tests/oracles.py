@@ -2,12 +2,18 @@
 
 Everything here recomputes results from first principles (set closure,
 exhaustive search, permutation enumeration) without touching the library's
-optimized paths, so tests can cross-check the two.
+optimized paths, so tests can cross-check the two. The one exception is
+``rebuilt_sylow_certificate``, which runs the library's graph and canonical
+form on a Sylow subgroup rebuilt as a group of its own.
 """
 
 from itertools import permutations
 
 import numpy as np
+
+from noncyclic.canon import canonical_form
+from noncyclic.graph import build_graph
+from noncyclic.groups import Subgroup
 
 
 def closure(group, gens):
@@ -219,3 +225,10 @@ def bfs_diameter(rows):
     s = ecc.index(diam)
     last = [f for d, f in bfs_levels(rows, s) if d == diam][0]
     return diam, (s, (last & -last).bit_length() - 1), tuple(ecc)
+
+
+def rebuilt_sylow_certificate(group, members):
+    """Certificate of the non-cyclic graph of the subgroup on ``members``,
+    computed from the subgroup's own Cayley table."""
+    return canonical_form(build_graph(
+        Subgroup(group, tuple(members)).as_group())).certificate

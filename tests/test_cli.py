@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from noncyclic import canon, cli
 from noncyclic.cli import main
 
 
@@ -79,6 +80,21 @@ def test_byte_identical_output(capsys):
     _, cmp1, _ = run_cli(capsys, "compare", "G(3,3)", "K(3,3)")
     _, cmp2, _ = run_cli(capsys, "compare", "G(3,3)", "K(3,3)")
     assert cmp1 == cmp2
+
+
+def test_compare_computes_each_canonical_form_once(capsys, monkeypatch):
+    real = canon.canonical_form
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(canon, "canonical_form", counting)
+    monkeypatch.setattr(cli, "canonical_form", counting)
+    code, out, _ = run_cli(capsys, "compare", "S4xZ2", "S4xZ2")
+    assert code == 0 and json.loads(out)["isomorphic"] is True
+    assert len(calls) == 2
 
 
 def test_verify_single_check(capsys):

@@ -1,12 +1,15 @@
 import functools
 import json
 import types
+from collections import Counter
 
 import pytest
 
-from noncyclic import canon, harness
+import oracles
+from noncyclic import canon, groups, harness, structure
 from noncyclic.errors import UnknownCheck
-from noncyclic.harness import (CHECKS, Catalog, CheckResult, all_pass,
+from noncyclic.harness import (CHECKS, Catalog, CheckResult, GroupProfile,
+                               all_pass, analyze_entry, profile_of,
                                render_table, report_json, run_all, run_check)
 
 
@@ -97,14 +100,12 @@ def test_catalog_from_file_respects_max_order(tmp_path):
 
 
 def test_jobs_parallel_matches_serial(small_catalog):
-    serial = run_all(small_catalog, names=["diam_le_3", "iso_order_spectrum"])
-    parallel = run_all(small_catalog, jobs=2,
-                       names=["diam_le_3", "iso_order_spectrum"])
-    for a, b in zip(serial, parallel):
-        assert a.name == b.name
-        assert a.tested == b.tested
-        assert a.counterexamples == b.counterexamples
-        assert a.passed == b.passed
+    names = ["diam_le_3", "iso_order_spectrum", "nilpotent_transfer"]
+    serial = run_all(small_catalog, names=names)
+    parallel = run_all(small_catalog, jobs=2, names=names)
+    assert serial[2].tested > 0
+    assert ([r.to_json_dict() for r in serial]
+            == [r.to_json_dict() for r in parallel])
 
 
 def test_iso_classes_contain_known_duplicates():
@@ -177,3 +178,70 @@ def test_group_checks_alone_compute_no_certificate(monkeypatch, small_catalog):
     monkeypatch.setattr(harness, "canonical_form", no_canonical_form)
     res = run_check(small_catalog.subset(["Q8", "D8", "Z2xZ4"]), "diam_le_3")
     assert res.passed and res.tested == 3
+
+
+def test_sylow_certificates_match_rebuilt_subgroups():
+    # every nilpotent catalog group of order <= 100 with trivial cyclicizer
+    checked = Counter()
+    for entry in Catalog.default(max_order=100).entries:
+        az = analyze_entry(entry)
+        prof = profile_of(az)
+        sylows = structure.sylow_decomposition(az.group)
+        if sylows is None or az.graph is None or prof.cyc_size != 1:
+            assert prof.sylow_certificates is None
+            continue
+        assert prof.sylow_certificates == tuple(
+            (p, oracles.rebuilt_sylow_certificate(az.group, members))
+            for p, members in sylows.items())
+        checked[len(sylows) > 1] += 1
+    assert checked == {False: 100, True: 19}
+
+
+def _synthetic_profile(label, nilpotent=True,
+                       sylows=((2, b"cert-2"), (3, b"cert-3"))):
+    return GroupProfile(label, None, order=36, cyc_size=1,
+                        is_nilpotent=nilpotent,
+                        sylow_certificates=sylows if nilpotent else None,
+                        certificate=b"graph", cert_hash="graph")
+
+
+def test_nilpotent_transfer_reports_each_mismatch():
+    anchor = _synthetic_profile("A")
+    cases = [
+        (_synthetic_profile("B"), []),
+        (_synthetic_profile("B", nilpotent=False),
+         [{"pair": ("A", "B"), "nilpotent": (True, False)}]),
+        (_synthetic_profile("B", sylows=((2, b"cert-2"), (5, b"cert-3"))),
+         [{"pair": ("A", "B"), "primes": ([2, 3], [2, 5])}]),
+        (_synthetic_profile("B", sylows=((2, b"cert-2"), (3, b"other"))),
+         [{"pair": ("A", "B"), "prime": 3,
+           "reason": "Sylow graphs are not isomorphic"}]),
+    ]
+    for other, expected in cases:
+        result = CheckResult("nilpotent_transfer", "")
+        CHECKS["nilpotent_transfer"].fn([anchor, other], result)
+        assert result.tested == 1
+        assert result.counterexamples == expected
+
+
+def test_transfer_reads_profiles_only(monkeypatch, small_catalog):
+    real_as_group = groups.Subgroup.as_group
+    real_members = structure.sylow_members
+    as_group_calls = []
+    member_calls = Counter()
+
+    def counting_as_group(self, *args, **kwargs):
+        as_group_calls.append(self)
+        return real_as_group(self, *args, **kwargs)
+
+    def counting_members(group, p):
+        member_calls[group.label, p] += 1
+        return real_members(group, p)
+
+    monkeypatch.setattr(groups.Subgroup, "as_group", counting_as_group)
+    monkeypatch.setattr(structure, "sylow_members", counting_members)
+    res = run_check(small_catalog.subset(["G(2,4)", "Z2xZ8"]),
+                    "nilpotent_transfer")
+    assert res.passed and res.tested == 1
+    assert as_group_calls == []
+    assert member_calls == {("G(2,4)", 2): 1, ("Z2xZ8", 2): 1}
