@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import EmptySet, VerificationFailure
 from .groups import Group, Subgroup, prime_factorization
 
@@ -209,13 +211,7 @@ def quotient_by_central(group: Group, members: Iterable[int],
                 raise VerificationFailure("cosets are not well defined; "
                                           "subgroup is not normal/central")
             coset_of[y] = qi
-    k = len(reps)
-    table = [[0] * k for _ in range(k)]
-    for i, a in enumerate(reps):
-        base = a * n
-        row = table[i]
-        for j, b in enumerate(reps):
-            row[j] = coset_of[flat[base + b]]
+    table = np.asarray(coset_of)[group.np_table()[np.ix_(reps, reps)]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     q = Group(table, labels=labels,
               label=label or f"{group.label}/N{len(mem)}")

@@ -317,39 +317,20 @@ def degree_kinds(graph: NonCyclicGraph):
 
 
 def multipartite_profile(graph: NonCyclicGraph) -> Optional[list[int]]:
-    """Sorted part sizes when the complement is a disjoint union of cliques
-    (the graph is then complete multipartite), else None."""
+    """Sorted part sizes when the graph is complete multipartite, else None.
+
+    The graph is complete multipartite iff, for every distinct row r, the
+    vertices whose row is r are exactly the non-neighbours ``full & ~r``
+    (they then form one part).
+    """
     rows = graph.adjacency
-    nv = len(rows)
-    full = (1 << nv) - 1
-    comp = [(~rows[i]) & full & ~(1 << i) for i in range(nv)]
-    seen = 0
-    sizes = []
-    for v in range(nv):
-        if (seen >> v) & 1:
-            continue
-        compo = 1 << v
-        frontier = compo
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= comp[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & ~compo
-            compo |= nxt
-        m = compo
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            if comp[u] != compo & ~(1 << u):
-                return None
-            m ^= b
-        seen |= compo
-        sizes.append(compo.bit_count())
-    sizes.sort()
-    return sizes
+    full = (1 << len(rows)) - 1
+    parts: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        parts[row] = parts.get(row, 0) | (1 << v)
+    if any(members != full & ~row for row, members in parts.items()):
+        return None
+    return sorted(members.bit_count() for members in parts.values())
 
 
 @dataclass(frozen=True)

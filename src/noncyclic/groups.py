@@ -109,9 +109,11 @@ class Group:
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise NotAGroup("table must be a non-empty square matrix")
         n = int(t.shape[0])
-        t = t.astype(np.intc, copy=False)
+        if t.dtype.kind not in "iu":
+            raise NotAGroup(f"table entries must be integers, not {t.dtype}")
         if int(t.min()) < 0 or int(t.max()) >= n:
             raise NotAGroup("table entries out of range")
+        t = t.astype(np.intc, copy=False)
         if labels is None:
             labels = [f"e{i}" for i in range(n)]
         if len(labels) != n:
@@ -224,13 +226,7 @@ class Group:
         n = self.order
         if not (0 <= x < n and 0 <= y < n):
             raise InvalidParameter(f"element index out of range: {(x, y)}")
-        if self._pair_rows is not None:
-            return bool((self._pair_rows[x] >> y) & 1)
-        if self.mult(x, y) != self.mult(y, x):
-            return False  # non-commuting pairs never generate a cyclic group
-        members = self._closure((x, y))
-        size = len(members)
-        return any(self.elem_orders[m] == size for m in members)
+        return bool((self.pair_rows[x] >> y) & 1)
 
     def _closure(self, gens: Iterable[int]) -> list[int]:
         n = self.order
@@ -274,17 +270,17 @@ class Subgroup:
                    for m in self.members)
 
     def as_group(self, label: Optional[str] = None) -> Group:
+        """The subgroup as a group of its own, member i at index i; raises
+        NotAGroup when the members are not closed under multiplication."""
         par = self.parent
-        pos = {m: i for i, m in enumerate(self.members)}
-        n = len(self.members)
-        table = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.members):
-            base = a * par.order
-            row = table[i]
-            for j, b in enumerate(self.members):
-                row[j] = pos[par._flat[base + b]]
+        members = np.asarray(self.members, dtype=np.intp)
+        pos = np.full(par.order, -1, dtype=np.intc)
+        pos[members] = np.arange(len(members))
+        table = pos[par.np_table()[np.ix_(members, members)]]
+        if (table < 0).any():
+            raise NotAGroup("members are not closed under multiplication")
         return Group(table, labels=[par.labels[m] for m in self.members],
-                     label=label or f"{par.label}|sub{n}")
+                     label=label or f"{par.label}|sub{len(members)}")
 
 
 def subgroup_generated(group: Group, gens: Iterable[int]) -> Subgroup:
@@ -500,65 +496,28 @@ def _cyclic_group(n: int, label: str) -> Group:
                  validate=False)
 
 
-def _dihedral_group(order: int, label: str) -> Group:
-    n = order // 2
-    t = [[0] * order for _ in range(order)]
-    for k in (0, 1):
-        for i in range(n):
-            a = k * n + i
-            row = t[a]
-            for l in (0, 1):
-                for j in range(n):
-                    jj = (i + j) % n if k == 0 else (i - j) % n
-                    row[l * n + j] = ((k + l) % 2) * n + jj
-    labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
-    labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
-    return Group(t, labels=labels, label=label)
+def _metacyclic_group(m: int, p: int, u: int, s: int, labels: list[str],
+                      label: str) -> Group:
+    """<a, x | a^m = 1, x^p = a^s, x a x^-1 = a^u>, with a^i x^j at index
+    j*m + i: (a^i x^j)(a^k x^l) = a^(i + k*u^j + s*[j+l >= p]) x^((j+l) % p).
+    The parameters are not checked to present a group of order m*p, so the
+    table is validated."""
+    j, i = np.divmod(np.arange(m * p, dtype=np.int64), m)
+    upow = np.array([pow(u, e, m) for e in range(p)], dtype=np.int64)
+    jl = j[:, None] + j[None, :]
+    a = (i[:, None] + upow[j][:, None] * i[None, :] + s * (jl >= p)) % m
+    return Group((jl % p) * m + a, labels=labels, label=label)
 
 
-def _quaternion_group(order: int, label: str) -> Group:
-    m = order // 2
-    half = m // 2
-    t = [[0] * order for _ in range(order)]
-    for k in (0, 1):
-        for i in range(m):
-            row = t[k * m + i]
-            for l in (0, 1):
-                for j in range(m):
-                    jj = (i + j) % m if k == 0 else (i - j) % m
-                    if k and l:
-                        jj = (jj + half) % m
-                    row[l * m + j] = ((k + l) % 2) * m + jj
-    labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
-    labels += ["b"] + [(f"a{i}b" if i > 1 else "ab") for i in range(1, m)]
-    return Group(t, labels=labels, label=label)
+def _words(m: int, p: int, a: str, x: str,
+           x_first: bool = False) -> list[str]:
+    """Labels of the elements a^i x^j at index j*m + i, such as a2x or sr2."""
+    def power(sym, k):
+        return "" if k == 0 else sym if k == 1 else f"{sym}{k}"
 
-
-def _two_generator_pgroup(p: int, n: int, r: int, label: str) -> Group:
-    """Group <a, x | x^p = a^(p^(n-1)) = 1, x a x^-1 = a^u> with u = r^-1,
-    elements a^i x^j indexed as j*p^(n-1) + i."""
-    big = p ** (n - 1)
-    u = pow(r, -1, big)
-    upow = [1]
-    for _ in range(p - 1):
-        upow.append(upow[-1] * u % big)
-    order = big * p
-    t = [[0] * order for _ in range(order)]
-    for j in range(p):
-        uj = upow[j]
-        for i in range(big):
-            row = t[j * big + i]
-            for l in range(p):
-                off = ((j + l) % p) * big
-                for k in range(big):
-                    row[l * big + k] = off + (i + k * uj) % big
-    labels = []
-    for j in range(p):
-        for i in range(big):
-            ai = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-            xj = "" if j == 0 else ("x" if j == 1 else f"x{j}")
-            labels.append((ai + xj) or "e")
-    return Group(t, labels=labels, label=label)
+    return [(power(x, j) + power(a, i) if x_first
+             else power(a, i) + power(x, j)) or "e"
+            for j in range(p) for i in range(m)]
 
 
 def _perm_label(p: tuple) -> str:
@@ -668,15 +627,20 @@ def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
     if k == "cyclic":
         return _cyclic_group(p[0], label)
     if k == "dihedral":
-        return _dihedral_group(p[0], label)
+        m = p[0] // 2
+        return _metacyclic_group(m, 2, -1, 0,
+                                 _words(m, 2, "r", "s", x_first=True), label)
     if k == "quaternion":
-        return _quaternion_group(p[0], label)
-    if k == "modular":
-        prime, n = p
-        return _two_generator_pgroup(prime, n, 1 + prime ** (n - 2), label)
-    if k == "semidihedral":
-        m = p[0]
-        return _two_generator_pgroup(2, m, 2 ** (m - 2) - 1, label)
+        m = p[0] // 2
+        return _metacyclic_group(m, 2, -1, m // 2, _words(m, 2, "a", "b"),
+                                 label)
+    if k in ("modular", "semidihedral"):
+        # x^-1 a x = a^r, so x a x^-1 = a^u with u = r^-1 mod |a|
+        prime, n = p if k == "modular" else (2, p[0])
+        big = prime ** (n - 1)
+        r = 1 + prime ** (n - 2) if k == "modular" else 2 ** (n - 2) - 1
+        return _metacyclic_group(big, prime, pow(r, -1, big), 0,
+                                 _words(big, prime, "a", "x"), label)
     if k == "symmetric":
         return _symmetric_group(p[0], label)
     if k == "alternating":
@@ -695,7 +659,8 @@ def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
 # Cayley-table files
 #
 # Format: line 1 is n; an optional line of n whitespace-separated labels;
-# then n lines of n zero-based indices, row i giving the products of g_i.
+# then n lines of n integers in 0..n-1, row i giving the products of g_i.
+# Blank lines are skipped; there are no comments.
 
 
 def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
@@ -726,16 +691,13 @@ def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
     else:
         raise InvalidCayleyFile(
             f"expected {n + 1} or {n + 2} non-empty lines, got {len(lines)}")
-    table = []
-    for ln in rows_text:
-        try:
-            row = [int(x) for x in ln.split()]
-        except ValueError as exc:
-            raise InvalidCayleyFile(f"non-integer table entry in {ln!r}") from exc
-        if len(row) != n:
-            raise InvalidCayleyFile(
-                f"row has {len(row)} entries, expected {n}")
-        table.append(row)
+    try:
+        table = np.loadtxt(rows_text, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise InvalidCayleyFile(f"bad table body: {exc}") from exc
+    if table.shape != (n, n):
+        raise InvalidCayleyFile(
+            f"table has shape {table.shape}, expected {(n, n)}")
     if label is None:
         label = os.path.basename(path)
     return Group(table, labels=labels, label=label)

@@ -17,6 +17,8 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import structure
 from .canon import (canonical_form, check_goormaghtigh_condition,
                     induced_rows)
@@ -25,9 +27,9 @@ from .cyclicizers import (CyclicizerTable, bits_to_indices,
                           quotient_by_cyclicizer)
 from .errors import (Disconnected, NonCyclicError, Timeout, TooLarge,
                      UnknownCheck, VerificationFailure)
-from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
-                    degree_kinds, diameter_info, distance, independence_info,
-                    omega_bound_info)
+from .graph import (NonCyclicGraph, _bit_matrix, build_graph,
+                    clique_and_chromatic, degree_kinds, diameter_info,
+                    distance, independence_info, omega_bound_info)
 from .groups import (Group, GroupSpec, build, center, cyclic,
                      dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
@@ -374,33 +376,28 @@ def _ce(result: CheckResult, **data) -> None:
            "cyclicizer, whose size therefore divides it", "group")
 def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
     g, ct = az.group, az.ctable
-    n = g.order
     cyc = ct.cyc_members()
     result.tested += 1
     if len(cyc) == 1:
         return
-    flat = g._flat
-    for x in range(n):
-        row = ct.rows[x]
-        if row.bit_count() % len(cyc):
-            _ce(result, group=az.label, element=g.labels[x],
-                reason="cyclicizer size not divisible by group cyclicizer")
-            return
-        seen = 0
-        rest = row
-        while rest:
-            b = rest & -rest
-            y = b.bit_length() - 1
-            coset = 0
-            for c in cyc:
-                coset |= 1 << flat[y * n + c]
-            if coset & ~row:
-                _ce(result, group=az.label, element=g.labels[x],
-                    coset_rep=g.labels[y],
-                    reason="coset leaks outside the cyclicizer")
-                return
-            rest &= ~coset
-            seen |= coset
+    t = g.np_table()
+    # each coset y*Cyc(G) once, as a row of members; the rows partition G
+    cosets = t[np.ix_(np.unique(t[:, cyc].min(axis=1)), cyc)]
+    inside = _bit_matrix(ct.rows)[:, cosets]   # is cosets[c, k] in Cyc(x)
+    leaks = inside.any(axis=2) & ~inside.all(axis=2)
+    indivisible = inside.sum(axis=(1, 2)) % len(cyc) != 0
+    bad = np.flatnonzero(indivisible | leaks.any(axis=1))
+    if not bad.size:
+        return
+    x = int(bad[0])
+    if indivisible[x]:
+        _ce(result, group=az.label, element=g.labels[x],
+            reason="cyclicizer size not divisible by group cyclicizer")
+        return
+    # the least element of Cyc(x) whose coset leaks
+    y = int(cosets[leaks[x]][inside[x][leaks[x]]].min())
+    _ce(result, group=az.label, element=g.labels[x], coset_rep=g.labels[y],
+        reason="coset leaks outside the cyclicizer")
 
 
 @_register("cyc_core_cyclic",

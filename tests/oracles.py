@@ -14,6 +14,7 @@ import numpy as np
 from noncyclic.canon import canonical_form
 from noncyclic.graph import build_graph
 from noncyclic.groups import Subgroup
+from noncyclic.harness import _ce
 
 
 def closure(group, gens):
@@ -232,3 +233,99 @@ def rebuilt_sylow_certificate(group, members):
     computed from the subgroup's own Cayley table."""
     return canonical_form(build_graph(
         Subgroup(group, tuple(members)).as_group())).certificate
+
+
+# ---------------------------------------------------------------------------
+# Entry-by-entry table builders, the reference for groups._metacyclic_group.
+# Each returns (table as lists, labels).
+
+
+def loop_dihedral(order):
+    n = order // 2
+    t = [[0] * order for _ in range(order)]
+    for k in (0, 1):
+        for i in range(n):
+            a = k * n + i
+            row = t[a]
+            for l in (0, 1):
+                for j in range(n):
+                    jj = (i + j) % n if k == 0 else (i - j) % n
+                    row[l * n + j] = ((k + l) % 2) * n + jj
+    labels = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
+    labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
+    return t, labels
+
+
+def loop_quaternion(order):
+    m = order // 2
+    half = m // 2
+    t = [[0] * order for _ in range(order)]
+    for k in (0, 1):
+        for i in range(m):
+            row = t[k * m + i]
+            for l in (0, 1):
+                for j in range(m):
+                    jj = (i + j) % m if k == 0 else (i - j) % m
+                    if k and l:
+                        jj = (jj + half) % m
+                    row[l * m + j] = ((k + l) % 2) * m + jj
+    labels = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
+    labels += ["b"] + [(f"a{i}b" if i > 1 else "ab") for i in range(1, m)]
+    return t, labels
+
+
+def loop_two_generator_pgroup(p, n, r):
+    """Group <a, x | x^p = a^(p^(n-1)) = 1, x a x^-1 = a^u> with u = r^-1,
+    elements a^i x^j indexed as j*p^(n-1) + i."""
+    big = p ** (n - 1)
+    u = pow(r, -1, big)
+    upow = [1]
+    for _ in range(p - 1):
+        upow.append(upow[-1] * u % big)
+    order = big * p
+    t = [[0] * order for _ in range(order)]
+    for j in range(p):
+        uj = upow[j]
+        for i in range(big):
+            row = t[j * big + i]
+            for l in range(p):
+                off = ((j + l) % p) * big
+                for k in range(big):
+                    row[l * big + k] = off + (i + k * uj) % big
+    labels = []
+    for j in range(p):
+        for i in range(big):
+            ai = "" if i == 0 else ("a" if i == 1 else f"a{i}")
+            xj = "" if j == 0 else ("x" if j == 1 else f"x{j}")
+            labels.append((ai + xj) or "e")
+    return t, labels
+
+
+def coset_union_loop(az, result):
+    """The cyc_coset_union check, rebuilding the coset y*Cyc(G) bit by bit
+    for every x whose cyclicizer contains y."""
+    g, ct = az.group, az.ctable
+    n = g.order
+    cyc = ct.cyc_members()
+    result.tested += 1
+    if len(cyc) == 1:
+        return
+    for x in range(n):
+        row = ct.rows[x]
+        if row.bit_count() % len(cyc):
+            _ce(result, group=az.label, element=g.labels[x],
+                reason="cyclicizer size not divisible by group cyclicizer")
+            return
+        rest = row
+        while rest:
+            b = rest & -rest
+            y = b.bit_length() - 1
+            coset = 0
+            for c in cyc:
+                coset |= 1 << g.mult(y, c)
+            if coset & ~row:
+                _ce(result, group=az.label, element=g.labels[x],
+                    coset_rep=g.labels[y],
+                    reason="coset leaks outside the cyclicizer")
+                return
+            rest &= ~coset

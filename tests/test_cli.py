@@ -148,3 +148,14 @@ def test_bad_spec_is_computation_error(capsys):
     assert code == 1
     assert json.loads(err)["error"]["type"] in ("ParseError",
                                                 "InvalidParameter")
+
+
+@pytest.mark.parametrize("body", ["0 4294967297\n1 0\n", "0 1.5\n1.5 0\n",
+                                  "0 99999999999999999999\n1 0\n"])
+def test_bad_cayley_entry_is_computation_error(capsys, tmp_path, body):
+    path = tmp_path / "bad.cayley"
+    path.write_text("2\n" + body)
+    code, out, err = run_cli(capsys, "build", f"cayley:{path}")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] in ("NotAGroup",
+                                                "InvalidCayleyFile")

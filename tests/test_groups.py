@@ -221,6 +221,73 @@ def test_cayley_file_rejections(tmp_path):
         G.from_cayley_file(str(malformed))
 
 
+@pytest.mark.parametrize("body", [
+    "0 1 2\n1 2 x\n2 0 1\n",         # non-integer token
+    "0 1 2\n1 2\n2 0 1\n",           # short row
+    "0 1 2\n1 2 0 1\n2 0 1\n",       # long row
+    "0 1\n1 0\n0 1\n",               # every row short
+    "0 1 2\n1 2 0 # Z3\n2 0 1\n",    # comments are not part of the format
+    "0 1 2\n1 2 0\n",                 # missing row
+    "0 1 2\n1 2 0\n2 0 99999999999999999999\n",   # beyond int64
+])
+def test_cayley_file_body_rejections(tmp_path, body):
+    path = tmp_path / "bad.cayley"
+    path.write_text("3\n" + body)
+    with pytest.raises(InvalidCayleyFile):
+        G.from_cayley_file(str(path))
+
+
+def test_entries_are_range_checked_before_narrowing(tmp_path):
+    wide = tmp_path / "wide.cayley"
+    wide.write_text("2\n0 4294967297\n1 0\n")   # 2^32 + 1 narrows to 1
+    with pytest.raises(NotAGroup):
+        G.from_cayley_file(str(wide))
+    with pytest.raises(NotAGroup):
+        G.Group([[0, 1.5], [1.5, 0]])             # truncates to Z2
+    with pytest.raises(NotAGroup):
+        G.Group([[0, 2 ** 64], [1, 0]])           # does not fit int64
+
+
+def test_as_group_rejects_unclosed_members():
+    s3 = build("S3")
+    members = (0, s3.labels.index("(1 2)"), s3.labels.index("(1 3)"))
+    with pytest.raises(NotAGroup):
+        G.Subgroup(s3, tuple(sorted(members))).as_group()
+    center = G.center(build("D8")).as_group()
+    assert center.order == 2 and center.labels == ("e", "r2")
+
+
+def _loop_built_families(max_order):
+    """(spec, loop builder) for every D, Q, G(p,n) and H spec of order at
+    most ``max_order``."""
+    out = [(G.dihedral(n), lambda n=n: oracles.loop_dihedral(n))
+           for n in range(6, max_order + 1, 2)]
+    out += [(G.generalized_quaternion(2 ** e),
+             lambda e=e: oracles.loop_quaternion(2 ** e))
+            for e in range(3, max_order.bit_length()) if 2 ** e <= max_order]
+    out += [(G.modular_pgroup(p, n),
+             lambda p=p, n=n: oracles.loop_two_generator_pgroup(
+                 p, n, 1 + p ** (n - 2)))
+            for p in range(2, max_order) if G._is_prime(p)
+            for n in range(3, max_order.bit_length()) if p ** n <= max_order]
+    out += [(G.semidihedral(m),
+             lambda m=m: oracles.loop_two_generator_pgroup(2, m, 2 ** (m - 2) - 1))
+            for m in range(4, max_order.bit_length()) if 2 ** m <= max_order]
+    return out
+
+
+def test_metacyclic_tables_match_loop_builders():
+    families = _loop_built_families(512)
+    assert {s.label() for s, _ in families} >= {
+        "D6", "D512", "Q8", "Q512", "G(2,9)", "G(3,5)", "G(7,3)", "H(4)",
+        "H(9)"}
+    for spec, loop in families:
+        g = G.build(spec)
+        table, labels = loop()
+        assert g.np_table().tolist() == table, spec.label()
+        assert list(g.labels) == labels, spec.label()
+
+
 def test_expression_language():
     assert G.parse_group_expr("K(3,3)").label() == "K(3,3)"
     assert G.build(G.parse_group_expr("K(3,3)")).order == 27

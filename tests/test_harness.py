@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import json
+import random
 import types
 from collections import Counter
 
@@ -74,19 +76,68 @@ def test_run_all_small_catalog_passes(small_catalog):
 
 
 def test_fault_injected_catalog_entry(tmp_path, small_catalog):
-    bad = tmp_path / "broken.cayley"
-    bad.write_text("3\n0 1 2\n1 0 2\n2 0 1\n")  # not a Latin square
+    entries = [{"label": "ok", "spec": "Q8"}]
+    for i, body in enumerate(["0 1 2\n1 0 2\n2 0 1\n",   # not a Latin square
+                              "0 4294967297\n1 0\n",       # 2^32 + 1
+                              "0 1.5\n1.5 0\n",
+                              "0 99999999999999999999\n1 0\n"]):
+        path = tmp_path / f"broken{i}.cayley"
+        path.write_text(f"{len(body.splitlines())}\n{body}")
+        entries.append({"label": f"broken{i}", "spec": f"cayley:{path}"})
     cat_file = tmp_path / "catalog.json"
-    cat_file.write_text(json.dumps([
-        {"label": "ok", "spec": "Q8"},
-        {"label": "broken", "spec": f"cayley:{bad}"},
-    ]))
+    cat_file.write_text(json.dumps(entries))
     cat = Catalog.from_file(str(cat_file))
     res = run_check(cat, "diam_le_3")
     assert res.passed
     assert res.tested == 1
-    assert any(label == "broken" and "build failed" in reason
-               for label, reason in res.skipped)
+    assert sorted(label for label, reason in res.skipped
+                  if reason.startswith("build failed (")) == \
+        ["broken0", "broken1", "broken2", "broken3"]
+
+
+def _doctored(az, rng):
+    """Copies of ``az`` whose cyclicizer rows lose members: one member of a
+    row (its size is no longer divisible by |Cyc(G)|), |Cyc(G)| members
+    taken from two cosets in a row (both cosets leak), and both at once."""
+    g, ct = az.group, az.ctable
+    cyc = ct.cyc_members()
+
+    def drop(rows, counts):
+        x = rng.randrange(1, g.order)
+        members = oracles.rows_to_sets([rows[x]])[0]
+        cosets = sorted({tuple(sorted(g.mult(y, c) for c in cyc))
+                         for y in members})
+        for coset, k in zip(rng.sample(cosets, len(counts)), counts):
+            for y in rng.sample(coset, k):
+                rows[x] &= ~(1 << y)
+
+    out = []
+    for plan in ([(1,)], [(1, len(cyc) - 1)], [(1,), (1, len(cyc) - 1)]):
+        rows = list(ct.rows)
+        for counts in rng.sample(plan, len(plan)):
+            drop(rows, counts)
+        out.append(dataclasses.replace(
+            az, ctable=dataclasses.replace(ct, rows=tuple(rows))))
+    return out
+
+
+def test_coset_union_matches_loop_oracle():
+    rng = random.Random(0xC05E7)
+    reasons = Counter()
+    for entry in Catalog.default(max_order=64).entries:
+        az = analyze_entry(entry)
+        cases = [az]
+        if az.ctable.cyc_size > 1 and not az.is_cyclic:
+            cases += _doctored(az, rng)
+        for case in cases:
+            got = CheckResult("cyc_coset_union", "")
+            want = CheckResult("cyc_coset_union", "")
+            CHECKS["cyc_coset_union"].fn(case, got)
+            oracles.coset_union_loop(case, want)
+            assert got == want, entry.label
+            reasons.update(ce["reason"] for ce in got.counterexamples)
+    assert reasons["cyclicizer size not divisible by group cyclicizer"] > 0
+    assert reasons["coset leaks outside the cyclicizer"] > 0
 
 
 def test_catalog_from_file_respects_max_order(tmp_path):
