@@ -2,8 +2,7 @@
 
 Elements are indices 0..n-1 and index 0 is always the identity. The table is
 stored flat, row major: ``t[i*n + j]`` is the index of g_i * g_j. A Group is
-immutable after construction; the pair-cyclicity cache fills lazily and a
-refill is idempotent, so concurrent readers are safe once it is built.
+fully built and immutable when its constructor returns.
 """
 
 from __future__ import annotations
@@ -86,22 +85,32 @@ def _validate_structure(t: np.ndarray) -> None:
             raise NotAGroup(f"associativity fails at ({x},{g},{y})",
                             triple=(x, g, y))
         gens.append(g)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            nxt = np.unique(t[np.ix_(frontier, gens)])
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
+        _close(t, reached, gens)
+
+
+def _close(t: np.ndarray, reached: np.ndarray, gens: Sequence[int]) -> None:
+    """Close the element mask ``reached`` under right multiplication by
+    ``gens``, in place. From the identity alone this reaches <gens>, since
+    in a finite group the monoid a set generates is the subgroup."""
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        nxt = np.unique(t[np.ix_(frontier, gens)])
+        frontier = nxt[~reached[nxt]]
+        reached[frontier] = True
 
 
 class Group:
-    """A finite group: Cayley table, labels, element orders and inverses.
+    """A finite group: Cayley table, labels, element orders, inverses and
+    cyclic subgroups, the last as (smallest generator, member bitset) by
+    ascending generator. Row x of ``pair_rows`` has bit y set iff <x, y> is
+    cyclic, i.e. x and y lie in a common cyclic subgroup: it is Cyc(x).
 
     The table is checked exactly unless ``validate`` is False, which only
     constructors whose tables are groups by construction pass.
     """
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
-                 "inverses", "_pair_rows", "_gen_bits", "_cyc_subgroups",
+                 "inverses", "pair_rows", "_gen_bits", "cyclic_subgroups",
                  "_cyc_table", "_sylow")
 
     def __init__(self, table, labels=None, label="G", validate=True):
@@ -126,12 +135,47 @@ class Group:
         flat = array("i")
         flat.frombytes(t.tobytes())
         self._flat = flat
-        self.elem_orders, self.inverses = self._orders_and_inverses()
-        self._pair_rows = None
-        self._gen_bits = None
-        self._cyc_subgroups = None
+        self._walk_cyclic_subgroups()
         self._cyc_table = None
         self._sylow = None
+
+    def _walk_cyclic_subgroups(self) -> None:
+        """Walk the powers [e, g, ..., g^(L-1)] of each g, in ascending
+        order, that is no power of a smaller element. The power h = g^k has
+        order L/gcd(k, L), inverse g^(L-k) and <h> = <g^gcd(k, L)>. Every
+        cyclic subgroup lies in a walked <g>, so row x is the union of the
+        walked <g> that contain x."""
+        n = self.order
+        flat = self._flat
+        self.elem_orders = orders = [1] + [0] * (n - 1)
+        self.inverses = invs = [0] * n
+        self._gen_bits = gen_bits = [1] * n
+        self.pair_rows = rows = [1] + [0] * (n - 1)
+        for g in range(1, n):
+            if orders[g]:
+                continue
+            powers = [0, g]
+            x = flat[g * n + g]
+            while x:
+                powers.append(x)
+                x = flat[x * n + g]
+            size = len(powers)
+            by_gcd = {}
+            for k in range(1, size):
+                h = powers[k]
+                if not orders[h]:
+                    d = gcd(k, size)
+                    if d not in by_gcd:
+                        by_gcd[d] = sum(1 << m for m in powers[::d])
+                    orders[h] = size // d
+                    invs[h] = powers[size - k]
+                    gen_bits[h] = by_gcd[d]
+            for m in powers:
+                rows[m] |= gen_bits[g]
+        first: dict[int, int] = {}
+        for g, bits in enumerate(gen_bits):
+            first.setdefault(bits, g)
+        self.cyclic_subgroups = tuple((g, bits) for bits, g in first.items())
 
     # -- basic queries ----------------------------------------------------
 
@@ -149,76 +193,8 @@ class Group:
         """Re-run the exact group-axiom check that construction runs."""
         _validate_structure(self.np_table())
 
-    def _orders_and_inverses(self):
-        n = self.order
-        flat = self._flat
-        orders = [1] * n
-        invs = [0] * n
-        for g in range(1, n):
-            o = 1
-            prev = g
-            x = flat[g * n + g]
-            while x != 0:
-                o += 1
-                prev = x
-                x = flat[x * n + g]
-            orders[g] = o + 1
-            invs[g] = prev
-        return orders, invs
-
-    # -- cyclic subgroup / pair-cyclicity cache ---------------------------
-
-    def _build_pair_cache(self) -> None:
-        if self._pair_rows is not None:
-            return
-        n = self.order
-        flat = self._flat
-        rows = [0] * n
-        gen_bits = [0] * n
-        seen: dict[int, int] = {}
-        for g in range(n):
-            members = [0]
-            x = g
-            while x != 0:
-                members.append(x)
-                x = flat[x * n + g]
-            bits = 0
-            for m in members:
-                bits |= 1 << m
-            gen_bits[g] = bits
-            if bits in seen:
-                continue
-            seen[bits] = g
-            for m in members:
-                rows[m] |= bits
-        self._gen_bits = gen_bits
-        self._cyc_subgroups = tuple((g, bits) for bits, g in seen.items())
-        self._pair_rows = rows
-
-    @property
-    def pair_rows(self) -> list[int]:
-        """Bitset rows of the pair-cyclicity relation.
-
-        Row x has bit y set iff <x, y> is cyclic; row x is exactly the
-        cyclicizer of x, since <x, y> is cyclic precisely when x and y lie
-        in a common cyclic subgroup.
-        """
-        if self._pair_rows is None:
-            self._build_pair_cache()
-        return self._pair_rows
-
-    @property
-    def cyclic_subgroups(self) -> tuple:
-        """Distinct cyclic subgroups as (smallest generator, member bitset),
-        in order of discovery by ascending generator index."""
-        if self._cyc_subgroups is None:
-            self._build_pair_cache()
-        return self._cyc_subgroups
-
     def generated_cyclic_bits(self, x: int) -> int:
         """Member bitset of <x>."""
-        if self._gen_bits is None:
-            self._build_pair_cache()
         return self._gen_bits[x]
 
     def is_pair_cyclic(self, x: int, y: int) -> bool:
@@ -227,28 +203,6 @@ class Group:
         if not (0 <= x < n and 0 <= y < n):
             raise InvalidParameter(f"element index out of range: {(x, y)}")
         return bool((self.pair_rows[x] >> y) & 1)
-
-    def _closure(self, gens: Iterable[int]) -> list[int]:
-        n = self.order
-        flat = self._flat
-        gens = sorted(set(gens) - {0})
-        seen = bytearray(n)
-        seen[0] = 1
-        out = [0]
-        queue = [0]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            base = x * n
-            for g in gens:
-                y = flat[base + g]
-                if not seen[y]:
-                    seen[y] = 1
-                    out.append(y)
-                    queue.append(y)
-        out.sort()
-        return out
 
     def __repr__(self):
         return f"Group({self.label!r}, order={self.order})"
@@ -284,12 +238,15 @@ class Subgroup:
 
 
 def subgroup_generated(group: Group, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing ``gens`` (breadth-first closure)."""
+    """Smallest subgroup containing ``gens``."""
     gens = list(gens)
     for g in gens:
         if not 0 <= g < group.order:
             raise InvalidParameter(f"generator index out of range: {g}")
-    return Subgroup(group, tuple(group._closure(gens)))
+    reached = np.zeros(group.order, dtype=bool)
+    reached[0] = True
+    _close(group.np_table(), reached, gens)
+    return Subgroup(group, tuple(np.flatnonzero(reached).tolist()))
 
 
 def is_pair_cyclic(group: Group, x: int, y: int) -> bool:
@@ -538,16 +495,30 @@ def _perm_label(p: tuple) -> str:
     return "".join(cycles) or "e"
 
 
-def _table_from_perms(perms: list[tuple], label: str) -> Group:
+def _table_from_perms(perms: list[tuple], gens: Sequence[tuple],
+                      label: str) -> Group:
+    """The table of ``perms`` (identity first) under (a*b)(x) = a(b(x)),
+    given generators of the group they form. If b = c*g for a generator g
+    then a*b = (a*c)*g, so column b is column c gathered through right
+    multiplication by g; a walk from the identity column fills the rest."""
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
-    t = [[0] * n for _ in range(n)]
-    for i, a in enumerate(perms):
-        row = t[i]
-        for j, b in enumerate(perms):
-            row[j] = index[tuple(a[x] for x in b)]
+    right = [np.fromiter((index[tuple(p[x] for x in g)] for p in perms),
+                         dtype=np.intc, count=n) for g in gens]
+    cols = np.empty((n, n), dtype=np.intc)
+    cols[0] = np.arange(n)
+    done = bytearray(n)
+    done[0] = 1
+    queue = [0]
+    for c in queue:
+        for r in right:
+            b = int(r[c])
+            if not done[b]:
+                done[b] = 1
+                cols[b] = r[cols[c]]
+                queue.append(b)
     # composition of permutations is associative by construction
-    return Group(t, labels=[_perm_label(p) for p in perms], label=label,
+    return Group(cols.T, labels=[_perm_label(p) for p in perms], label=label,
                  validate=False)
 
 
@@ -569,34 +540,34 @@ def _perm_parity_even(p: tuple) -> bool:
 
 def _symmetric_group(n: int, label: str) -> Group:
     perms = [tuple(p) for p in permutations(range(n))]
-    return _table_from_perms(perms, label)
+    # (1 2) and (1 2 ... n)
+    gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    return _table_from_perms(perms, gens, label)
 
 
 def _alternating_group(n: int, label: str) -> Group:
     perms = [tuple(p) for p in permutations(range(n)) if _perm_parity_even(p)]
-    return _table_from_perms(perms, label)
+    # (1 2 3) and (1 2 ... n) for odd n, (2 3 ... n) for even n
+    gens = [(1, 2, 0, *range(3, n)), (*range(1, n), 0) if n % 2
+            else (0, *range(2, n), 1)] if n > 2 else []
+    return _table_from_perms(perms, gens, label)
 
 
-def _perm_closure_group(degree: int, gens: tuple, cap: int,
-                        label: str) -> Group:
-    ident = tuple(range(degree))
-    elems = {ident: 0}
-    ordered = [ident]
-    queue = [ident]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+def _perm_closure(degree: int, gens: tuple, cap: int) -> list[tuple]:
+    """The group the permutations ``gens`` generate, identity first, in
+    breadth-first order; ClosureTooLarge past ``cap`` elements."""
+    ordered = [tuple(range(degree))]
+    seen = set(ordered)
+    for x in ordered:
         for g in gens:
-            y = tuple(x[g[i]] for i in range(degree))
-            if y not in elems:
+            y = tuple(x[i] for i in g)
+            if y not in seen:
                 if len(ordered) >= cap:
                     raise ClosureTooLarge(
                         f"closure exceeds cap of {cap} elements")
-                elems[y] = len(ordered)
+                seen.add(y)
                 ordered.append(y)
-                queue.append(y)
-    return _table_from_perms(ordered, label)
+    return ordered
 
 
 def _product_group(children: list[Group], label: str) -> Group:
@@ -651,8 +622,25 @@ def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
     if k == "cayley":
         return from_cayley_file(p[0], label=label)
     if k == "perm":
-        return _perm_closure_group(p[0], p[1], closure_cap, label)
+        return _table_from_perms(_perm_closure(p[0], p[1], closure_cap),
+                                 p[1], label)
     raise InvalidParameter(f"unknown spec kind {k!r}")
+
+
+def _order_before_build(spec: GroupSpec) -> Optional[int]:
+    """The order of the group ``spec`` builds, with no table built: from
+    the spec, a Cayley file's first line or a permutation closure. None
+    when neither gives one; building then says why."""
+    k, p = spec.kind, spec.params
+    try:
+        if k == "perm":
+            return len(_perm_closure(p[0], p[1], DEFAULT_CLOSURE_CAP))
+        if k == "cayley":
+            with open(p[0], "r", encoding="utf-8") as fh:
+                return int(next(ln for ln in fh if ln.strip()))
+    except (ClosureTooLarge, OSError, ValueError, StopIteration):
+        return None
+    return spec.order()
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +702,12 @@ def to_cayley_file(group: Group, path: str) -> None:
     if len(set(sanitized)) != len(sanitized) or any(not s for s in sanitized):
         sanitized = [f"e{i}" for i in range(group.order)]
     n = group.order
+    text = [str(i) for i in range(n)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n}\n")
         fh.write(" ".join(sanitized) + "\n")
-        flat = group._flat
-        for i in range(n):
-            fh.write(" ".join(str(flat[i * n + j]) for j in range(n)) + "\n")
+        for row in group.np_table().tolist():
+            fh.write(" ".join(map(text.__getitem__, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .groups import (Group, GroupSpec, build, center, cyclic,
                      dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
                      pi_e, prime_factorization, semidihedral, symmetric,
-                     alternating)
+                     alternating, _order_before_build)
 
 MAX_REPORTED = 10
 
@@ -196,7 +196,7 @@ class AnalyzedGroup:
     group: Optional[Group] = None
     ctable: Optional[CyclicizerTable] = None
     graph: Optional[NonCyclicGraph] = None
-    error: Optional[str] = None
+    error: Optional[str] = None     # why the entry is skipped
     _diam: Optional[object] = None
 
     @property
@@ -248,7 +248,7 @@ def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
         if not is_cyclic_group(az.group):
             az.graph = build_graph(az.group, az.ctable)
     except NonCyclicError as exc:
-        az.error = f"{type(exc).__name__}: {exc}"
+        az.error = f"build failed ({type(exc).__name__}: {exc})"
     return az
 
 
@@ -993,14 +993,19 @@ def _check_pgroup_recovery(profiles, result: CheckResult):
 
 
 def _run_entry(entry: CatalogEntry, group_checks: list[str],
-               want_certificate: bool):
-    az = analyze_entry(entry)
+               want_certificate: bool, max_order: Optional[int]):
+    order = None if max_order is None else _order_before_build(entry.spec)
+    if order is not None and order > max_order:
+        az = AnalyzedGroup(entry.label, entry.spec, error=(
+            f"order {order} exceeds the maximum order {max_order}"))
+    else:
+        az = analyze_entry(entry)
     outcomes = {}
     for name in group_checks:
         check = CHECKS[name]
         scratch = CheckResult(name, check.statement)
         if az.error is not None:
-            scratch.skip(az.label, f"build failed ({az.error})")
+            scratch.skip(az.label, az.error)
         else:
             t0 = time.perf_counter()
             check.fn(az, scratch)
@@ -1045,9 +1050,11 @@ def run_all(catalog: Catalog, jobs: int = 1,
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 entry_runs = list(pool.map(
                     _run_entry, catalog.entries, [group_checks] * n,
-                    [want_certificate] * n, chunksize=8))
+                    [want_certificate] * n, [catalog.max_order] * n,
+                    chunksize=8))
         else:
-            entry_runs = [_run_entry(e, group_checks, want_certificate)
+            entry_runs = [_run_entry(e, group_checks, want_certificate,
+                                     catalog.max_order)
                           for e in catalog.entries]
         order_of = {e.label: i for i, e in enumerate(catalog.entries)}
         entry_runs.sort(key=lambda t: order_of[t[0]])
@@ -1057,7 +1064,7 @@ def run_all(catalog: Catalog, jobs: int = 1,
             profiles.append(profile)
         for prof in profiles:
             if prof.error is not None:
-                reason = f"build failed ({prof.error})"
+                reason = prof.error
             elif prof.cert_error is not None:
                 reason = f"no certificate ({prof.cert_error})"
             else:

@@ -51,13 +51,10 @@ def sylow_members(group: Group, p: int) -> Optional[tuple]:
                and _order_is_p_power(group.elem_orders[x], p)]
     if len(members) != target:
         return None
-    memset = set(members)
-    flat = group._flat
-    for a in members:
-        base = a * n
-        for b in members:
-            if flat[base + b] not in memset:
-                return None
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    if not inside[group.np_table()[np.ix_(members, members)]].all():
+        return None
     return tuple(members)
 
 

@@ -47,6 +47,50 @@ def associativity_failure(table):
     return None
 
 
+def walk_orders_and_inverses(group):
+    """(element orders, inverses) by walking the powers of every element."""
+    n = group.order
+    orders = [1] * n
+    invs = [0] * n
+    for g in range(1, n):
+        o = 1
+        prev = g
+        x = group.mult(g, g)
+        while x != 0:
+            o += 1
+            prev = x
+            x = group.mult(x, g)
+        orders[g] = o + 1
+        invs[g] = prev
+    return orders, invs
+
+
+def walk_cyclic_subgroups(group):
+    """(<x> bitsets, distinct cyclic subgroups as (smallest generator,
+    bitset) by ascending generator, pair-cyclicity rows), walking the
+    powers of every element."""
+    n = group.order
+    rows = [0] * n
+    gen_bits = [0] * n
+    seen = {}
+    for g in range(n):
+        members = [0]
+        x = g
+        while x != 0:
+            members.append(x)
+            x = group.mult(x, g)
+        bits = 0
+        for m in members:
+            bits |= 1 << m
+        gen_bits[g] = bits
+        if bits in seen:
+            continue
+        seen[bits] = g
+        for m in members:
+            rows[m] |= bits
+    return gen_bits, tuple((g, bits) for bits, g in seen.items()), rows
+
+
 def naive_pair_cyclic(group, x, y):
     """<x, y> is cyclic iff it contains an element of full order."""
     sub = closure(group, [x, y])
@@ -236,8 +280,53 @@ def rebuilt_sylow_certificate(group, members):
 
 
 # ---------------------------------------------------------------------------
-# Entry-by-entry table builders, the reference for groups._metacyclic_group.
-# Each returns (table as lists, labels).
+# Entry-by-entry table builders, the reference for groups._metacyclic_group
+# and groups._table_from_perms. Each returns (table as lists, labels).
+
+
+def perm_cycles(p):
+    """Cycle notation on points 1..d, fixed points omitted, "e" if none."""
+    seen = set()
+    out = []
+    for i in range(len(p)):
+        if i in seen or p[i] == i:
+            continue
+        cyc = [i]
+        seen.add(i)
+        while p[cyc[-1]] != i:
+            cyc.append(p[cyc[-1]])
+            seen.add(cyc[-1])
+        out.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
+    return "".join(out) or "e"
+
+
+def loop_perm_table(perms):
+    """Table of ``perms`` under (a*b)(x) = a(b(x)), one lookup per entry."""
+    index = {p: i for i, p in enumerate(perms)}
+    t = [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+    return t, [perm_cycles(p) for p in perms]
+
+
+def symmetric_perms(n, even_only=False):
+    """Permutations of 0..n-1 in lexicographic order, only the even ones
+    (by inversion count) when ``even_only``."""
+    return [p for p in permutations(range(n))
+            if not even_only
+            or sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
+
+
+def perm_closure(degree, gens):
+    """Elements reached from the identity by right multiplication with
+    ``gens``, in breadth-first order."""
+    out = [tuple(range(degree))]
+    seen = set(out)
+    for x in out:
+        for g in gens:
+            y = tuple(x[g[i]] for i in range(degree))
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
 
 
 def loop_dihedral(order):

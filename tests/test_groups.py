@@ -110,8 +110,34 @@ def test_subgroup_generated():
     gens = {s3.labels.index("(1 2)"), s3.labels.index("(1 2 3)")}
     assert G.subgroup_generated(s3, gens).order == 6
     # closure oracle agreement
-    assert list(G.subgroup_generated(s3, {1, 2}).members) \
-        == oracles.closure(s3, [1, 2])
+    for expr in ("S3", "D12", "Q16", "A4xZ2", "perm:5:(1 2 3),(3 4 5)"):
+        g = build(expr)
+        for gens in ([], [0], [1, 2], [g.order - 1], [1, g.order // 2],
+                     list(range(1, g.order, 3))):
+            assert list(G.subgroup_generated(g, gens).members) \
+                == oracles.closure(g, gens), (expr, gens)
+
+
+def _check_cyclic_data(g):
+    orders, invs = oracles.walk_orders_and_inverses(g)
+    gen_bits, subgroups, rows = oracles.walk_cyclic_subgroups(g)
+    assert g.elem_orders == orders, g.label
+    assert g.inverses == invs, g.label
+    assert [g.generated_cyclic_bits(x) for x in range(g.order)] == gen_bits, \
+        g.label
+    assert g.cyclic_subgroups == subgroups, g.label
+    assert g.pair_rows == rows, g.label
+
+
+def test_cyclic_data_matches_walk_oracle_on_catalog():
+    for entry in Catalog.default(max_order=64).entries:
+        _check_cyclic_data(G.build(entry.spec, label=entry.label))
+
+
+@pytest.mark.parametrize("expr", ["Z1", "Z199", "Z720", "S5", "A6", "Q128",
+                                  "G(3,5)", "EA(2,9)"])
+def test_cyclic_data_matches_walk_oracle(expr):
+    _check_cyclic_data(build(expr))
 
 
 def test_is_pair_cyclic_examples():
@@ -167,6 +193,35 @@ def test_perm_generators_closure():
     with pytest.raises(ClosureTooLarge):
         G.build(G.perm_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
                 closure_cap=10)
+
+
+@pytest.mark.parametrize("expr, perms", [
+    *[(f"S{n}", lambda n=n: oracles.symmetric_perms(n)) for n in range(1, 7)],
+    *[(f"A{n}", lambda n=n: oracles.symmetric_perms(n, even_only=True))
+      for n in range(1, 7)],
+    ("perm:5:(1 2 3),(3 4 5)",
+     lambda: oracles.perm_closure(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])),
+    ("perm:8:(1 2)(3 4)(5 6)(7 8),(1 3 5 7)(2 4 6 8)",
+     lambda: oracles.perm_closure(8, [(1, 0, 3, 2, 5, 4, 7, 6),
+                                      (2, 3, 4, 5, 6, 7, 0, 1)])),
+])
+def test_perm_tables_match_loop_oracle(expr, perms):
+    g = build(expr)
+    table, labels = oracles.loop_perm_table(perms())
+    assert g.np_table().tolist() == table
+    assert list(g.labels) == labels
+
+
+def test_cayley_file_text_is_the_plain_format(tmp_path):
+    for expr in ("Z1", "S3", "D12xZ2", "A5"):
+        g = build(expr)
+        path = tmp_path / "g.cayley"
+        G.to_cayley_file(g, str(path))
+        labels = ["".join(lab.split()) for lab in g.labels]
+        want = [str(g.order), " ".join(labels)]
+        want += [" ".join(str(g.mult(i, j)) for j in range(g.order))
+                 for i in range(g.order)]
+        assert path.read_text() == "\n".join(want) + "\n", expr
 
 
 def test_cayley_file_roundtrip(tmp_path):

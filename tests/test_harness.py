@@ -150,6 +150,29 @@ def test_catalog_from_file_respects_max_order(tmp_path):
     assert [e.label for e in cat.entries] == ["a"]
 
 
+def test_catalog_from_file_skips_oversized_perm_and_cayley(tmp_path):
+    s4 = tmp_path / "s4.cayley"
+    groups.to_cayley_file(groups.build(groups.parse_group_expr("S4")), str(s4))
+    cat_file = tmp_path / "catalog.json"
+    cat_file.write_text(json.dumps([
+        {"spec": "perm:4:(1 2),(1 2 3 4)"},
+        {"label": "s4file", "spec": f"cayley:{s4}"},
+        {"label": "v4", "spec": "perm:4:(1 2)(3 4),(1 3)(2 4)"},
+        {"spec": "Z2xZ2"},
+        {"label": "missing", "spec": f"cayley:{tmp_path / 'missing'}"},
+    ]))
+    res = run_check(Catalog.from_file(str(cat_file), max_order=10),
+                    "diam_le_3")
+    assert res.passed
+    assert res.tested == 2
+    assert res.skipped[:2] == [
+        ("perm:4", "order 24 exceeds the maximum order 10"),
+        ("s4file", "order 24 exceeds the maximum order 10")]
+    assert res.skipped[2][0] == "missing"
+    assert res.skipped[2][1].startswith("build failed (ParseError: ")
+    assert run_check(Catalog.from_file(str(cat_file)), "diam_le_3").tested == 4
+
+
 def test_jobs_parallel_matches_serial(small_catalog):
     names = ["diam_le_3", "iso_order_spectrum", "nilpotent_transfer"]
     serial = run_all(small_catalog, names=names)

@@ -1,5 +1,8 @@
 from noncyclic import groups as G
 from noncyclic import structure
+from noncyclic.harness import Catalog
+
+import oracles
 
 
 def build(expr):
@@ -22,6 +25,21 @@ def test_sylow_members():
     d12 = build("D12")
     s3 = structure.sylow_members(d12, 3)
     assert s3 is not None and len(s3) == 3
+
+
+def test_sylow_members_match_closure_oracle():
+    outcomes = set()
+    for entry in Catalog.default(max_order=64).entries:
+        g = G.build(entry.spec)
+        for p, _ in G.prime_factorization(g.order):
+            pel = [x for x in range(g.order)
+                   if all(q == p for q, _ in
+                          G.prime_factorization(g.elem_orders[x]))]
+            want = (tuple(pel) if len(pel) == structure.p_part(g.order, p)
+                    and oracles.closure(g, pel) == pel else None)
+            assert structure.sylow_members(g, p) == want, (entry.label, p)
+            outcomes.add(want is None)
+    assert outcomes == {False, True}
 
 
 def test_abelian_type():
