@@ -15,6 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import accumulate
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -69,37 +70,6 @@ def _deadline(timeout: Optional[float]) -> float:
 # Individualization-refinement on the twin-contracted quotient
 
 
-def _refine(qrows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Coarsest equitable refinement; new cells are ordered by their count
-    signatures, which keeps the procedure labeling-invariant."""
-    while True:
-        masks = [0] * len(cells)
-        for ci, cell in enumerate(cells):
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks[ci] = m
-        new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sig: dict[tuple, list[int]] = {}
-            for v in cell:
-                key = tuple((qrows[v] & m).bit_count() for m in masks)
-                sig.setdefault(key, []).append(v)
-            if len(sig) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    new_cells.append(sig[key])
-        cells = new_cells
-        if not changed:
-            return cells
-
-
 def _codegree_split(qrows: Sequence[int], cells: list[list[int]],
                     pivot: int) -> list[list[int]]:
     """Split every cell by common-neighbor count with the pivot vertex.
@@ -124,21 +94,6 @@ def _codegree_split(qrows: Sequence[int], cells: list[list[int]],
     return out
 
 
-def _node_invariant(qrows: Sequence[int], cells: list[list[int]]) -> tuple:
-    """Labeling-invariant signature of an equitable partition: cell sizes
-    plus the quotient count matrix (well defined by equitability)."""
-    masks = []
-    for cell in cells:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        masks.append(m)
-    sizes = tuple(len(c) for c in cells)
-    counts = tuple((qrows[cell[0]] & m).bit_count()
-                   for cell in cells for m in masks)
-    return (sizes, counts)
-
-
 class _Backjump(Exception):
     """Unwind the search to the node at the given prefix depth."""
 
@@ -160,6 +115,10 @@ class _Search:
         self.first_path = None
         self.autos: list[tuple] = []
         self._auto_seen: set = set()
+        # integer adjacency: a segment sum of booleans would be an or
+        self.adj = _bit_matrix(qrows).astype(np.int32)
+        # search effort
+        self.nodes = self.leaves = self.automorphisms = self.backjumps = 0
 
     def run(self):
         order = sorted(range(self.k), key=lambda v: self.keys[v])
@@ -172,7 +131,39 @@ class _Search:
         self._search(cells, (), ())
         return self.best_lab
 
+    def _refine(self, cells):
+        """Coarsest equitable refinement and its node invariant. Each pass
+        counts every vertex's neighbors in every cell with one segment sum;
+        a cell splits by its members' count rows, and its new cells are
+        ordered by those rows, which keeps the procedure labeling-invariant.
+        The invariant is the cell sizes plus the representatives' count
+        rows of the last, stable pass."""
+        while True:
+            sizes = [len(c) for c in cells]
+            starts = list(accumulate(sizes[:-1], initial=0))
+            order = [v for c in cells for v in c]
+            counts = np.add.reduceat(self.adj[:, order], starts,
+                                     axis=1)[order]
+            # rows are in cell order: a cell is equitable iff its
+            # consecutive rows agree
+            step = (counts[1:] != counts[:-1]).any(axis=1)
+            step[[s - 1 for s in starts[1:]]] = False
+            if not step.any():
+                return cells, (tuple(sizes),
+                               tuple(counts[starts].ravel().tolist()))
+            new_cells = []
+            for cell, s in zip(cells, starts):
+                if not step[s:s + len(cell) - 1].any():
+                    new_cells.append(cell)
+                    continue
+                sig: dict[tuple, list[int]] = {}
+                for v, row in zip(cell, counts[s:s + len(cell)].tolist()):
+                    sig.setdefault(tuple(row), []).append(v)
+                new_cells.extend(sig[key] for key in sorted(sig))
+            cells = new_cells
+
     def _leaf(self, cells, seq, fixed):
+        self.leaves += 1
         lab = [c[0] for c in cells]
         mat = induced_rows(self.qrows, lab)
         key = (seq, mat)
@@ -199,6 +190,7 @@ class _Search:
             if (c < len(fixed) and c < len(self.first_path)
                     and all(gamma[f] == f for f in fixed[:c])
                     and gamma[fixed[c]] == self.first_path[c]):
+                self.backjumps += 1
                 raise _Backjump(c)
 
     def _record_auto(self, lab, ref_lab):
@@ -210,35 +202,37 @@ class _Search:
             if g not in self._auto_seen:
                 self._auto_seen.add(g)
                 self.autos.append(g)
+                self.automorphisms += 1
             return g
         return None
 
     def _search(self, cells, seq, fixed):
         if time.monotonic() > self.deadline:
             raise Timeout("canonical form search exceeded its time budget")
-        cells = _refine(self.qrows, cells)
-        inv = _node_invariant(self.qrows, cells)
+        self.nodes += 1
+        cells, inv = self._refine(cells)
         seq = seq + (inv,)
         if self.best_key is not None:
             best_seq = self.best_key[0]
             d = len(seq) - 1
             if d < len(best_seq) and seq[d] > best_seq[d]:
                 return
-        if all(len(c) == 1 for c in cells):
+        if len(cells) == self.k:
             self._leaf(cells, seq, fixed)
             return
-        target_idx = None
-        target_len = None
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1 and (target_len is None or len(cell) < target_len):
-                target_idx = ci
-                target_len = len(cell)
+        _, target_idx = min((len(c), ci) for ci, c in enumerate(cells)
+                            if len(c) > 1)
         target = cells[target_idx]
 
         # orbit pruning: candidates equivalent under automorphisms that fix
         # the individualized prefix explore identical subtrees; the union
-        # structure absorbs each discovered automorphism once per node
-        parent = list(range(self.k))
+        # structure absorbs each discovered automorphism once per node. A
+        # recorded automorphism keeps the initial cells (leaf position p
+        # always lies in the initial cell at p), and refinement,
+        # individualization and the codegree split are equivariant, so one
+        # that fixes the prefix maps every cell of this node to itself: the
+        # union structure needs the target alone.
+        parent = {v: v for v in target}
 
         def find(a):
             while parent[a] != a:
@@ -254,7 +248,7 @@ class _Search:
                 g = self.autos[absorbed]
                 absorbed += 1
                 if all(g[f] == f for f in fixed):
-                    for v in range(self.k):
+                    for v in target:
                         ra, rb = find(v), find(g[v])
                         if ra != rb:
                             parent[ra] = rb

@@ -132,8 +132,9 @@ class Group:
         self.order = n
         self.label = label
         self.labels = tuple(str(x) for x in labels)
+        # a byte view of t, read in place when t is C-contiguous
         flat = array("i")
-        flat.frombytes(t.tobytes())
+        flat.frombytes(np.ascontiguousarray(t).view(np.uint8))
         self._flat = flat
         self._walk_cyclic_subgroups()
         self._cyc_table = None
@@ -498,27 +499,27 @@ def _perm_label(p: tuple) -> str:
 def _table_from_perms(perms: list[tuple], gens: Sequence[tuple],
                       label: str) -> Group:
     """The table of ``perms`` (identity first) under (a*b)(x) = a(b(x)),
-    given generators of the group they form. If b = c*g for a generator g
-    then a*b = (a*c)*g, so column b is column c gathered through right
-    multiplication by g; a walk from the identity column fills the rest."""
+    given generators of the group they form. If b = g*c for a generator g
+    then b*a = g*(c*a), so row b is row c gathered through left
+    multiplication by g; a walk from the identity row fills the rest."""
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
-    right = [np.fromiter((index[tuple(p[x] for x in g)] for p in perms),
-                         dtype=np.intc, count=n) for g in gens]
-    cols = np.empty((n, n), dtype=np.intc)
-    cols[0] = np.arange(n)
+    left = [np.fromiter((index[tuple(g[x] for x in p)] for p in perms),
+                        dtype=np.intc, count=n) for g in gens]
+    table = np.empty((n, n), dtype=np.intc)
+    table[0] = np.arange(n)
     done = bytearray(n)
     done[0] = 1
     queue = [0]
     for c in queue:
-        for r in right:
-            b = int(r[c])
+        for m in left:
+            b = int(m[c])
             if not done[b]:
                 done[b] = 1
-                cols[b] = r[cols[c]]
+                table[b] = m[table[c]]
                 queue.append(b)
     # composition of permutations is associative by construction
-    return Group(cols.T, labels=[_perm_label(p) for p in perms], label=label,
+    return Group(table, labels=[_perm_label(p) for p in perms], label=label,
                  validate=False)
 
 

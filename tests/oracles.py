@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from noncyclic.canon import canonical_form
+from noncyclic.canon import _Backjump, _codegree_split, _Search, canonical_form
 from noncyclic.graph import build_graph
 from noncyclic.groups import Subgroup
 from noncyclic.harness import _ce
@@ -277,6 +277,114 @@ def rebuilt_sylow_certificate(group, members):
     computed from the subgroup's own Cayley table."""
     return canonical_form(build_graph(
         Subgroup(group, tuple(members)).as_group())).certificate
+
+
+# ---------------------------------------------------------------------------
+# Bitset refinement with a separate node invariant, and orbit pruning over
+# all quotient vertices: the reference for canon._Search.
+
+
+def bitset_refine(qrows, cells):
+    """Coarsest equitable refinement; each vertex's count signature is one
+    masked bit count per cell, and new cells are ordered by signature."""
+    while True:
+        masks = [0] * len(cells)
+        for ci, cell in enumerate(cells):
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks[ci] = m
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                key = tuple((qrows[v] & m).bit_count() for m in masks)
+                sig.setdefault(key, []).append(v)
+            if len(sig) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(sig):
+                    new_cells.append(sig[key])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def bitset_node_invariant(qrows, cells):
+    """Cell sizes plus the quotient count matrix of an equitable
+    partition."""
+    masks = []
+    for cell in cells:
+        m = 0
+        for v in cell:
+            m |= 1 << v
+        masks.append(m)
+    sizes = tuple(len(c) for c in cells)
+    counts = tuple((qrows[cell[0]] & m).bit_count()
+                   for cell in cells for m in masks)
+    return (sizes, counts)
+
+
+class ReferenceSearch(_Search):
+    """canon._Search with bitset refinement and an orbit union-find over
+    all k quotient vertices; leaves, automorphisms and backjumps are
+    shared, and so are the effort counters."""
+
+    def _search(self, cells, seq, fixed):
+        self.nodes += 1
+        cells = bitset_refine(self.qrows, cells)
+        seq = seq + (bitset_node_invariant(self.qrows, cells),)
+        if self.best_key is not None:
+            best_seq = self.best_key[0]
+            d = len(seq) - 1
+            if d < len(best_seq) and seq[d] > best_seq[d]:
+                return
+        if all(len(c) == 1 for c in cells):
+            self._leaf(cells, seq, fixed)
+            return
+        target_idx = None
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1 and (target_idx is None
+                                  or len(cell) < len(cells[target_idx])):
+                target_idx = ci
+        target = cells[target_idx]
+        parent = list(range(self.k))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        absorbed = 0
+        tried = []
+        for v in target:
+            while absorbed < len(self.autos):
+                g = self.autos[absorbed]
+                absorbed += 1
+                if all(g[f] == f for f in fixed):
+                    for u in range(self.k):
+                        ra, rb = find(u), find(g[u])
+                        if ra != rb:
+                            parent[ra] = rb
+            rv = find(v)
+            if any(find(u) == rv for u in tried):
+                continue
+            tried.append(v)
+            child = (cells[:target_idx]
+                     + [[v], [u for u in target if u != v]]
+                     + cells[target_idx + 1:])
+            child = _codegree_split(self.qrows, child, v)
+            try:
+                self._search(child, seq, fixed + (v,))
+            except _Backjump as bj:
+                if bj.depth != len(fixed):
+                    raise
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from noncyclic import canon
 from noncyclic import groups as G
 from noncyclic.canon import (are_isomorphic, canonical_form,
                              check_goormaghtigh_condition, induced_rows,
@@ -55,15 +56,52 @@ def test_relabel_and_induced_rows_match_bit_loops(oracle_graphs):
         assert induced_rows(rows, idx) == oracles.set_induced(rows, idx)
 
 
-INVARIANCE_SAMPLE = 250
+def test_search_matches_bitset_reference(oracle_graphs, monkeypatch):
+    # count-matrix refinement and target-cell orbit pruning against the
+    # bitset refinement and all-vertex union-find: equal forms, equal node
+    # invariants along the best leaf's path, and a search that visits the
+    # same nodes, leaves, automorphisms and backjumps
+    efforts = []
+
+    def recording(search):
+        class Recording(search):
+            def run(self):
+                lab = super().run()
+                efforts.append((self.nodes, self.leaves, self.automorphisms,
+                                self.backjumps, self.best_key))
+                return lab
+        return Recording
+
+    new = recording(canon._Search)
+    ref = recording(oracles.ReferenceSearch)
+    rng = random.Random(0xC0DE)
+    totals = [0, 0, 0, 0]
+    for g in oracle_graphs:
+        variants = [g.adjacency]
+        for _ in range(2):
+            perm = list(range(g.n_vertices))
+            rng.shuffle(perm)
+            variants.append(relabel_rows(g.adjacency, perm))
+        for rows in variants:
+            efforts.clear()
+            monkeypatch.setattr(canon, "_Search", new)
+            got = canonical_form(rows)
+            monkeypatch.setattr(canon, "_Search", ref)
+            want = canonical_form(rows)
+            assert got == want, g.group.label
+            assert len(efforts) in (0, 2)
+            if efforts:
+                assert efforts[0] == efforts[1], g.group.label
+                totals = [a + b for a, b in zip(totals, efforts[0][:4])]
+    # every counter is exercised
+    assert all(totals), totals
 
 
 def test_catalog_certificates_are_labeling_invariant():
+    # every non-cyclic graph of the default catalog, two relabelings each
     rng = random.Random(0x5EED)
-    entries = rng.sample(Catalog.default(max_order=200).entries,
-                         INVARIANCE_SAMPLE)
     graphs = 0
-    for entry in entries:
+    for entry in Catalog.default(max_order=200).entries:
         group = G.build(entry.spec)
         if G.is_cyclic_group(group):
             continue
@@ -75,7 +113,7 @@ def test_catalog_certificates_are_labeling_invariant():
             cf = canonical_form(relabel_rows(g.adjacency, perm))
             assert cf.certificate == base.certificate, entry.label
         graphs += 1
-    assert graphs > 150
+    assert graphs == 1454
 
 
 def test_certificate_matrix_is_relabeled_input():

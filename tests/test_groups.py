@@ -1,6 +1,8 @@
 import os
 import random
+from array import array
 
+import numpy as np
 import pytest
 
 from noncyclic import groups as G
@@ -210,6 +212,18 @@ def test_perm_tables_match_loop_oracle(expr, perms):
     table, labels = oracles.loop_perm_table(perms())
     assert g.np_table().tolist() == table
     assert list(g.labels) == labels
+
+
+def test_flat_table_ignores_memory_layout():
+    # S4's table read through transposed, strided and wider-typed views
+    t = build("S4").np_table()
+    want = array("i", t.ravel().tolist())
+    for view in (t.T.copy().T, np.repeat(t, 2, axis=1)[:, ::2],
+                 np.asfortranarray(t.astype(np.int64)),
+                 np.asfortranarray(t.astype(np.uint16))):
+        assert not view.flags.c_contiguous
+        assert G.Group(view)._flat == want
+    assert G.Group(t)._flat == want
 
 
 def test_cayley_file_text_is_the_plain_format(tmp_path):
