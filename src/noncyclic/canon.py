@@ -16,14 +16,16 @@ import time
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import accumulate
-from math import gcd
+from math import gcd, isnan, nan
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .cyclicizers import bits_to_indices
 from .errors import (InvalidParameter, Timeout, TooLarge,
                      VerificationFailure)
-from .graph import NonCyclicGraph, _bit_matrix
+from .graph import (NonCyclicGraph, _bit_matrix, _iterated_contraction,
+                    induced_rows)
 from .groups import _is_prime
 
 DEFAULT_VERTEX_CAP = 2048
@@ -46,14 +48,6 @@ def _rows_of(graph_or_rows) -> tuple:
     return tuple(graph_or_rows)
 
 
-def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
-    """Rows of the subgraph induced on the vertices idx, with idx[i]
-    renamed to i."""
-    sub = _bit_matrix(rows)[np.ix_(idx, idx)]
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple:
     """Rows of the graph with vertex v renamed to perm[v]."""
     return induced_rows(rows, np.argsort(perm))
@@ -62,7 +56,13 @@ def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple:
 def _deadline(timeout: Optional[float]) -> float:
     if timeout is None:
         env = os.environ.get(TIMEOUT_ENV_VAR)
-        timeout = float(env) if env else DEFAULT_TIMEOUT_SECS
+        try:
+            timeout = float(env) if env else DEFAULT_TIMEOUT_SECS
+        except ValueError:
+            timeout = nan
+        if isnan(timeout):
+            raise InvalidParameter(
+                f"{TIMEOUT_ENV_VAR} must be a number of seconds, not {env!r}")
     return time.monotonic() + timeout
 
 
@@ -271,60 +271,6 @@ class _Search:
                     raise
 
 
-def _merge_classes(qrows, descs, members, key_of, tag):
-    """One contraction round; returns the merged arrays or None when every
-    class is a singleton."""
-    k = len(qrows)
-    groups: dict = {}
-    for v in range(k):
-        groups.setdefault(key_of(v), []).append(v)
-    if all(len(g) == 1 for g in groups.values()):
-        return None
-    classes = sorted(groups.values(), key=lambda c: min(members[v][0]
-                                                        for v in c))
-    # twins share their neighborhoods, so the representatives' induced
-    # subgraph is the quotient
-    new_rows = induced_rows(qrows, [cls[0] for cls in classes])
-    new_descs = []
-    new_members = []
-    for cls in classes:
-        rep = cls[0]
-        if len(cls) == 1:
-            new_descs.append(descs[rep])
-        else:
-            new_descs.append((tag, len(cls), descs[rep]))
-        merged = []
-        for v in sorted(cls, key=lambda v: members[v][0]):
-            merged.extend(members[v])
-        new_members.append(merged)
-    return new_rows, new_descs, new_members
-
-
-def _iterated_contraction(rows):
-    """Alternately contract classes of false twins (equal neighborhoods,
-    mutually non-adjacent) and true twins (equal closed neighborhoods,
-    mutually adjacent) carrying equal nested type descriptors.
-
-    Interchanging two members of a class is an automorphism, and the
-    member-order adjacency pattern of a contracted vertex is a function of
-    its descriptor alone, so expansion in any fixed member order yields a
-    labeling-invariant matrix.
-    """
-    qrows = list(rows)
-    descs = [("v",)] * len(rows)
-    members = [[v] for v in range(len(rows))]
-    while True:
-        merged = _merge_classes(qrows, descs, members,
-                                lambda v: (qrows[v], descs[v]), "I")
-        if merged is None:
-            merged = _merge_classes(qrows, descs, members,
-                                    lambda v: (qrows[v] | (1 << v), descs[v]),
-                                    "C")
-        if merged is None:
-            return qrows, descs, members
-        qrows, descs, members = merged
-
-
 def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
                    vertex_cap: int = DEFAULT_VERTEX_CAP,
                    timeout: Optional[float] = None) -> CanonicalForm:
@@ -338,24 +284,18 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
         raise InvalidParameter("cannot canonicalize an empty graph")
     deadline = _deadline(timeout)
 
-    qrows, descs, members = _iterated_contraction(rows)
+    qrows, descs, members = (
+        graph_or_rows.twin_quotient if isinstance(graph_or_rows, NonCyclicGraph)
+        else _iterated_contraction(rows))
     k = len(qrows)
     if k == 1:
         lab_q = [0]
     else:
         # seed the partition with descriptors plus a triangle census of the
         # quotient, a cheap invariant that plain refinement misses
-        tri = []
-        for v in range(k):
-            row = qrows[v]
-            acc = 0
-            r = row
-            while r:
-                b = r & -r
-                acc += (row & qrows[b.bit_length() - 1]).bit_count()
-                r ^= b
-            tri.append(acc)
-        keys = [(descs[v], tri[v]) for v in range(k)]
+        keys = [(desc, sum((row & qrows[u]).bit_count()
+                           for u in bits_to_indices(row)))
+                for desc, row in zip(descs, qrows)]
         lab_q = _Search(qrows, keys, deadline).run()
 
     lab_full = []

@@ -3,13 +3,15 @@
 Vertices are the elements outside the group cyclicizer; two vertices are
 joined when they do not generate a cyclic subgroup. Adjacency is stored as
 packed bit rows over vertex positions so that BFS, degree censuses and
-complement scans run on machine words.
+complement scans run on machine words. Each graph contracts its twin classes
+once (``twin_quotient``); canonical forms and eccentricities share it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence
 
@@ -57,11 +59,76 @@ def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
+def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
+    """Rows of the subgraph induced on the vertices idx, with idx[i]
+    renamed to i."""
+    sub = _bit_matrix(rows)[np.ix_(idx, idx)]
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _merge_classes(qrows, descs, members, key_of, tag):
+    """One contraction round; returns the merged arrays or None when every
+    class is a singleton."""
+    groups: dict = {}
+    for v in range(len(qrows)):
+        groups.setdefault(key_of(v), []).append(v)
+    if all(len(g) == 1 for g in groups.values()):
+        return None
+    classes = sorted(groups.values(), key=lambda c: min(members[v][0]
+                                                        for v in c))
+    # twins share their neighborhoods, so the representatives' induced
+    # subgraph is the quotient
+    new_rows = induced_rows(qrows, [cls[0] for cls in classes])
+    new_descs = []
+    new_members = []
+    for cls in classes:
+        desc = descs[cls[0]]
+        new_descs.append(desc if len(cls) == 1 else (tag, len(cls), desc))
+        order = sorted(cls, key=lambda v: members[v][0])
+        new_members.append(tuple(u for v in order for u in members[v]))
+    return new_rows, tuple(new_descs), tuple(new_members)
+
+
+def _iterated_contraction(rows):
+    """Alternately contract classes of false twins (equal neighborhoods,
+    mutually non-adjacent) and true twins (equal closed neighborhoods,
+    mutually adjacent) carrying equal nested type descriptors.
+
+    Returns tuples of quotient rows, descriptors and original members per
+    quotient vertex. A descriptor is ("v",) for a lone vertex, else (tag,
+    class size, member descriptor) with tag "I" or "C" for false or true.
+
+    Interchanging two members of a class is an automorphism, and the
+    member-order adjacency pattern of a contracted vertex is a function of
+    its descriptor alone, so expansion in any fixed member order yields a
+    labeling-invariant matrix.
+    """
+    qrows = tuple(rows)
+    descs = (("v",),) * len(rows)
+    members = tuple((v,) for v in range(len(rows)))
+    while True:
+        merged = _merge_classes(qrows, descs, members,
+                                lambda v: (qrows[v], descs[v]), "I")
+        if merged is None:
+            merged = _merge_classes(qrows, descs, members,
+                                    lambda v: (qrows[v] | (1 << v), descs[v]),
+                                    "C")
+        if merged is None:
+            return qrows, descs, members
+        qrows, descs, members = merged
+
+
 @dataclass(frozen=True)
 class NonCyclicGraph:
     group: Group
     vertices: tuple      # group element indices, ascending
     adjacency: tuple     # bitset rows over vertex positions
+
+    @cached_property
+    def twin_quotient(self) -> tuple:
+        """The iterated twin contraction of the adjacency, computed once."""
+        return _iterated_contraction(self.adjacency)
 
     @property
     def n_vertices(self) -> int:
@@ -88,9 +155,7 @@ def build_graph(group: Group,
     cyc = ctable.cyc_bits
     vertices = [i for i in range(group.order) if not (cyc >> i) & 1]
     compress = _make_compressor(vertices)
-    vmask_full = 0
-    for v in vertices:
-        vmask_full |= 1 << v
+    vmask_full = ((1 << group.order) - 1) & ~cyc
     rows = ctable.rows
     adjacency = tuple(compress(vmask_full & ~rows[v]) for v in vertices)
     return NonCyclicGraph(group, tuple(vertices), adjacency)
@@ -133,35 +198,38 @@ class DiameterInfo:
 
 
 def diameter_info(graph: NonCyclicGraph) -> DiameterInfo:
-    """Eccentricities by layered reachability; asserts connectivity (a
+    """Eccentricities by BFS on the twin quotient; asserts connectivity (a
     disconnected non-cyclic graph would contradict the connectivity theorem
     and raises Disconnected).
 
-    Layer d holds, per source, the vertices within distance d:
-    R_d = R_{d-1} | (R_{d-1} A > 0), a float32 product that is exact for
-    fewer than 2^24 vertices.
+    Twin deletion is isometric, so a vertex's eccentricity is the larger of
+    its class's in the quotient and the largest distance inside its class:
+    a class of a connected graph is a module whose non-adjacent members
+    have a common neighbour. One BFS on the graph from the least vertex of
+    maximum eccentricity checks connectivity and finds the witness.
     """
-    nv = graph.n_vertices
-    adj = _bit_matrix(graph.adjacency).astype(np.float32)
-    reach = np.eye(nv, dtype=bool)
-    prev = reach
-    ecc = np.zeros(nv, dtype=np.intp)
-    open_rows = ~reach.all(axis=1)
-    dist = 0
-    while open_rows.any():
-        dist += 1
-        nxt = reach | (reach.astype(np.float32) @ adj > 0)
-        if np.array_equal(nxt, reach):
-            raise Disconnected(
-                f"graph of {graph.group.label} is not connected")
-        full = nxt.all(axis=1)
-        ecc[open_rows & full] = dist
-        prev, reach, open_rows = reach, nxt, ~full
-    # witness: the least source of maximum eccentricity and the least
-    # vertex it reaches only at that distance
-    s = int(np.argmax(ecc == dist))
-    t = int(np.argmin(prev[s]))
-    return DiameterInfo(dist, (s, t), tuple(ecc.tolist()))
+    qrows, descs, members = graph.twin_quotient
+    ecc = [0] * graph.n_vertices
+    for q, desc in enumerate(descs):
+        e = max(d for d, _ in _bfs_levels(qrows, q))
+        while desc[0] != "v":    # 2 once false twins merged, else 1
+            e = max(e, 2 if desc[0] == "I" else 1)
+            desc = desc[2]
+        for v in members[q]:
+            ecc[v] = e
+    diam = max(ecc)
+    s = ecc.index(diam)
+    reached = 0
+    for dist, frontier in _bfs_levels(graph.adjacency, s):
+        reached |= frontier
+    if reached != (1 << graph.n_vertices) - 1:
+        raise Disconnected(f"graph of {graph.group.label} is not connected")
+    if dist != diam:
+        raise VerificationFailure(
+            "twin-quotient eccentricity disagrees with BFS on the graph")
+    # witness: the least vertex at maximum distance from s
+    return DiameterInfo(diam, (s, (frontier & -frontier).bit_length() - 1),
+                        tuple(ecc))
 
 
 def distance(graph: NonCyclicGraph, pos_a: int, pos_b: int) -> int:
@@ -218,14 +286,9 @@ def clique_and_chromatic(graph: NonCyclicGraph,
     masks = {}
     for pos, color in enumerate(coloring):
         masks[color] = masks.get(color, 0) | (1 << pos)
-    for color, mask in masks.items():
-        m = mask
-        while m:
-            b = m & -m
-            pos = b.bit_length() - 1
-            if adj[pos] & mask:
-                raise VerificationFailure("coloring is not proper")
-            m ^= b
+    for mask in masks.values():
+        if any(adj[pos] & mask for pos in bits_to_indices(mask)):
+            raise VerificationFailure("coloring is not proper")
     return CliqueChromatic(s, tuple(clique), s, tuple(coloring))
 
 

@@ -759,10 +759,7 @@ def _parse_atom(text: str) -> GroupSpec:
     for pattern, make in _ATOM_PATTERNS:
         m = pattern.match(text)
         if m:
-            try:
-                return make(m)
-            except InvalidParameter:
-                raise
+            return make(m)
     raise ParseError(f"unrecognized group expression atom: {text!r}")
 
 

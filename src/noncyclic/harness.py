@@ -20,8 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import structure
-from .canon import (canonical_form, check_goormaghtigh_condition,
-                    induced_rows)
+from .canon import canonical_form, check_goormaghtigh_condition
 from .cyclicizers import (CyclicizerTable, bits_to_indices,
                           cyclicizer_table, is_tidy, quotient_by_central,
                           quotient_by_cyclicizer)
@@ -29,7 +28,8 @@ from .errors import (Disconnected, NonCyclicError, Timeout, TooLarge,
                      UnknownCheck, VerificationFailure)
 from .graph import (NonCyclicGraph, _bit_matrix, build_graph,
                     clique_and_chromatic, degree_kinds, diameter_info,
-                    distance, independence_info, omega_bound_info)
+                    distance, independence_info, induced_rows,
+                    omega_bound_info)
 from .groups import (Group, GroupSpec, build, center, cyclic,
                      dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
@@ -754,9 +754,9 @@ def _check_z6xs3(result: CheckResult, profiles=None):
     if info.diameter != 3:
         _ce(result, group="Z6xS3", diameter=info.diameter)
         return
-    if distance(graph, a, b) != 3:
-        _ce(result, group="Z6xS3", pair=("(3,e)", "(2,e)"),
-            distance=distance(graph, a, b))
+    d = distance(graph, a, b)
+    if d != 3:
+        _ce(result, group="Z6xS3", pair=("(3,e)", "(2,e)"), distance=d)
 
 
 @_register("homocyclic_required_cases",

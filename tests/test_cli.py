@@ -97,6 +97,19 @@ def test_compare_computes_each_canonical_form_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "nan"])
+@pytest.mark.parametrize("argv", [("compare", "S3", "S3"),
+                                  ("verify", "--max-order", "8")])
+def test_bad_timeout_variable_is_a_json_error(capsys, monkeypatch, value,
+                                              argv):
+    monkeypatch.setenv("NONCYC_TIMEOUT_SECS", value)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "InvalidParameter"
+    assert "NONCYC_TIMEOUT_SECS" in doc["error"]["message"]
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "diam_le_3",
                            "--max-order", "64")

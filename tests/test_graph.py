@@ -94,6 +94,67 @@ def test_disconnected_graph_raises():
         diameter_info(g)
 
 
+def _graph_from_edges(n, edges):
+    # the group only supplies labels
+    group = G.build(G.parse_group_expr("S4"))
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return NonCyclicGraph(group, tuple(range(n)), tuple(rows))
+
+
+I2 = ("I", 2, ("v",))
+C2 = ("C", 2, ("v",))
+# name: (vertex count, edges, quotient size, descriptor of vertex 0's class);
+# each graph hits one branch of the within-class distance rule
+QUOTIENT_CASES = {
+    # C4 = K(2,2) plus an apex: false twins nested in a true-twin class,
+    # whose inner distance 2 beats its quotient eccentricity 1
+    "false twins in true twins": (
+        5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (4, 2), (4, 3)],
+        2, ("C", 2, I2)),
+    # bowtie: true twins nested in a false-twin class
+    "true twins in false twins": (
+        5, [(0, 1), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)],
+        2, ("I", 2, C2)),
+    # bowtie with a tail of two: the quotient eccentricity 3 wins
+    "bowtie with a tail": (
+        7, [(0, 1), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (5, 6)],
+        4, ("I", 2, C2)),
+    # a path has no twins, so nothing contracts
+    "P4": (4, [(0, 1), (1, 2), (2, 3)], 4, ("v",)),
+    "single vertex": (1, [], 1, ("v",)),
+    # an isolated vertex plus an edge: the quotient BFS alone cannot tell
+    "isolated vertex and an edge": (3, [(1, 2)], 2, ("v",)),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_CASES))
+def test_quotient_diameter_matches_bfs_oracle(name):
+    n, edges, k, desc0 = QUOTIENT_CASES[name]
+    g = _graph_from_edges(n, edges)
+    qrows, descs, members = g.twin_quotient
+    assert len(qrows) == k
+    assert [d for d, m in zip(descs, members) if 0 in m] == [desc0]
+    want = oracles.bfs_diameter(g.adjacency)
+    if want is None:
+        with pytest.raises(Disconnected, match="is not connected"):
+            diameter_info(g)
+    else:
+        info = diameter_info(g)
+        assert (info.diameter, info.witness, info.eccentricities) == want
+
+
+def test_quotient_diameter_on_worst_contracting_large_group():
+    g = graph_of("G(2,3)xZ2xZ2xZ2xZ3xZ3")
+    assert g.n_vertices == 575
+    assert len(g.twin_quotient[0]) == 279
+    info = diameter_info(g)
+    assert (info.diameter, info.witness, info.eccentricities) == \
+        oracles.bfs_diameter(g.adjacency)
+
+
 def test_clique_and_chromatic():
     q8 = G.build(G.parse_group_expr("Q8"))
     table = cyclicizer_table(q8)

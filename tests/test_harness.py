@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from noncyclic import canon, groups, harness, structure
+from noncyclic import canon, graph, groups, harness, structure
 from noncyclic.errors import UnknownCheck
 from noncyclic.harness import (CHECKS, Catalog, CheckResult, GroupProfile,
                                all_pass, analyze_entry, profile_of,
@@ -319,3 +319,34 @@ def test_transfer_reads_profiles_only(monkeypatch, small_catalog):
     assert res.passed and res.tested == 1
     assert as_group_calls == []
     assert member_calls == {("G(2,4)", 2): 1, ("Z2xZ8", 2): 1}
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Record every twin contraction, from graph objects or bare rows."""
+    real = graph._iterated_contraction
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(graph, "_iterated_contraction", counting)
+    monkeypatch.setattr(canon, "_iterated_contraction", counting)
+    return calls
+
+
+def test_diameter_and_canonical_form_share_one_contraction(contractions):
+    g = graph.build_graph(groups.build(groups.parse_group_expr("S4")))
+    graph.diameter_info(g)
+    canon.canonical_form(g)
+    assert contractions == [g.n_vertices]
+
+
+def test_run_entry_contracts_a_non_nilpotent_graph_once(contractions):
+    entry = Catalog.default(max_order=24).subset(["S4"]).entries[0]
+    group_checks = [n for n, c in CHECKS.items() if c.kind == "group"]
+    _, outcomes, profile = harness._run_entry(entry, group_checks, True, None)
+    assert not profile.is_nilpotent and profile.certificate is not None
+    assert outcomes["diam_le_3"].tested == 1
+    assert contractions == [profile.vertex_count]
