@@ -347,12 +347,11 @@ def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],
                    ) -> Optional[list[tuple[int, int]]]:
     """None when the graphs differ; otherwise a verified vertex bijection
     as (position in g1, position in g2) pairs."""
-    rows1, rows2 = _rows_of(g1), _rows_of(g2)
-    if len(rows1) != len(rows2):
+    if len(_rows_of(g1)) != len(_rows_of(g2)):
         return None
-    cf1 = canonical_form(rows1, vertex_cap=vertex_cap, timeout=timeout)
-    cf2 = canonical_form(rows2, vertex_cap=vertex_cap, timeout=timeout)
-    return bijection_from_forms(rows1, rows2, cf1, cf2)
+    cf1 = canonical_form(g1, vertex_cap=vertex_cap, timeout=timeout)
+    cf2 = canonical_form(g2, vertex_cap=vertex_cap, timeout=timeout)
+    return bijection_from_forms(g1, g2, cf1, cf2)
 
 
 # ---------------------------------------------------------------------------

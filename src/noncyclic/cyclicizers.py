@@ -73,19 +73,18 @@ class CyclicizerTable:
 
 
 def cyclicizer_table(group: Group) -> CyclicizerTable:
-    """Compute (and memoize on the group) the full cyclicizer table."""
+    """Compute (and memoize on the group) the full cyclicizer table. <g> is
+    maximal cyclic iff Cyc(g) = <g>: every cyclic subgroup containing <g>
+    lies in Cyc(g)."""
     if group._cyc_table is not None:
         return group._cyc_table
     rows = group.pair_rows
     inter = (1 << group.order) - 1
     for r in rows:
         inter &= r
-    subs = sorted(group.cyclic_subgroups,
-                  key=lambda gb: (-gb[1].bit_count(), gb[0]))
-    maximal = []
-    for g, bits in subs:
-        if not any(bits | kept.bits == kept.bits for kept in maximal):
-            maximal.append(MaximalCyclic(g, bits))
+    maximal = sorted((MaximalCyclic(g, bits)
+                      for g, bits in group.cyclic_subgroups if rows[g] == bits),
+                     key=lambda mc: (-mc.size, mc.generator))
     table = CyclicizerTable(group, tuple(rows), inter, tuple(maximal))
     group._cyc_table = table
     return table
@@ -194,9 +193,11 @@ def quotient_by_central(group: Group, members: Iterable[int],
     n = group.order
     flat = group._flat
     mem = sorted(set(members))
-    memset = set(mem)
-    if 0 not in memset:
+    if 0 not in mem:
         raise VerificationFailure("central subgroup must contain the identity")
+    t = group.np_table()
+    if not (t[mem] == t[:, mem].T).all():
+        raise VerificationFailure("subgroup is not central")
     coset_of = [-1] * n
     reps = []
     for r in range(n):
@@ -209,9 +210,9 @@ def quotient_by_central(group: Group, members: Iterable[int],
             y = flat[base + c]
             if coset_of[y] >= 0 and coset_of[y] != qi:
                 raise VerificationFailure("cosets are not well defined; "
-                                          "subgroup is not normal/central")
+                                          "members are not a subgroup")
             coset_of[y] = qi
-    table = np.asarray(coset_of)[group.np_table()[np.ix_(reps, reps)]]
+    table = np.asarray(coset_of)[t[np.ix_(reps, reps)]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     q = Group(table, labels=labels,
               label=label or f"{group.label}/N{len(mem)}")

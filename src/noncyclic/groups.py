@@ -454,6 +454,20 @@ def _cyclic_group(n: int, label: str) -> Group:
                  validate=False)
 
 
+def _presentation(kind: str, params: tuple) -> tuple[int, int, int, int]:
+    """(m, p, u, s) with 0 <= u, s < m presenting the group of a dihedral,
+    quaternion, modular or semidihedral spec as in ``_metacyclic_group``.
+    The modular and semidihedral groups are given by x^-1 a x = a^r, so
+    u = r^-1 mod m."""
+    if kind in ("dihedral", "quaternion"):
+        m = params[0] // 2
+        return m, 2, m - 1, m // 2 if kind == "quaternion" else 0
+    prime, n = params if kind == "modular" else (2, params[0])
+    m = prime ** (n - 1)
+    r = 1 + prime ** (n - 2) if kind == "modular" else 2 ** (n - 2) - 1
+    return m, prime, pow(r, -1, m), 0
+
+
 def _metacyclic_group(m: int, p: int, u: int, s: int, labels: list[str],
                       label: str) -> Group:
     """<a, x | a^m = 1, x^p = a^s, x a x^-1 = a^u>, with a^i x^j at index
@@ -598,21 +612,11 @@ def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
         label = spec.label()
     if k == "cyclic":
         return _cyclic_group(p[0], label)
-    if k == "dihedral":
-        m = p[0] // 2
-        return _metacyclic_group(m, 2, -1, 0,
-                                 _words(m, 2, "r", "s", x_first=True), label)
-    if k == "quaternion":
-        m = p[0] // 2
-        return _metacyclic_group(m, 2, -1, m // 2, _words(m, 2, "a", "b"),
-                                 label)
-    if k in ("modular", "semidihedral"):
-        # x^-1 a x = a^r, so x a x^-1 = a^u with u = r^-1 mod |a|
-        prime, n = p if k == "modular" else (2, p[0])
-        big = prime ** (n - 1)
-        r = 1 + prime ** (n - 2) if k == "modular" else 2 ** (n - 2) - 1
-        return _metacyclic_group(big, prime, pow(r, -1, big), 0,
-                                 _words(big, prime, "a", "x"), label)
+    if k in ("dihedral", "quaternion", "modular", "semidihedral"):
+        m, prime, u, s = _presentation(k, p)
+        words = (_words(m, 2, "r", "s", x_first=True) if k == "dihedral"
+                 else _words(m, prime, "a", "b" if k == "quaternion" else "x"))
+        return _metacyclic_group(m, prime, u, s, words, label)
     if k == "symmetric":
         return _symmetric_group(p[0], label)
     if k == "alternating":

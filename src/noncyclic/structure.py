@@ -9,12 +9,15 @@ regular non-cyclic graphs).
 
 from __future__ import annotations
 
+from collections import Counter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .groups import Group, prime_factorization
+from .errors import InvalidParameter
+from .groups import (Group, _presentation, dihedral, generalized_quaternion,
+                     modular_pgroup, prime_factorization, semidihedral)
 
 
 def is_abelian(group: Group) -> bool:
@@ -47,8 +50,9 @@ def sylow_members(group: Group, p: int) -> Optional[tuple]:
     right size (the normal Sylow p-subgroup), else None."""
     n = group.order
     target = p_part(n, p)
-    members = [x for x in range(n) if target % group.elem_orders[x] == 0
-               and _order_is_p_power(group.elem_orders[x], p)]
+    orders = group.elem_orders
+    ppowers = {o for o in set(orders) if p_part(o, p) == o}
+    members = [x for x in range(n) if orders[x] in ppowers]
     if len(members) != target:
         return None
     inside = np.zeros(n, dtype=bool)
@@ -56,12 +60,6 @@ def sylow_members(group: Group, p: int) -> Optional[tuple]:
     if not inside[group.np_table()[np.ix_(members, members)]].all():
         return None
     return tuple(members)
-
-
-def _order_is_p_power(o: int, p: int) -> bool:
-    while o % p == 0:
-        o //= p
-    return o == 1
 
 
 def sylow_decomposition(group: Group) -> Optional[Mapping[int, tuple]]:
@@ -90,10 +88,8 @@ def is_nilpotent(group: Group) -> bool:
 def abelian_ptype(group: Group, p: int) -> list[int]:
     """Partition (descending) of the abelian p-part, computed from the
     census c_k = #{x : x^(p^k) = e}."""
-    counts = {}
-    for o in group.elem_orders:
-        if _order_is_p_power(o, p):
-            counts[o] = counts.get(o, 0) + 1
+    counts = {o: v for o, v in Counter(group.elem_orders).items()
+              if p_part(o, p) == o}
     c_prev = 1
     m = []  # m[k-1] = number of parts >= k
     k = 1
@@ -127,100 +123,64 @@ def elementary_abelian_parameters(group: Group) -> Optional[tuple[int, int]]:
     return None
 
 
+def _presented_by(group: Group, make, *params) -> bool:
+    """True when ``make(*params)`` is a valid spec of a metacyclic family
+    and the group is that family's group: |G| = m*p, and some a of order m
+    and x outside <a> satisfy x^p = a^s and x a x^-1 = a^u, for the
+    family's presentation (m, p, u, s). Such a and x generate G, which is
+    then a quotient of the presented group of the same order. One a per
+    cyclic subgroup suffices: for a' = a^k with gcd(k, m) = 1, both
+    relations hold for a' iff they hold for a, as s is 0 or m/2."""
+    try:
+        spec = make(*params)
+    except InvalidParameter:
+        return False
+    m, p, u, s = _presentation(spec.kind, spec.params)
+    n = group.order
+    gens = [g for g, _ in group.cyclic_subgroups if group.elem_orders[g] == m]
+    if n != m * p or not gens:
+        return False
+    t = group.np_table()
+    idx = np.arange(n)
+    xp = idx
+    for _ in range(p - 1):
+        xp = t[xp, idx]
+    inv = np.asarray(group.inverses)
+    flat = group._flat
+    for g in gens:
+        powers = [0, g]
+        while len(powers) < m:
+            powers.append(flat[powers[-1] * n + g])
+        # u != 1 mod m in every family, so x a x^-1 = a^u puts x outside <a>
+        if ((xp == powers[s]) & (t[t[:, g], inv] == powers[u])).any():
+            return True
+    return False
+
+
 def is_generalized_quaternion(group: Group) -> bool:
-    pe = _is_prime_power(group.order)
-    if pe is None or pe[0] != 2 or group.order < 8:
-        return False
-    if max(group.elem_orders) == group.order:
-        return False
-    return sum(1 for o in group.elem_orders if o == 2) == 1
+    return _presented_by(group, generalized_quaternion, group.order)
 
 
 def dihedral_parameter(group: Group) -> Optional[int]:
     """n when the group is dihedral of order 2n (n >= 3), else None."""
-    size = group.order
-    if size % 2 or size < 6:
-        return None
-    n = size // 2
-    flat = group._flat
-    for a in range(size):
-        if group.elem_orders[a] != n:
-            continue
-        rot = group.generated_cyclic_bits(a)
-        ok = True
-        for b in range(size):
-            if (rot >> b) & 1:
-                continue
-            if group.elem_orders[b] != 2:
-                ok = False
-                break
-            if flat[flat[b * size + a] * size + b] != group.inverses[a]:
-                ok = False
-                break
-        if ok:
-            return n
+    if _presented_by(group, dihedral, group.order):
+        return group.order // 2
     return None
 
 
 def semidihedral_parameter(group: Group) -> Optional[int]:
     """m when the group is semidihedral of order 2^m (m >= 4), else None."""
-    pe = _is_prime_power(group.order)
-    if pe is None or pe[0] != 2 or pe[1] < 4:
-        return None
-    m = pe[1]
-    half = group.order // 2
-    r = 2 ** (m - 2) - 1
-    flat = group._flat
-    size = group.order
-    for a in range(size):
-        if group.elem_orders[a] != half:
-            continue
-        rot = group.generated_cyclic_bits(a)
-        target = _power(group, a, r)
-        for x in range(size):
-            if (rot >> x) & 1 or group.elem_orders[x] != 2:
-                continue
-            if flat[flat[x * size + a] * size + x] == target:
-                return m
-    return None
+    m = group.order.bit_length() - 1
+    return m if _presented_by(group, semidihedral, m) else None
 
 
 def modular_parameters(group: Group) -> Optional[tuple[int, int]]:
     """(p, n) when the group is the modular p-group of order p^n (n >= 3)
-    with presentation relation x^-1 a x = a^(1 + p^(n-2)), else None."""
+    that ``groups.modular_pgroup(p, n)`` builds, else None."""
     pe = _is_prime_power(group.order)
-    if pe is None or pe[1] < 3:
-        return None
-    p, n = pe
-    half = p ** (n - 1)
-    r = 1 + p ** (n - 2)
-    flat = group._flat
-    size = group.order
-    for a in range(size):
-        if group.elem_orders[a] != half:
-            continue
-        rot = group.generated_cyclic_bits(a)
-        target = _power(group, a, r)
-        for x in range(size):
-            if (rot >> x) & 1 or group.elem_orders[x] != p:
-                continue
-            conj = flat[flat[group.inverses[x] * size + a] * size + x]
-            if conj == target:
-                return (p, n)
+    if pe is not None and _presented_by(group, modular_pgroup, *pe):
+        return pe
     return None
-
-
-def _power(group: Group, g: int, k: int) -> int:
-    out = 0
-    x = g
-    size = group.order
-    flat = group._flat
-    while k:
-        if k & 1:
-            out = flat[out * size + x]
-        x = flat[x * size + x]
-        k >>= 1
-    return out
 
 
 def homocyclic_parameters(group: Group) -> Optional[tuple[int, int, int]]:
@@ -255,12 +215,7 @@ def regular_family(group: Group) -> Optional[tuple]:
     cof = group.order // size
     orders = {group.elem_orders[x] for x in sylow}
     if orders <= {1, p}:
-        m = 0
-        s = size
-        while s > 1:
-            s //= p
-            m += 1
-        return ("P", p, m, cof)
+        return ("P", p, _is_prime_power(size)[1], cof)
     if p == 2 and size == 8 and cof % 2 == 1:
         if sum(1 for x in sylow if group.elem_orders[x] == 2) == 1:
             return ("Q8", cof)
@@ -296,7 +251,7 @@ def two_kind_abelian_family(group: Group) -> bool:
 
 def self_cyclicizer_orders(group: Group) -> tuple:
     """Sorted set of orders t such that some element x of order t satisfies
-    Cyc(x) = <x>."""
-    rows = group.pair_rows
-    return tuple(sorted({group.elem_orders[x] for x in range(group.order)
-                         if rows[x] == group.generated_cyclic_bits(x)}))
+    Cyc(x) = <x>, i.e. the orders of the maximal cyclic subgroups."""
+    return tuple(sorted({group.elem_orders[g]
+                         for g, bits in group.cyclic_subgroups
+                         if group.pair_rows[g] == bits}))

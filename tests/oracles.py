@@ -498,6 +498,100 @@ def loop_two_generator_pgroup(p, n, r):
     return t, labels
 
 
+def _prime_power(n):
+    """(p, e) when n = p^e for a prime p, else None."""
+    for p in range(2, n + 1):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            return (p, e) if n == 1 else None
+    return None
+
+
+def _loop_power(group, g, k):
+    out = 0
+    x = g
+    while k:
+        if k & 1:
+            out = group.mult(out, x)
+        x = group.mult(x, x)
+        k >>= 1
+    return out
+
+
+def loop_is_generalized_quaternion(group):
+    """A non-cyclic 2-group of order >= 8 with a unique involution."""
+    pe = _prime_power(group.order)
+    if pe is None or pe[0] != 2 or group.order < 8:
+        return False
+    if max(group.elem_orders) == group.order:
+        return False
+    return sum(1 for o in group.elem_orders if o == 2) == 1
+
+
+def loop_dihedral_parameter(group):
+    """n when some a of order n has every b outside <a> an involution with
+    b a b = a^-1, the group having order 2n >= 6; else None."""
+    size = group.order
+    if size % 2 or size < 6:
+        return None
+    n = size // 2
+    for a in range(size):
+        if group.elem_orders[a] != n:
+            continue
+        rot = group.generated_cyclic_bits(a)
+        if all(group.elem_orders[b] == 2
+               and group.mult(group.mult(b, a), b) == group.inverses[a]
+               for b in range(size) if not (rot >> b) & 1):
+            return n
+    return None
+
+
+def loop_semidihedral_parameter(group):
+    """m when the order is 2^m >= 16 and some a of order 2^(m-1) and
+    involution x outside <a> have x a x = a^(2^(m-2) - 1); else None."""
+    pe = _prime_power(group.order)
+    if pe is None or pe[0] != 2 or pe[1] < 4:
+        return None
+    m = pe[1]
+    size = group.order
+    for a in range(size):
+        if group.elem_orders[a] != size // 2:
+            continue
+        rot = group.generated_cyclic_bits(a)
+        target = _loop_power(group, a, 2 ** (m - 2) - 1)
+        for x in range(size):
+            if (rot >> x) & 1 or group.elem_orders[x] != 2:
+                continue
+            if group.mult(group.mult(x, a), x) == target:
+                return m
+    return None
+
+
+def loop_modular_parameters(group):
+    """(p, n) when the order is p^n, n >= 3, and some a of order p^(n-1)
+    and x of order p outside <a> have x^-1 a x = a^(1 + p^(n-2)); else
+    None."""
+    pe = _prime_power(group.order)
+    if pe is None or pe[1] < 3:
+        return None
+    p, n = pe
+    size = group.order
+    for a in range(size):
+        if group.elem_orders[a] != size // p:
+            continue
+        rot = group.generated_cyclic_bits(a)
+        target = _loop_power(group, a, 1 + p ** (n - 2))
+        for x in range(size):
+            if (rot >> x) & 1 or group.elem_orders[x] != p:
+                continue
+            if group.mult(group.mult(group.inverses[x], a), x) == target:
+                return (p, n)
+    return None
+
+
 def coset_union_loop(az, result):
     """The cyc_coset_union check, rebuilding the coset y*Cyc(G) bit by bit
     for every x whose cyclicizer contains y."""

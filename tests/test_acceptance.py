@@ -5,9 +5,12 @@ The catalog-wide criteria share a single full run over the default catalog
 dedicated computations.
 """
 
+import hashlib
+import json
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,10 @@ from noncyclic import groups as G
 from noncyclic.canon import are_isomorphic, canonical_form, relabel_rows
 from noncyclic.cyclicizers import cyclicizer, is_tidy
 from noncyclic.graph import build_graph, diameter_info, distance, omega_bound_info
-from noncyclic.harness import Catalog, run_all, run_check
+from noncyclic.harness import Catalog, report_json, run_all, run_check
+
+EXPECTED_SWEEP = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "expected" / "sweep.json")
 
 
 @contextmanager
@@ -61,6 +67,14 @@ def test_criterion_02_connectivity_diameter_sweep(catalog_run):
         assert results["complete_iff_ea2"].passed
         assert results["nilpotent_diam_le_2"].passed
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
+
+
+def test_sweep_report_matches_recorded_hash(catalog_run):
+    results, _, _ = catalog_run
+    expected = json.loads(EXPECTED_SWEEP.read_text(encoding="utf-8"))
+    report = report_json(list(results.values()))
+    assert hashlib.sha256(report.encode()).hexdigest() \
+        == expected["report_sha256"]
 
 
 def test_criterion_03_z6xs3_diameter():

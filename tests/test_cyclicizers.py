@@ -4,8 +4,9 @@ from noncyclic import groups as G
 from noncyclic.cyclicizers import (cyclicizer, cyclicizer_of_set,
                                    cyclicizer_table, is_tidy,
                                    maximal_cyclic_subgroups, prime_graph,
-                                   quotient_by_cyclicizer)
-from noncyclic.errors import EmptySet
+                                   quotient_by_central, quotient_by_cyclicizer)
+from noncyclic.errors import EmptySet, VerificationFailure
+from noncyclic.harness import Catalog
 
 import oracles
 
@@ -82,6 +83,19 @@ def test_maximal_cyclic_ordering_and_generators():
         assert g.generated_cyclic_bits(m.generator) == m.bits
 
 
+def test_maximal_cyclic_match_naive_oracle_on_catalog():
+    for entry in Catalog.default(max_order=64).entries:
+        g = G.build(entry.spec)
+        maximal = cyclicizer_table(g).maximal
+        assert {frozenset(m.members()) for m in maximal} \
+            == oracles.naive_maximal_cyclic(g), entry.label
+        assert [(-m.size, m.generator) for m in maximal] \
+            == sorted((-m.size, m.generator) for m in maximal)
+        for m in maximal:
+            assert m.generator == min(x for x in m.members()
+                                      if g.elem_orders[x] == m.size)
+
+
 def test_maximal_cyclic_cover_and_core():
     for expr in ["Q8", "S3", "Z2xZ4", "D12"]:
         g = build(expr)
@@ -151,6 +165,19 @@ def test_quotient_by_cyclicizer():
     for qi, rep in enumerate(quo.reps):
         image = {quo.coset_of[y] for y in table.cyc_of(rep)}
         assert image == set(qtable.cyc_of(qi))
+
+
+def test_quotient_by_non_central_subgroup_raises():
+    s4 = build("S4")
+    cyc4 = G.subgroup_generated(s4, [s4.labels.index("(1 2 3 4)")])
+    with pytest.raises(VerificationFailure, match="not central"):
+        quotient_by_central(s4, cyc4.members)
+    # normal but not central: the Klein four-group
+    v4 = G.subgroup_generated(s4, [s4.labels.index("(1 2)(3 4)"),
+                                   s4.labels.index("(1 3)(2 4)")])
+    assert v4.order == 4
+    with pytest.raises(VerificationFailure, match="not central"):
+        quotient_by_central(s4, v4.members)
 
 
 def test_quotient_s3xz5():

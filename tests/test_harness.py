@@ -343,6 +343,13 @@ def test_diameter_and_canonical_form_share_one_contraction(contractions):
     assert contractions == [g.n_vertices]
 
 
+def test_are_isomorphic_reuses_the_graphs_contraction(contractions):
+    g = graph.build_graph(groups.build(groups.parse_group_expr("S4")))
+    graph.diameter_info(g)
+    assert canon.are_isomorphic(g, g) is not None
+    assert contractions == [g.n_vertices]
+
+
 def test_run_entry_contracts_a_non_nilpotent_graph_once(contractions):
     entry = Catalog.default(max_order=24).subset(["S4"]).entries[0]
     group_checks = [n for n, c in CHECKS.items() if c.kind == "group"]

@@ -66,6 +66,25 @@ def test_family_recognizers():
     assert structure.modular_parameters(build("D8")) == (2, 3)
 
 
+def test_family_recognizers_match_reference_loops():
+    recognizers = [
+        (structure.dihedral_parameter, oracles.loop_dihedral_parameter),
+        (structure.semidihedral_parameter,
+         oracles.loop_semidihedral_parameter),
+        (structure.modular_parameters, oracles.loop_modular_parameters),
+        (structure.is_generalized_quaternion,
+         oracles.loop_is_generalized_quaternion),
+    ]
+    hits = [0] * len(recognizers)
+    for entry in Catalog.default(max_order=200).entries:
+        g = G.build(entry.spec)
+        for i, (fast, loop) in enumerate(recognizers):
+            got = fast(g)
+            assert got == loop(g), (entry.label, fast.__name__)
+            hits[i] += bool(got)
+    assert all(hits), hits
+
+
 def test_homocyclic_recognition():
     assert structure.homocyclic_parameters(build("Z4xZ4")) == (2, 2, 2)
     assert structure.homocyclic_parameters(build("EA(3,2)")) == (3, 1, 2)
