@@ -196,6 +196,10 @@ def quotient_by_central(group: Group, members: Iterable[int],
     if 0 not in mem:
         raise VerificationFailure("central subgroup must contain the identity")
     t = group.np_table()
+    inside = np.zeros(n, dtype=bool)
+    inside[mem] = True
+    if not inside[t[np.ix_(mem, mem)]].all():
+        raise VerificationFailure("members are not a subgroup")
     if not (t[mem] == t[:, mem].T).all():
         raise VerificationFailure("subgroup is not central")
     coset_of = [-1] * n
@@ -207,11 +211,7 @@ def quotient_by_central(group: Group, members: Iterable[int],
         reps.append(r)
         base = r * n
         for c in mem:
-            y = flat[base + c]
-            if coset_of[y] >= 0 and coset_of[y] != qi:
-                raise VerificationFailure("cosets are not well defined; "
-                                          "members are not a subgroup")
-            coset_of[y] = qi
+            coset_of[flat[base + c]] = qi
     table = np.asarray(coset_of)[t[np.ix_(reps, reps)]]
     labels = [f"[{group.labels[r]}]" for r in reps]
     q = Group(table, labels=labels,

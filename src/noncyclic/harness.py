@@ -3,8 +3,13 @@ about cyclicizers and non-cyclic graphs.
 
 Each check runs over every applicable catalog group and reports
 counterexamples (expected none), documented findings, and skip reasons.
-Per-group checks stream over the catalog; cross-group checks consume the
-collected profiles (certificate classes, order spectra, recognizer flags).
+A check has one of four kinds. "group" and "graph" checks run once per
+catalog entry; the runner skips "graph" checks on cyclic groups, whose
+non-cyclic graph is not defined. "global" checks read the collected
+profiles (certificate classes, order spectra, recognizer flags), and
+"fixed" checks build their own groups. The runner, not the check, records
+skips for entries it could not analyze, keeps catalog order and times each
+call.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import combinations, product
 from math import gcd
 from typing import Callable, Optional
 
@@ -90,40 +96,25 @@ class Catalog:
                    max_order)
 
 
+def _partitions(e: int, cap: Optional[int] = None):
+    """Partitions of e into non-increasing parts, none above cap."""
+    if e == 0:
+        yield ()
+        return
+    for first in range(min(e, cap or e), 0, -1):
+        for tail in _partitions(e - first, first):
+            yield (first,) + tail
+
+
 def _abelian_factor_lists(order: int) -> list[tuple[int, ...]]:
     """Non-cyclic abelian groups of the given order as sorted tuples of
     prime-power cyclic factors."""
-
-    def partitions(e: int):
-        if e == 0:
-            yield ()
-            return
-        def rec(rest, cap):
-            if rest == 0:
-                yield ()
-                return
-            for first in range(min(rest, cap), 0, -1):
-                for tail in rec(rest - first, first):
-                    yield (first,) + tail
-        yield from rec(e, e)
-
-    per_prime = []
-    for p, e in prime_factorization(order):
-        per_prime.append([(p, part) for part in partitions(e)])
-    out = []
-    def combine(i, acc):
-        if i == len(per_prime):
-            if all(len(part) == 1 for _, part in acc):
-                return  # cyclic; listed separately
-            factors = []
-            for p, part in acc:
-                factors.extend(p ** k for k in part)
-            out.append(tuple(sorted(factors)))
-            return
-        for choice in per_prime[i]:
-            combine(i + 1, acc + [choice])
-    combine(0, [])
-    return sorted(out)
+    per_prime = [[tuple(p ** k for k in part) for part in _partitions(e)]
+                 for p, e in prime_factorization(order)]
+    # one factor per prime is the cyclic group, listed separately
+    return sorted(tuple(sorted(sum(choice, ())))
+                  for choice in product(*per_prime)
+                  if any(len(factors) > 1 for factors in choice))
 
 
 def _default_entries(max_order: int, include_degree_seven: bool):
@@ -197,16 +188,14 @@ class AnalyzedGroup:
     ctable: Optional[CyclicizerTable] = None
     graph: Optional[NonCyclicGraph] = None
     error: Optional[str] = None     # why the entry is skipped
-    _diam: Optional[object] = None
 
     @property
     def is_cyclic(self) -> bool:
         return self.group is not None and is_cyclic_group(self.group)
 
+    @cached_property
     def diameter(self):
-        if self._diam is None:
-            self._diam = diameter_info(self.graph)
-        return self._diam
+        return diameter_info(self.graph)
 
 
 @dataclass
@@ -277,10 +266,7 @@ def profile_of(az: AnalyzedGroup, want_certificate: bool = True
     if az.graph is not None:
         graph = az.graph
         prof.vertex_count = graph.n_vertices
-        d = 0
-        for row in graph.adjacency:
-            d = gcd(d, row.bit_count())
-        prof.degrees_gcd = d
+        prof.degrees_gcd = gcd(*(d for d, _ in degree_kinds(graph)[0]))
         if want_certificate:
             try:
                 cf = canonical_form(graph)
@@ -349,7 +335,7 @@ class CheckResult:
 class Check:
     name: str
     statement: str
-    kind: str                 # "group", "global", or "fixed"
+    kind: str   # "group" or "graph" (per entry), "global" or "fixed"
     fn: Callable
 
 
@@ -486,11 +472,8 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
 
 @_register("complete_iff_ea2",
            "the non-cyclic graph is complete exactly for elementary abelian "
-           "2-groups", "group")
+           "2-groups", "graph")
 def _check_complete(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     nv = az.graph.n_vertices
     complete = all(row.bit_count() == nv - 1 for row in az.graph.adjacency)
@@ -503,14 +486,11 @@ def _check_complete(az: AnalyzedGroup, result: CheckResult):
 @_register("diam_le_3",
            "the non-cyclic graph is connected with diameter at most 3, and "
            "diameter exactly 2 when the center equals the group cyclicizer",
-           "group")
+           "graph")
 def _check_diameter(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     try:
-        info = az.diameter()
+        info = az.diameter
     except Disconnected:
         _ce(result, group=az.label, reason="graph is disconnected")
         return
@@ -518,27 +498,21 @@ def _check_diameter(az: AnalyzedGroup, result: CheckResult):
         _ce(result, group=az.label, diameter=info.diameter,
             witness=info.witness_labels(az.graph))
         return
-    z = center(az.group).members
-    z_bits = 0
-    for m in z:
-        z_bits |= 1 << m
-    if z_bits == az.ctable.cyc_bits and info.diameter != 2:
+    if (center(az.group).members == az.ctable.cyc_members()
+            and info.diameter != 2):
         _ce(result, group=az.label, diameter=info.diameter,
             reason="center equals cyclicizer but diameter is not 2")
 
 
 @_register("nilpotent_diam_le_2",
            "finite non-cyclic nilpotent groups have graph diameter at most 2",
-           "group")
+           "graph")
 def _check_nilpotent_diam(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     if not structure.is_nilpotent(az.group):
         result.skip(az.label, "not nilpotent")
         return
     result.tested += 1
-    info = az.diameter()
+    info = az.diameter
     if info.diameter > 2:
         _ce(result, group=az.label, diameter=info.diameter,
             witness=info.witness_labels(az.graph))
@@ -546,11 +520,8 @@ def _check_nilpotent_diam(az: AnalyzedGroup, result: CheckResult):
 
 @_register("omega_chi_s",
            "clique number and chromatic number both equal the number of "
-           "maximal cyclic subgroups, with validated witnesses", "group")
+           "maximal cyclic subgroups, with validated witnesses", "graph")
 def _check_omega_chi(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     try:
         cc = clique_and_chromatic(az.graph, az.ctable)
@@ -566,11 +537,8 @@ def _check_omega_chi(az: AnalyzedGroup, result: CheckResult):
            "the clique number is at most the index of the group cyclicizer, "
            "and for s >= 3 the covering bound "
            "max((s-1)^2 (s-3)!, (s-2)^3 (s-3)!) dominates that index",
-           "group")
+           "graph")
 def _check_bounds(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     info = omega_bound_info(az.group, az.ctable)
     if not info.index_bound_ok:
@@ -588,11 +556,8 @@ def _check_bounds(az: AnalyzedGroup, result: CheckResult):
 @_register("alpha_formula",
            "the independence number equals the largest element order minus "
            "the group cyclicizer size; exact search cross-checks small "
-           "graphs and disagreements are surfaced", "group")
+           "graphs and disagreements are surfaced", "graph")
 def _check_alpha(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     try:
         info = independence_info(az.graph, az.ctable)
@@ -613,11 +578,8 @@ def _check_alpha(az: AnalyzedGroup, result: CheckResult):
 @_register("regular_classification",
            "the graph is regular exactly for Q8 x Z_n (n odd) and for "
            "P x Z_m with P non-cyclic of prime exponent p, gcd(m, p) = 1",
-           "group")
+           "graph")
 def _check_regular(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     _, _, regular = degree_kinds(az.graph)
     fam = structure.regular_family(az.group)
@@ -689,11 +651,8 @@ def _check_homocyclic(az: AnalyzedGroup, result: CheckResult):
 @_register("abelian_two_kind_degrees",
            "a non-cyclic abelian group has exactly two kind degrees exactly "
            "when it is Z_m plus n > 1 copies of Z_{p^2} with gcd(m, p) = 1; "
-           "non-abelian two-kind groups are logged", "group")
+           "non-abelian two-kind groups are logged", "graph")
 def _check_two_kinds(az: AnalyzedGroup, result: CheckResult):
-    if az.graph is None:
-        result.skip(az.label, "cyclic")
-        return
     _, kinds, _ = degree_kinds(az.graph)
     if not structure.is_abelian(az.group):
         if kinds == 2:
@@ -710,11 +669,8 @@ def _check_two_kinds(az: AnalyzedGroup, result: CheckResult):
 @_register("mu_cyc_disjoint",
            "no divisibility-maximal element order occurs as an element "
            "order inside the group cyclicizer of a non-cyclic group",
-           "group")
+           "graph")
 def _check_mu_disjoint(az: AnalyzedGroup, result: CheckResult):
-    if az.is_cyclic:
-        result.skip(az.label, "cyclic")
-        return
     result.tested += 1
     g, ct = az.group, az.ctable
     cyc_orders = {g.elem_orders[x] for x in ct.cyc_members()}
@@ -743,7 +699,7 @@ def _check_mu_self(az: AnalyzedGroup, result: CheckResult):
 @_register("z6xs3_diam_3",
            "the graph of Z6 x S3 has diameter 3, achieved by the pair "
            "((3,e), (2,e))", "fixed")
-def _check_z6xs3(result: CheckResult, profiles=None):
+def _check_z6xs3(result: CheckResult):
     spec = direct_product([cyclic(6), symmetric(3)], name="Z6xS3")
     g = build(spec)
     graph = build_graph(g)
@@ -762,7 +718,7 @@ def _check_z6xs3(result: CheckResult, profiles=None):
 @_register("homocyclic_required_cases",
            "the homocyclic cyclicizer-size formula verified on the five "
            "required (p, m, n) parameter triples by brute force", "fixed")
-def _check_homocyclic_fixed(result: CheckResult, profiles=None):
+def _check_homocyclic_fixed(result: CheckResult):
     for p, m, n in HOMOCYCLIC_REQUIRED:
         label = f"(Z{p ** m})^{n}"
         spec = direct_product([cyclic(p ** m)] * n, name=label)
@@ -780,7 +736,7 @@ def _family_graph(expr: str):
            "are: modular matches Z_{p^(n-1)} x Z_p whenever n > 3 or p > 2, "
            "while the order-8 chain group, the semidihedral groups and the "
            "dihedral groups sit in singleton classes", "fixed")
-def _check_families(result: CheckResult, profiles=None):
+def _check_families(result: CheckResult):
     certs = {expr: _family_graph(expr).hash_hex
              for expr in ("G(2,3)", "K(2,3)", "D8",
                           "G(2,4)", "K(2,4)", "H(4)", "D16", "Q16",
@@ -992,7 +948,13 @@ def _check_pgroup_recovery(profiles, result: CheckResult):
 # Runners
 
 
-def _run_entry(entry: CatalogEntry, group_checks: list[str],
+def _timed(result: CheckResult, fn: Callable, *args) -> None:
+    t0 = time.perf_counter()
+    fn(*args, result)
+    result.elapsed_ms += 1000 * (time.perf_counter() - t0)
+
+
+def _run_entry(entry: CatalogEntry, entry_checks: list[str],
                want_certificate: bool, max_order: Optional[int]):
     order = None if max_order is None else _order_before_build(entry.spec)
     if order is not None and order > max_order:
@@ -1001,17 +963,16 @@ def _run_entry(entry: CatalogEntry, group_checks: list[str],
     else:
         az = analyze_entry(entry)
     outcomes = {}
-    for name in group_checks:
+    for name in entry_checks:
         check = CHECKS[name]
-        scratch = CheckResult(name, check.statement)
+        part = outcomes[name] = CheckResult(name, check.statement)
         if az.error is not None:
-            scratch.skip(az.label, az.error)
+            part.skip(az.label, az.error)
+        elif check.kind == "graph" and az.graph is None:
+            part.skip(az.label, "cyclic")
         else:
-            t0 = time.perf_counter()
-            check.fn(az, scratch)
-            scratch.elapsed_ms = 1000 * (time.perf_counter() - t0)
-        outcomes[name] = scratch
-    return az.label, outcomes, profile_of(az, want_certificate)
+            _timed(part, check.fn, az)
+    return outcomes, profile_of(az, want_certificate)
 
 
 def _merge(into: CheckResult, part: CheckResult) -> None:
@@ -1029,57 +990,46 @@ def run_check(catalog: Catalog, name: str, jobs: int = 1) -> CheckResult:
 
 def run_all(catalog: Catalog, jobs: int = 1,
             names: Optional[list[str]] = None) -> list[CheckResult]:
-    """Run the selected checks (all by default) over the catalog."""
+    """Run the selected checks (all by default) over the catalog; results
+    merge in catalog order whatever the number of jobs."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise UnknownCheck(
             f"unknown check(s) {unknown}; available: {sorted(CHECKS)}")
-    group_checks = [n for n in names if CHECKS[n].kind == "group"]
+    entry_checks = [n for n in names if CHECKS[n].kind in ("group", "graph")]
     global_checks = [n for n in names if CHECKS[n].kind == "global"]
     fixed_checks = [n for n in names if CHECKS[n].kind == "fixed"]
     results = {n: CheckResult(n, CHECKS[n].statement) for n in names}
 
-    profiles: list[GroupProfile] = []
-    need_entries = bool(group_checks or global_checks)
-    if need_entries:
-        want_certificate = bool(global_checks)
+    ok_profiles: list[GroupProfile] = []
+    if entry_checks or global_checks:
+        run_entry = partial(_run_entry, entry_checks=entry_checks,
+                            want_certificate=bool(global_checks),
+                            max_order=catalog.max_order)
         if jobs > 1:
-            n = len(catalog.entries)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                entry_runs = list(pool.map(
-                    _run_entry, catalog.entries, [group_checks] * n,
-                    [want_certificate] * n, [catalog.max_order] * n,
-                    chunksize=8))
+                entry_runs = list(pool.map(run_entry, catalog.entries,
+                                           chunksize=8))
         else:
-            entry_runs = [_run_entry(e, group_checks, want_certificate,
-                                     catalog.max_order)
-                          for e in catalog.entries]
-        order_of = {e.label: i for i, e in enumerate(catalog.entries)}
-        entry_runs.sort(key=lambda t: order_of[t[0]])
-        for _, outcomes, profile in entry_runs:
+            entry_runs = map(run_entry, catalog.entries)
+        for outcomes, prof in entry_runs:
             for name, part in outcomes.items():
                 _merge(results[name], part)
-            profiles.append(profile)
-        for prof in profiles:
             if prof.error is not None:
                 reason = prof.error
-            elif prof.cert_error is not None:
-                reason = f"no certificate ({prof.cert_error})"
             else:
-                continue
+                ok_profiles.append(prof)
+                if prof.cert_error is None:
+                    continue
+                reason = f"no certificate ({prof.cert_error})"
             for name in global_checks:
                 results[name].skip(prof.label, reason)
-    ok_profiles = [p for p in profiles if p.error is None]
     for name in global_checks:
-        t0 = time.perf_counter()
-        CHECKS[name].fn(ok_profiles, results[name])
-        results[name].elapsed_ms = 1000 * (time.perf_counter() - t0)
+        _timed(results[name], CHECKS[name].fn, ok_profiles)
     for name in fixed_checks:
-        t0 = time.perf_counter()
-        CHECKS[name].fn(results[name])
-        results[name].elapsed_ms = 1000 * (time.perf_counter() - t0)
+        _timed(results[name], CHECKS[name].fn)
     return [results[n] for n in names]
 
 

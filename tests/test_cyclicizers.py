@@ -180,6 +180,13 @@ def test_quotient_by_non_central_subgroup_raises():
         quotient_by_central(s4, v4.members)
 
 
+def test_quotient_by_non_subgroup_raises():
+    # the translates of {0, 1} tile Z4, so only closure rules it out
+    for expr in ("Z4", "Z2xZ4"):
+        with pytest.raises(VerificationFailure, match="not a subgroup"):
+            quotient_by_central(build(expr), [0, 1])
+
+
 def test_quotient_s3xz5():
     g = build("S3xZ5")
     table = cyclicizer_table(g)

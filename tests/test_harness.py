@@ -53,10 +53,19 @@ def test_omega_chi_s_on_q8(small_catalog):
 
 
 def test_graph_checks_skip_cyclic_groups(small_catalog):
-    res = run_check(small_catalog.subset(["Z4"]), "diam_le_3")
-    assert res.tested == 0
-    assert res.skipped == [("Z4", "cyclic")]
-    assert res.passed
+    per_entry = [n for n, c in CHECKS.items() if c.kind in ("group", "graph")]
+    assert len(per_entry) == 15
+    results = run_all(small_catalog.subset(["Z4"]), names=per_entry)
+    for res in results:
+        assert res.passed, res.name
+        if CHECKS[res.name].kind == "graph":
+            assert (res.tested, res.skipped) == (0, [("Z4", "cyclic")]), \
+                res.name
+        elif res.name == "homocyclic_degree_formula":   # one factor only
+            assert res.skipped == [
+                ("Z4", "not homocyclic on more than one factor")]
+        else:
+            assert (res.tested, res.skipped) == (1, []), res.name
 
 
 def test_run_all_small_catalog_passes(small_catalog):
@@ -180,6 +189,11 @@ def test_jobs_parallel_matches_serial(small_catalog):
     assert serial[2].tested > 0
     assert ([r.to_json_dict() for r in serial]
             == [r.to_json_dict() for r in parallel])
+    # the JSON report keeps only the first skip labels; compare them all
+    assert len(serial[0].skipped) > harness.MAX_REPORTED
+    for s, p in zip(serial, parallel):
+        assert ((s.skipped, s.counterexamples, s.findings)
+                == (p.skipped, p.counterexamples, p.findings))
 
 
 def test_iso_classes_contain_known_duplicates():
@@ -352,8 +366,9 @@ def test_are_isomorphic_reuses_the_graphs_contraction(contractions):
 
 def test_run_entry_contracts_a_non_nilpotent_graph_once(contractions):
     entry = Catalog.default(max_order=24).subset(["S4"]).entries[0]
-    group_checks = [n for n, c in CHECKS.items() if c.kind == "group"]
-    _, outcomes, profile = harness._run_entry(entry, group_checks, True, None)
+    entry_checks = [n for n, c in CHECKS.items()
+                    if c.kind in ("group", "graph")]
+    outcomes, profile = harness._run_entry(entry, entry_checks, True, None)
     assert not profile.is_nilpotent and profile.certificate is not None
     assert outcomes["diam_le_3"].tested == 1
     assert contractions == [profile.vertex_count]
