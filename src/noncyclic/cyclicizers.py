@@ -43,9 +43,10 @@ class MaximalCyclic:
 
 @dataclass(frozen=True)
 class CyclicizerTable:
-    """All cyclicizer data of one group."""
+    """All cyclicizer data of one group. It holds no reference to the group,
+    which memoizes it: a group and its n^2 table then die with their last
+    reference instead of waiting for the cyclic garbage collector."""
 
-    group: Group
     rows: tuple          # rows[x] = bitset of Cyc(x)
     cyc_bits: int        # bitset of the group cyclicizer
     maximal: tuple       # MaximalCyclic, ordered by (size desc, generator asc)
@@ -62,9 +63,9 @@ class CyclicizerTable:
 
     def to_json_dict(self) -> dict:
         return {
-            "order": self.group.order,
+            "order": len(self.rows),
             "cyc_G": list(self.cyc_members()),
-            "cyc_of": [list(self.cyc_of(x)) for x in range(self.group.order)],
+            "cyc_of": [list(self.cyc_of(x)) for x in range(len(self.rows))],
             "maximal_cyclic": [
                 {"generator": m.generator, "members": list(m.members())}
                 for m in self.maximal
@@ -85,7 +86,7 @@ def cyclicizer_table(group: Group) -> CyclicizerTable:
     maximal = sorted((MaximalCyclic(g, bits)
                       for g, bits in group.cyclic_subgroups if rows[g] == bits),
                      key=lambda mc: (-mc.size, mc.generator))
-    table = CyclicizerTable(group, tuple(rows), inter, tuple(maximal))
+    table = CyclicizerTable(tuple(rows), inter, tuple(maximal))
     group._cyc_table = table
     return table
 

@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from math import factorial, gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,17 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# Bytes each temporary of a row-blocked array pass may take.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, row_bytes: int) -> Iterator[slice]:
+    """Slices covering range(n) in blocks of rows of ``row_bytes`` bytes
+    each, at most ``_BLOCK_BYTES`` per block and at least one row."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
 def _validate_structure(t: np.ndarray) -> None:
     """Raise NotAGroup unless ``t`` is the table of a group with identity 0.
 
@@ -64,14 +75,21 @@ def _validate_structure(t: np.ndarray) -> None:
     with (x*g)*y == x*(g*y) for all x, y are closed under multiplication,
     so it suffices to test each g not yet reached from the identity by right
     multiplication with the generators that passed. A group needs at most
-    log2(n) of them, each an O(n^2) comparison. A failure names its triple.
+    log2(n) of them, each an O(n^2) comparison. A failure names its triple,
+    the first in (x, y) order for the first failing g.
+
+    Every pass runs over blocks of rows (of columns for the column Latin
+    check), so the extra memory beside the table is O(block * n), with the
+    block sized by ``_BLOCK_BYTES``.
     """
     n = t.shape[0]
     idx = np.arange(n, dtype=t.dtype)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise NotAGroup("index 0 is not a two-sided identity")
-    if not (np.array_equal(np.sort(t, axis=1), np.broadcast_to(idx, t.shape))
-            and np.array_equal(np.sort(t, axis=0), np.broadcast_to(idx[:, None], t.shape))):
+    blocks = list(_row_blocks(n, n * t.itemsize))
+    if not all((np.sort(t[b], axis=1) == idx).all()
+               and (np.sort(t[:, b], axis=0) == idx[:, None]).all()
+               for b in blocks):
         raise NotAGroup("table is not a Latin square")
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
@@ -79,11 +97,14 @@ def _validate_structure(t: np.ndarray) -> None:
     for g in range(1, n):
         if reached[g]:
             continue
-        bad = t[t[:, g], :] != t[:, t[g]]      # (x*g)*y versus x*(g*y)
-        if bad.any():
-            x, y = (int(v) for v in np.argwhere(bad)[0])
-            raise NotAGroup(f"associativity fails at ({x},{g},{y})",
-                            triple=(x, g, y))
+        for b in blocks:
+            # (x*g)*y versus x*(g*y) for the x in block b
+            bad = np.take(t, t[b, g], axis=0) != np.take(t[b], t[g], axis=1)
+            if bad.any():
+                x, y = (int(v) for v in np.argwhere(bad)[0])
+                x += b.start
+                raise NotAGroup(f"associativity fails at ({x},{g},{y})",
+                                triple=(x, g, y))
         gens.append(g)
         _close(t, reached, gens)
 
@@ -703,16 +724,22 @@ def to_cayley_file(group: Group, path: str) -> None:
     stays whitespace-separated; colliding sanitized labels fall back to
     positional names.
     """
-    sanitized = [re.sub(r"\s+", "", lab) for lab in group.labels]
+    sanitized = ["".join(lab.split()) for lab in group.labels]
     if len(set(sanitized)) != len(sanitized) or any(not s for s in sanitized):
         sanitized = [f"e{i}" for i in range(group.order)]
     n = group.order
-    text = [str(i) for i in range(n)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n}\n")
-        fh.write(" ".join(sanitized) + "\n")
-        for row in group.np_table().tolist():
-            fh.write(" ".join(map(text.__getitem__, row)) + "\n")
+    # Token i is "i " (or "i\n" ending a row) NUL-padded to a fixed width,
+    # so a block of rows is one gather whose bytes, NULs dropped, are text.
+    width = len(str(n - 1)) + 1
+    sep = np.array([f"{i} " for i in range(n)], dtype=f"S{width}")
+    end = np.array([f"{i}\n" for i in range(n)], dtype=f"S{width}")
+    t = group.np_table()
+    with open(path, "wb") as fh:
+        fh.write(f"{n}\n{' '.join(sanitized)}\n".encode("utf-8"))
+        for b in _row_blocks(n, n * width):
+            text = np.take(sep, t[b])
+            text[:, -1] = end[t[b, -1]]
+            fh.write(text.tobytes().replace(b"\0", b""))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ optimized paths, so tests can cross-check the two. The one exception is
 form on a Sylow subgroup rebuilt as a group of its own.
 """
 
+import re
 from itertools import permutations
 
 import numpy as np
@@ -45,6 +46,48 @@ def associativity_failure(table):
             j, k = (int(x) for x in np.argwhere(left != right)[0])
             return (i, j, k)
     return None
+
+
+def unblocked_validation_failure(table):
+    """(message, triple) of the first group axiom ``table`` breaks,
+    or None, checked as whole-table passes: identity, Latin square, then
+    Light's test over n x n temporaries for each g not yet reached from the
+    identity by right multiplication with the generators that passed."""
+    t = np.asarray(table)
+    n = t.shape[0]
+    idx = np.arange(n)
+    if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+        return "index 0 is not a two-sided identity", None
+    if not (np.array_equal(np.sort(t, axis=1), np.broadcast_to(idx, t.shape))
+            and np.array_equal(np.sort(t, axis=0),
+                               np.broadcast_to(idx[:, None], t.shape))):
+        return "table is not a Latin square", None
+    reached = {0}
+    gens = []
+    for g in range(1, n):
+        if g in reached:
+            continue
+        bad = t[t[:, g], :] != t[:, t[g]]
+        if bad.any():
+            x, y = (int(v) for v in np.argwhere(bad)[0])
+            return f"associativity fails at ({x},{g},{y})", (x, g, y)
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            frontier = [int(t[x, h]) for x in frontier for h in gens
+                        if int(t[x, h]) not in reached]
+            reached.update(frontier)
+    return None
+
+
+def cayley_file_text(group):
+    """The Cayley-table file of ``group`` formatted one str per entry."""
+    sanitized = [re.sub(r"\s+", "", lab) for lab in group.labels]
+    if len(set(sanitized)) != len(sanitized) or any(not s for s in sanitized):
+        sanitized = [f"e{i}" for i in range(group.order)]
+    lines = [str(group.order), " ".join(sanitized)]
+    lines += [" ".join(map(str, row)) for row in group.np_table().tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def walk_orders_and_inverses(group):

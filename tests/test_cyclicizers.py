@@ -74,11 +74,11 @@ def test_maximal_cyclic_counts():
 
 
 def test_maximal_cyclic_ordering_and_generators():
-    table = cyclicizer_table(build("S3"))
+    g = build("S3")
+    table = cyclicizer_table(g)
     sizes = [m.size for m in table.maximal]
     assert sizes == sorted(sizes, reverse=True)
     for m in table.maximal:
-        g = table.group
         assert g.elem_orders[m.generator] == m.size
         assert g.generated_cyclic_bits(m.generator) == m.bits
 

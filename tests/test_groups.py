@@ -227,15 +227,16 @@ def test_flat_table_ignores_memory_layout():
 
 
 def test_cayley_file_text_is_the_plain_format(tmp_path):
-    for expr in ("Z1", "S3", "D12xZ2", "A5"):
-        g = build(expr)
-        path = tmp_path / "g.cayley"
+    # Z10, Z100 and Z11, Z101 sit on either side of a token-width step
+    gs = [build(expr) for expr in ("Z1", "Z10", "Z11", "Z100", "Z101",
+                                   "S3", "D12xZ2", "A5")]
+    # "a b" and "ab" collide once whitespace is stripped
+    gs.append(G.Group(build("Z4").np_table(), labels=["e", "a b", "ab", "c"]))
+    path = tmp_path / "g.cayley"
+    for g in gs:
         G.to_cayley_file(g, str(path))
-        labels = ["".join(lab.split()) for lab in g.labels]
-        want = [str(g.order), " ".join(labels)]
-        want += [" ".join(str(g.mult(i, j)) for j in range(g.order))
-                 for i in range(g.order)]
-        assert path.read_text() == "\n".join(want) + "\n", expr
+        assert path.read_bytes() == oracles.cayley_file_text(g).encode(), g
+    assert path.read_text().splitlines()[1] == "e0 e1 e2 e3"
 
 
 def test_cayley_file_roundtrip(tmp_path):
@@ -416,12 +417,78 @@ def test_validation_matches_cubic_oracle_on_perturbed_tables():
     assert accepted > 0 and rejected > 0
 
 
-def test_large_perturbed_table_is_rejected():
+def _large_perturbed_table():
     t = G.build(G.cyclic(300)).np_table().tolist()
     # 150 has order 2, so rows 7, 157 and columns 11, 161 form an intercalate
     for r in (7, 157):
         t[r][11], t[r][161] = t[r][161], t[r][11]
+    return t
+
+
+def test_large_perturbed_table_is_rejected():
+    t = _large_perturbed_table()
     assert oracles.associativity_failure(t) is not None
     with pytest.raises(NotAGroup) as exc:
         G.Group(t)
     _assert_triple_fails(t, exc.value.triple)
+
+
+def _assert_same_failure(t):
+    expected = oracles.unblocked_validation_failure(t)
+    try:
+        G.Group(t)
+    except NotAGroup as exc:
+        assert (str(exc), exc.triple) == expected
+    else:
+        assert expected is None
+
+
+@pytest.mark.parametrize("budget", [1, 100, 1000])
+def test_blocked_validation_matches_unblocked_reference(monkeypatch, budget):
+    monkeypatch.setattr(G, "_BLOCK_BYTES", budget)
+    rng = random.Random(0xB10C)
+    kinds = set()
+    for entry in Catalog.default(max_order=40).entries:
+        base = G.build(entry.spec).np_table().tolist()
+        if len(base) < 4:
+            continue
+        for _ in range(3):
+            t = [row[:] for row in base]
+            kind = rng.randrange(3)
+            if kind == 0:       # still a Latin square with identity 0
+                if not _intercalate_swap(t, rng):
+                    continue
+            elif kind == 1:     # row r repeats an entry: not a Latin square
+                r, c = rng.sample(range(1, len(t)), 2)
+                t[r][c] = t[r][c - 1]
+            else:               # identity broken in column 0
+                t[1][0], t[2][0] = t[2][0], t[1][0]
+            _assert_same_failure(t)
+            kinds.add(kind)
+    assert kinds == {0, 1, 2}
+
+
+def test_blocked_validation_failures_past_the_first_block(monkeypatch):
+    n = 300
+    rows = 4
+    monkeypatch.setattr(G, "_BLOCK_BYTES", rows * n * np.dtype(np.intc).itemsize)
+    t = _large_perturbed_table()
+    msg, triple = oracles.unblocked_validation_failure(t)
+    assert triple[0] >= rows
+    with pytest.raises(NotAGroup) as exc:
+        G.Group(t)
+    assert (str(exc.value), exc.value.triple) == (msg, triple)
+
+    # two columns past the first block swapped in one row: every row is
+    # still a permutation, columns 250 and 251 are not
+    t = G.build(G.cyclic(n)).np_table().tolist()
+    t[200][250], t[200][251] = t[200][251], t[200][250]
+    assert oracles.unblocked_validation_failure(t) == (
+        "table is not a Latin square", None)
+    with pytest.raises(NotAGroup, match="not a Latin square"):
+        G.Group(t)
+    # a row past the first block repeats an entry
+    t = G.build(G.cyclic(n)).np_table().tolist()
+    t[200][250] = t[200][251]
+    with pytest.raises(NotAGroup, match="not a Latin square"):
+        G.Group(t)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import json
 import random
 import types
@@ -372,3 +373,23 @@ def test_run_entry_contracts_a_non_nilpotent_graph_once(contractions):
     assert not profile.is_nilpotent and profile.certificate is not None
     assert outcomes["diam_le_3"].tested == 1
     assert contractions == [profile.vertex_count]
+
+
+def test_analysed_groups_are_freed_without_the_cycle_collector():
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, groups.Group)]
+    gc.disable()
+    try:
+        for expr in ("S4", "Z2xZ4", "D12xZ2"):
+            az = analyze_entry(harness.CatalogEntry(
+                expr, groups.parse_group_expr(expr)))
+            prof = profile_of(az)
+            report = graph.invariant_report(az.group, az.ctable, az.graph,
+                                            label=expr)
+            del az, prof, report
+        kept = {id(o) for o in before}
+        left = [o for o in gc.get_objects()
+                if isinstance(o, groups.Group) and id(o) not in kept]
+        assert left == []
+    finally:
+        gc.enable()
