@@ -187,37 +187,35 @@ class Quotient:
     reps: tuple           # quotient index -> smallest original element
 
 
+def central_cosets(group: Group, members) -> np.ndarray:
+    """Cosets of the central subgroup with sorted ``members``, one per row
+    in ascending order of smallest element; that element is column 0."""
+    t = group.np_table()
+    return t[np.ix_(np.unique(t[:, members].min(axis=1)), members)]
+
+
 def quotient_by_central(group: Group, members: Iterable[int],
                         label: Optional[str] = None) -> Quotient:
-    """Quotient by a central subgroup, cosets represented by their smallest
-    element index."""
-    n = group.order
-    flat = group._flat
+    """Quotient by a central subgroup N, coset i of ``central_cosets`` at
+    index i; N is checked exactly, so G/N is a group by construction."""
     mem = sorted(set(members))
     if 0 not in mem:
         raise VerificationFailure("central subgroup must contain the identity")
     t = group.np_table()
-    inside = np.zeros(n, dtype=bool)
+    inside = np.zeros(group.order, dtype=bool)
     inside[mem] = True
     if not inside[t[np.ix_(mem, mem)]].all():
         raise VerificationFailure("members are not a subgroup")
     if not (t[mem] == t[:, mem].T).all():
         raise VerificationFailure("subgroup is not central")
-    coset_of = [-1] * n
-    reps = []
-    for r in range(n):
-        if coset_of[r] >= 0:
-            continue
-        qi = len(reps)
-        reps.append(r)
-        base = r * n
-        for c in mem:
-            coset_of[flat[base + c]] = qi
-    table = np.asarray(coset_of)[t[np.ix_(reps, reps)]]
+    cosets = central_cosets(group, mem)
+    reps = cosets[:, 0].tolist()
+    coset_of = np.empty(group.order, dtype=np.intp)
+    coset_of[cosets] = np.arange(len(reps))[:, None]
     labels = [f"[{group.labels[r]}]" for r in reps]
-    q = Group(table, labels=labels,
-              label=label or f"{group.label}/N{len(mem)}")
-    return Quotient(q, tuple(coset_of), tuple(reps))
+    q = Group(coset_of[t[np.ix_(reps, reps)]], labels=labels,
+              label=label or f"{group.label}/N{len(mem)}", validate=False)
+    return Quotient(q, tuple(coset_of.tolist()), tuple(reps))
 
 
 def quotient_by_cyclicizer(group: Group) -> Quotient:

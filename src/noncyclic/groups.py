@@ -126,8 +126,8 @@ class Group:
     ascending generator. Row x of ``pair_rows`` has bit y set iff <x, y> is
     cyclic, i.e. x and y lie in a common cyclic subgroup: it is Cyc(x).
 
-    The table is checked exactly unless ``validate`` is False, which only
-    constructors whose tables are groups by construction pass.
+    The table is checked exactly unless ``validate`` is False, as for the
+    cyclic, permutation, product and quotient tables (groups by construction).
     """
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
@@ -297,7 +297,7 @@ def mu(group: Group) -> tuple:
 def center(group: Group) -> Subgroup:
     t = group.np_table()
     mask = (t == t.T).all(axis=1)
-    return Subgroup(group, tuple(int(i) for i in np.nonzero(mask)[0]))
+    return Subgroup(group, tuple(np.flatnonzero(mask).tolist()))
 
 
 def is_cyclic_group(group: Group) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import structure
 from .canon import canonical_form, check_goormaghtigh_condition
-from .cyclicizers import (CyclicizerTable, bits_to_indices,
+from .cyclicizers import (CyclicizerTable, central_cosets,
                           cyclicizer_table, is_tidy, quotient_by_central,
                           quotient_by_cyclicizer)
 from .errors import (Disconnected, NonCyclicError, Timeout, TooLarge,
@@ -196,6 +196,10 @@ class AnalyzedGroup:
     @cached_property
     def diameter(self):
         return diameter_info(self.graph)
+
+    @cached_property
+    def center(self) -> tuple:
+        return center(self.group).members
 
 
 @dataclass
@@ -366,9 +370,7 @@ def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
     result.tested += 1
     if len(cyc) == 1:
         return
-    t = g.np_table()
-    # each coset y*Cyc(G) once, as a row of members; the rows partition G
-    cosets = t[np.ix_(np.unique(t[:, cyc].min(axis=1)), cyc)]
+    cosets = central_cosets(g, cyc)   # the rows partition G
     inside = _bit_matrix(ct.rows)[:, cosets]   # is cosets[c, k] in Cyc(x)
     leaks = inside.any(axis=2) & ~inside.all(axis=2)
     indivisible = inside.sum(axis=(1, 2)) % len(cyc) != 0
@@ -454,17 +456,15 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
             _ce(result, group=az.label,
                 reason="quotient by cyclicizer keeps non-trivial cyclicizer")
             return
-        for qi, rep in enumerate(quo.reps):
-            image = 0
-            for y in bits_to_indices(ct.rows[rep]):
-                image |= 1 << quo.coset_of[y]
-            if image != qct.rows[qi]:
-                _ce(result, group=az.label, coset=quo.group.labels[qi],
-                    reason="cyclicizer does not project onto the quotient")
-                return
-    z = center(g).members
-    if 1 < len(z) < g.order:
-        quo = quotient_by_central(g, z, label=f"{g.label}/Z")
+        cosets = central_cosets(g, ct.cyc_members())
+        image = _bit_matrix(ct.rows)[cosets[:, 0]][:, cosets].any(axis=2)
+        bad = np.flatnonzero((image != _bit_matrix(qct.rows)).any(axis=1))
+        if bad.size:
+            _ce(result, group=az.label, coset=quo.group.labels[bad[0]],
+                reason="cyclicizer does not project onto the quotient")
+            return
+    if 1 < len(az.center) < g.order:
+        quo = quotient_by_central(g, az.center, label=f"{g.label}/Z")
         if cyclicizer_table(quo.group).cyc_size != 1:
             _ce(result, group=az.label,
                 reason="central quotient has non-trivial cyclicizer")
@@ -498,8 +498,7 @@ def _check_diameter(az: AnalyzedGroup, result: CheckResult):
         _ce(result, group=az.label, diameter=info.diameter,
             witness=info.witness_labels(az.graph))
         return
-    if (center(az.group).members == az.ctable.cyc_members()
-            and info.diameter != 2):
+    if az.center == az.ctable.cyc_members() and info.diameter != 2:
         _ce(result, group=az.label, diameter=info.diameter,
             reason="center equals cyclicizer but diameter is not 2")
 

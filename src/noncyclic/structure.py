@@ -217,6 +217,8 @@ def regular_family(group: Group) -> Optional[tuple]:
     if orders <= {1, p}:
         return ("P", p, _is_prime_power(size)[1], cof)
     if p == 2 and size == 8 and cof % 2 == 1:
+        # a non-cyclic 2-group with a unique involution is generalized
+        # quaternion, and the one of order 8 is Q8
         if sum(1 for x in sylow if group.elem_orders[x] == 2) == 1:
             return ("Q8", cof)
     return None

@@ -14,7 +14,7 @@ import numpy as np
 
 from noncyclic.canon import _Backjump, _codegree_split, _Search, canonical_form
 from noncyclic.graph import build_graph
-from noncyclic.groups import Subgroup
+from noncyclic.groups import Group, Subgroup
 from noncyclic.harness import _ce
 
 
@@ -663,3 +663,58 @@ def coset_union_loop(az, result):
                     reason="coset leaks outside the cyclicizer")
                 return
             rest &= ~coset
+
+
+def loop_quotient(group, members):
+    """(reps, coset_of, table, labels) of the quotient by the central
+    subgroup ``members``: one pass over the elements, where each element not
+    yet placed starts a new coset, filled member by member."""
+    n = group.order
+    coset_of = [-1] * n
+    reps = []
+    for r in range(n):
+        if coset_of[r] >= 0:
+            continue
+        reps.append(r)
+        for c in members:
+            coset_of[group.mult(r, c)] = len(reps) - 1
+    table = np.asarray(coset_of)[group.np_table()[np.ix_(reps, reps)]]
+    return (tuple(reps), tuple(coset_of), table,
+            tuple(f"[{group.labels[r]}]" for r in reps))
+
+
+def quotient_loop(az, result):
+    """The quotient_cyc_trivial check over ``loop_quotient`` tables, each
+    coset representative's cyclicizer projected bit by bit; the centre is
+    found by comparing every pair of elements."""
+    g, ct = az.group, az.ctable
+    n = g.order
+    result.tested += 1
+
+    def cyc_bits(rows):
+        inter = -1
+        for row in rows:
+            inter &= row
+        return inter
+
+    if ct.cyc_size > 1:
+        reps, coset_of, table, labels = loop_quotient(g, ct.cyc_members())
+        qrows = Group(table).pair_rows
+        if cyc_bits(qrows) != 1:
+            _ce(result, group=az.label,
+                reason="quotient by cyclicizer keeps non-trivial cyclicizer")
+            return
+        for qi, rep in enumerate(reps):
+            image = 0
+            for y in rows_to_sets([ct.rows[rep]])[0]:
+                image |= 1 << coset_of[y]
+            if image != qrows[qi]:
+                _ce(result, group=az.label, coset=labels[qi],
+                    reason="cyclicizer does not project onto the quotient")
+                return
+    z = [x for x in range(n)
+         if all(g.mult(x, y) == g.mult(y, x) for y in range(n))]
+    if 1 < len(z) < n and cyc_bits(
+            Group(loop_quotient(g, z)[2]).pair_rows) != 1:
+        _ce(result, group=az.label,
+            reason="central quotient has non-trivial cyclicizer")

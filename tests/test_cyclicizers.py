@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from noncyclic import groups as G
@@ -194,6 +195,26 @@ def test_quotient_s3xz5():
     quo = quotient_by_cyclicizer(g)
     assert quo.group.order == 6
     assert sorted(quo.group.elem_orders) == [1, 2, 2, 2, 3, 3]
+
+
+def test_quotients_match_loop_oracle_on_catalog():
+    """The quotients that quotient_cyc_trivial forms, by a non-trivial Cyc(G)
+    and by a proper non-trivial Z(G), equal the coset loop's, and each
+    quotient table passes the exact group check."""
+    formed = 0
+    for entry in Catalog.default(max_order=200).entries:
+        g = G.build(entry.spec, label=entry.label)
+        cyc, z = cyclicizer_table(g).cyc_members(), G.center(g).members
+        for members in ([cyc] if len(cyc) > 1 else []) + \
+                ([z] if 1 < len(z) < g.order else []):
+            quo = quotient_by_central(g, members)
+            reps, coset_of, table, labels = oracles.loop_quotient(g, members)
+            assert (quo.reps, quo.coset_of) == (reps, coset_of), entry.label
+            assert np.array_equal(quo.group.np_table(), table), entry.label
+            assert quo.group.labels == labels, entry.label
+            quo.group.validate_full()
+            formed += 1
+    assert formed > 1000
 
 
 def test_table_json_shape():

@@ -108,7 +108,9 @@ def test_fault_injected_catalog_entry(tmp_path, small_catalog):
 def _doctored(az, rng):
     """Copies of ``az`` whose cyclicizer rows lose members: one member of a
     row (its size is no longer divisible by |Cyc(G)|), |Cyc(G)| members
-    taken from two cosets in a row (both cosets leak), and both at once."""
+    taken from two cosets in a row (both cosets leak), both at once, and one
+    whole coset taken from the row of a coset's smallest element (its image
+    in G/Cyc(G) loses that coset)."""
     g, ct = az.group, az.ctable
     cyc = ct.cyc_members()
 
@@ -128,10 +130,22 @@ def _doctored(az, rng):
             drop(rows, counts)
         out.append(dataclasses.replace(
             az, ctable=dataclasses.replace(ct, rows=tuple(rows))))
+    cosets = {}   # smallest element -> coset
+    for y in range(g.order):
+        cosets.setdefault(min(g.mult(y, c) for c in cyc), []).append(y)
+    rows = list(ct.rows)
+    rep = rng.choice(sorted(cosets))
+    dropped = rng.choice([r for r in sorted(cosets) if (rows[rep] >> r) & 1])
+    for y in cosets[dropped]:
+        rows[rep] &= ~(1 << y)
+    out.append(dataclasses.replace(
+        az, ctable=dataclasses.replace(ct, rows=tuple(rows))))
     return out
 
 
 def test_coset_union_matches_loop_oracle():
+    """cyc_coset_union and quotient_cyc_trivial agree with their loop
+    oracles on every catalog group and on doctored cyclicizer rows."""
     rng = random.Random(0xC05E7)
     reasons = Counter()
     for entry in Catalog.default(max_order=64).entries:
@@ -140,14 +154,18 @@ def test_coset_union_matches_loop_oracle():
         if az.ctable.cyc_size > 1 and not az.is_cyclic:
             cases += _doctored(az, rng)
         for case in cases:
-            got = CheckResult("cyc_coset_union", "")
-            want = CheckResult("cyc_coset_union", "")
-            CHECKS["cyc_coset_union"].fn(case, got)
-            oracles.coset_union_loop(case, want)
-            assert got == want, entry.label
-            reasons.update(ce["reason"] for ce in got.counterexamples)
+            for name, oracle in (("cyc_coset_union", oracles.coset_union_loop),
+                                 ("quotient_cyc_trivial",
+                                  oracles.quotient_loop)):
+                got = CheckResult(name, "")
+                want = CheckResult(name, "")
+                CHECKS[name].fn(case, got)
+                oracle(case, want)
+                assert got == want, (entry.label, name)
+                reasons.update(ce["reason"] for ce in got.counterexamples)
     assert reasons["cyclicizer size not divisible by group cyclicizer"] > 0
     assert reasons["coset leaks outside the cyclicizer"] > 0
+    assert reasons["cyclicizer does not project onto the quotient"] > 0
 
 
 def test_catalog_from_file_respects_max_order(tmp_path):

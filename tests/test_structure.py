@@ -92,6 +92,28 @@ def test_homocyclic_recognition():
     assert structure.homocyclic_parameters(build("Z12")) is None
 
 
+def test_regular_family_q8_rule_matches_quaternion_recognizer():
+    """regular_family's involution count names Q8 exactly when the Sylow
+    2-subgroup is generalized quaternion, on every nilpotent catalog entry
+    of order <= 200 with a Sylow 2-subgroup of order 8, odd cofactor and
+    cyclic odd Sylow subgroups (the entries where that rule decides)."""
+    verdicts = set()
+    for entry in Catalog.default(max_order=200).entries:
+        g = G.build(entry.spec)
+        if g.order % 16 != 8:
+            continue
+        dec = structure.sylow_decomposition(g)
+        if dec is None or any(not G.Subgroup(g, m).is_cyclic()
+                              for p, m in dec.items() if p != 2):
+            continue
+        fam = structure.regular_family(g)
+        quaternion = structure.is_generalized_quaternion(
+            G.Subgroup(g, dec[2]).as_group())
+        assert (fam is not None and fam[0] == "Q8") == quaternion, entry.label
+        verdicts.add(quaternion)
+    assert verdicts == {False, True}
+
+
 def test_regular_family_recognition():
     assert structure.regular_family(build("Q8")) == ("Q8", 1)
     assert structure.regular_family(build("Q8xZ3")) == ("Q8", 3)
