@@ -11,7 +11,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import permutations, product as iter_product
+from itertools import product as iter_product
 from math import factorial, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -126,8 +126,11 @@ class Group:
     ascending generator. Row x of ``pair_rows`` has bit y set iff <x, y> is
     cyclic, i.e. x and y lie in a common cyclic subgroup: it is Cyc(x).
 
-    The table is checked exactly unless ``validate`` is False, as for the
-    cyclic, permutation, product and quotient tables (groups by construction).
+    The table is checked exactly unless ``validate`` is False. Two callers
+    pass False: ``build``, whose tables ``_table`` has validated (metacyclic
+    tables, Cayley files) or built as groups (cyclic, permutation and
+    product tables), and ``quotient_by_central``, whose quotient tables are
+    groups by construction.
     """
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
@@ -468,16 +471,9 @@ def perm_group(degree: int, gens: Sequence[tuple]) -> GroupSpec:
 # Builders
 
 
-def _cyclic_group(n: int, label: str) -> Group:
-    idx = np.arange(n, dtype=np.intc)
-    t = (idx[:, None] + idx[None, :]) % n
-    return Group(t, labels=[str(i) for i in range(n)], label=label,
-                 validate=False)
-
-
 def _presentation(kind: str, params: tuple) -> tuple[int, int, int, int]:
     """(m, p, u, s) with 0 <= u, s < m presenting the group of a dihedral,
-    quaternion, modular or semidihedral spec as in ``_metacyclic_group``.
+    quaternion, modular or semidihedral spec as in ``_metacyclic_table``.
     The modular and semidihedral groups are given by x^-1 a x = a^r, so
     u = r^-1 mod m."""
     if kind in ("dihedral", "quaternion"):
@@ -489,17 +485,15 @@ def _presentation(kind: str, params: tuple) -> tuple[int, int, int, int]:
     return m, prime, pow(r, -1, m), 0
 
 
-def _metacyclic_group(m: int, p: int, u: int, s: int, labels: list[str],
-                      label: str) -> Group:
+def _metacyclic_table(m: int, p: int, u: int, s: int) -> np.ndarray:
     """<a, x | a^m = 1, x^p = a^s, x a x^-1 = a^u>, with a^i x^j at index
     j*m + i: (a^i x^j)(a^k x^l) = a^(i + k*u^j + s*[j+l >= p]) x^((j+l) % p).
-    The parameters are not checked to present a group of order m*p, so the
-    table is validated."""
+    The parameters are not checked to present a group of order m*p."""
     j, i = np.divmod(np.arange(m * p, dtype=np.int64), m)
     upow = np.array([pow(u, e, m) for e in range(p)], dtype=np.int64)
     jl = j[:, None] + j[None, :]
     a = (i[:, None] + upow[j][:, None] * i[None, :] + s * (jl >= p)) % m
-    return Group((jl % p) * m + a, labels=labels, label=label)
+    return ((jl % p) * m + a).astype(np.intc)
 
 
 def _words(m: int, p: int, a: str, x: str,
@@ -531,8 +525,7 @@ def _perm_label(p: tuple) -> str:
     return "".join(cycles) or "e"
 
 
-def _table_from_perms(perms: list[tuple], gens: Sequence[tuple],
-                      label: str) -> Group:
+def _perm_table(perms: list[tuple], gens: Sequence[tuple]) -> np.ndarray:
     """The table of ``perms`` (identity first) under (a*b)(x) = a(b(x)),
     given generators of the group they form. If b = g*c for a generator g
     then b*a = g*(c*a), so row b is row c gathered through left
@@ -553,104 +546,96 @@ def _table_from_perms(perms: list[tuple], gens: Sequence[tuple],
                 done[b] = 1
                 table[b] = m[table[c]]
                 queue.append(b)
-    # composition of permutations is associative by construction
-    return Group(table, labels=[_perm_label(p) for p in perms], label=label,
-                 validate=False)
+    return table
 
 
-def _perm_parity_even(p: tuple) -> bool:
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity == 0
-
-
-def _symmetric_group(n: int, label: str) -> Group:
-    perms = [tuple(p) for p in permutations(range(n))]
-    # (1 2) and (1 2 ... n)
-    gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
-    return _table_from_perms(perms, gens, label)
-
-
-def _alternating_group(n: int, label: str) -> Group:
-    perms = [tuple(p) for p in permutations(range(n)) if _perm_parity_even(p)]
-    # (1 2 3) and (1 2 ... n) for odd n, (2 3 ... n) for even n
-    gens = [(1, 2, 0, *range(3, n)), (*range(1, n), 0) if n % 2
+def _classical_gens(kind: str, n: int) -> list[tuple]:
+    """Generators of S_n, (1 2) and (1 2 ... n), or of A_n, (1 2 3) and
+    (1 2 ... n) for odd n, (2 3 ... n) for even n."""
+    if kind == "symmetric":
+        return [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    return [(1, 2, 0, *range(3, n)), (*range(1, n), 0) if n % 2
             else (0, *range(2, n), 1)] if n > 2 else []
-    return _table_from_perms(perms, gens, label)
 
 
-def _perm_closure(degree: int, gens: tuple, cap: int) -> list[tuple]:
+def _perm_closure(degree: int, gens: Sequence[tuple]) -> list[tuple]:
     """The group the permutations ``gens`` generate, identity first, in
-    breadth-first order; ClosureTooLarge past ``cap`` elements."""
+    breadth-first order; ClosureTooLarge past DEFAULT_CLOSURE_CAP elements."""
     ordered = [tuple(range(degree))]
     seen = set(ordered)
     for x in ordered:
         for g in gens:
             y = tuple(x[i] for i in g)
             if y not in seen:
-                if len(ordered) >= cap:
-                    raise ClosureTooLarge(
-                        f"closure exceeds cap of {cap} elements")
+                if len(ordered) >= DEFAULT_CLOSURE_CAP:
+                    raise ClosureTooLarge(f"closure exceeds cap of "
+                                          f"{DEFAULT_CLOSURE_CAP} elements")
                 seen.add(y)
                 ordered.append(y)
     return ordered
 
 
-def _product_group(children: list[Group], label: str) -> Group:
-    acc = children[0].np_table().astype(np.intc)
-    big_n = children[0].order
-    for child in children[1:]:
-        t2 = child.np_table()
-        n2 = child.order
+def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]]
+                   ) -> tuple[np.ndarray, list[str]]:
+    """Table and labels of the direct product of the (table, labels)
+    factors, in mixed radix with the leftmost factor most significant."""
+    acc = factors[0][0]
+    for t2, _ in factors[1:]:
+        n1, n2 = acc.shape[0], t2.shape[0]
         acc = (acc[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(
-            big_n * n2, big_n * n2)
-        big_n *= n2
+            n1 * n2, n1 * n2)
     labels = ["(" + ",".join(parts) + ")"
-              for parts in iter_product(*[c.labels for c in children])]
-    # componentwise products of validated groups are associative
-    return Group(acc, labels=labels, label=label, validate=False)
+              for parts in iter_product(*(labels for _, labels in factors))]
+    return acc, labels
 
 
-def build(spec: GroupSpec, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
-          label: Optional[str] = None) -> Group:
-    """Build and validate the group described by ``spec``.
-
-    The group is labelled ``label``, else the spec's name, else after its
-    constructor (a Cayley file's basename).
-    """
+def _table(spec: GroupSpec) -> tuple[np.ndarray, Sequence[str]]:
+    """The intc Cayley table and the element labels of the group ``spec``
+    describes. Metacyclic tables are validated here and Cayley files by
+    ``from_cayley_file``; cyclic, permutation and product tables (products
+    of tables made here) are groups by construction."""
     k, p = spec.kind, spec.params
-    if label is None and (k != "cayley" or spec.name is not None):
-        label = spec.label()
     if k == "cyclic":
-        return _cyclic_group(p[0], label)
+        n = p[0]
+        idx = np.arange(n, dtype=np.intc)
+        return (idx[:, None] + idx[None, :]) % n, [str(i) for i in range(n)]
     if k in ("dihedral", "quaternion", "modular", "semidihedral"):
         m, prime, u, s = _presentation(k, p)
+        t = _metacyclic_table(m, prime, u, s)
+        _validate_structure(t)
         words = (_words(m, 2, "r", "s", x_first=True) if k == "dihedral"
                  else _words(m, prime, "a", "b" if k == "quaternion" else "x"))
-        return _metacyclic_group(m, prime, u, s, words, label)
-    if k == "symmetric":
-        return _symmetric_group(p[0], label)
-    if k == "alternating":
-        return _alternating_group(p[0], label)
+        return t, words
+    if k in ("symmetric", "alternating", "perm"):
+        # sorted S_n and A_n closures list the permutations in lexicographic
+        # order, the identity first
+        degree, gens = p if k == "perm" else (p[0], _classical_gens(k, p[0]))
+        perms = _perm_closure(degree, gens)
+        if k != "perm":
+            perms.sort()
+        return _perm_table(perms, gens), [_perm_label(x) for x in perms]
     if k == "product":
-        children = [build(c, closure_cap=closure_cap) for c in spec.children]
-        return _product_group(children, label)
+        return _product_table([_table(c) for c in spec.children])
     if k == "cayley":
-        return from_cayley_file(p[0], label=label)
-    if k == "perm":
-        return _table_from_perms(_perm_closure(p[0], p[1], closure_cap),
-                                 p[1], label)
+        g = from_cayley_file(p[0])
+        return g.np_table(), g.labels
     raise InvalidParameter(f"unknown spec kind {k!r}")
+
+
+def build(spec: GroupSpec, *, label: Optional[str] = None) -> Group:
+    """Build the group described by ``spec``, labelled ``label``, else the
+    spec's name, else after its constructor (a Cayley file's basename).
+
+    Only metacyclic tables and Cayley files are validated; ``_table`` says
+    why the others need not be.
+    """
+    if spec.kind == "cayley":
+        return from_cayley_file(spec.params[0],
+                                label=spec.name if label is None else label)
+    table, labels = _table(spec)
+    return Group(table, labels=labels,
+                 label=spec.label() if label is None else label,
+                 validate=False)
 
 
 def _order_before_build(spec: GroupSpec) -> Optional[int]:
@@ -660,7 +645,7 @@ def _order_before_build(spec: GroupSpec) -> Optional[int]:
     k, p = spec.kind, spec.params
     try:
         if k == "perm":
-            return len(_perm_closure(p[0], p[1], DEFAULT_CLOSURE_CAP))
+            return len(_perm_closure(p[0], p[1]))
         if k == "cayley":
             with open(p[0], "r", encoding="utf-8") as fh:
                 return int(next(ln for ln in fh if ln.strip()))

@@ -431,8 +431,9 @@ class ReferenceSearch(_Search):
 
 
 # ---------------------------------------------------------------------------
-# Entry-by-entry table builders, the reference for groups._metacyclic_group
-# and groups._table_from_perms. Each returns (table as lists, labels).
+# Entry-by-entry table builders, the reference for the metacyclic,
+# permutation and product tables of groups._table. Each returns (table as
+# lists, labels).
 
 
 def perm_cycles(p):
@@ -539,6 +540,18 @@ def loop_two_generator_pgroup(p, n, r):
             xj = "" if j == 0 else ("x" if j == 1 else f"x{j}")
             labels.append((ai + xj) or "e")
     return t, labels
+
+
+def loop_product(factors):
+    """Direct product of the groups ``factors``, folded left one factor at a
+    time: (a, b) sits at index a*|B| + b and (a, b)(c, d) = (ac, bd)."""
+    t, parts = [[0]], [()]
+    for f in factors:
+        ft, n2 = f.np_table().tolist(), f.order
+        t = [[x * n2 + y for x in t[a] for y in ft[b]]
+             for a in range(len(t)) for b in range(n2)]
+        parts = [p + (lab,) for p in parts for lab in f.labels]
+    return t, ["(" + ",".join(p) + ")" for p in parts]
 
 
 def _prime_power(n):

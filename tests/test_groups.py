@@ -192,9 +192,16 @@ def test_symmetric_identity_first():
 def test_perm_generators_closure():
     g = build("perm:3:(1 2),(1 2 3)")
     assert g.order == 6
-    with pytest.raises(ClosureTooLarge):
-        G.build(G.perm_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
-                closure_cap=10)
+    with pytest.raises(ClosureTooLarge):    # S8: 40320 > 20160 elements
+        build("perm:8:(1 2),(1 2 3 4 5 6 7 8)")
+
+
+@pytest.mark.parametrize("kind, even_only", [("symmetric", False),
+                                             ("alternating", True)])
+def test_sorted_closures_are_lexicographic(kind, even_only):
+    # S7 and A7, past the degrees test_perm_tables_match_loop_oracle builds
+    closure = G._perm_closure(7, G._classical_gens(kind, 7))
+    assert sorted(closure) == oracles.symmetric_perms(7, even_only=even_only)
 
 
 @pytest.mark.parametrize("expr, perms", [
@@ -212,6 +219,46 @@ def test_perm_tables_match_loop_oracle(expr, perms):
     table, labels = oracles.loop_perm_table(perms())
     assert g.np_table().tolist() == table
     assert list(g.labels) == labels
+
+
+@pytest.mark.parametrize("expr", ["D8xQ8xZ3", "S4xZ5", "Z2xZ2xZ2"])
+def test_build_constructs_one_group(monkeypatch, expr):
+    labels = []
+    init = G.Group.__init__
+
+    def counted(self, *args, **kwargs):
+        labels.append(kwargs.get("label"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(G.Group, "__init__", counted)
+    build(expr)
+    assert labels == [expr]
+
+
+def test_products_match_loop_oracle_on_catalog():
+    products = [e for e in Catalog.default(max_order=200).entries
+                if e.spec.kind == "product"]
+    assert len(products) == 1614
+    for entry in products:
+        g = G.build(entry.spec, label=entry.label)
+        table, labels = oracles.loop_product(
+            [G.build(c) for c in entry.spec.children])
+        assert g.np_table().tolist() == table, entry.label
+        assert list(g.labels) == labels, entry.label
+        assert g.pair_rows == oracles.walk_cyclic_subgroups(g)[2], entry.label
+
+
+def test_product_factors_are_validated(monkeypatch, tmp_path):
+    bad = tmp_path / "bad.cayley"
+    # the perturbed Z5 table of test_cayley_file_rejections
+    bad.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n"
+                   "4 2 0 1 3\n")
+    with pytest.raises(NotAGroup, match="associativity"):
+        G.build(G.direct_product([G.cyclic(2), G.cayley_file(str(bad))]))
+    # x a x^-1 = a^2 is no automorphism of <a> = Z4
+    monkeypatch.setattr(G, "_presentation", lambda kind, params: (4, 2, 2, 0))
+    with pytest.raises(NotAGroup):
+        build("Z3xD8")
 
 
 def test_flat_table_ignores_memory_layout():
