@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import accumulate
 from math import gcd, isnan, nan
@@ -21,11 +21,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclicizers import bits_to_indices
 from .errors import (InvalidParameter, Timeout, TooLarge,
                      VerificationFailure)
-from .graph import (NonCyclicGraph, _bit_matrix, _iterated_contraction,
-                    induced_rows)
+from .graph import (NonCyclicGraph, _bit_matrix, _bit_rows,
+                    _iterated_contraction, induced_rows)
 from .groups import _is_prime
 
 DEFAULT_VERTEX_CAP = 2048
@@ -40,6 +39,9 @@ class CanonicalForm:
     labeling: tuple      # labeling[original position] = canonical position
     certificate: bytes
     hash_hex: str        # 128-bit digest of the certificate
+    # (k, nodes, leaves, automorphisms, backjumps) of the search on the
+    # k-vertex twin quotient; not part of the form
+    effort: tuple = field(compare=False)
 
 
 def _rows_of(graph_or_rows) -> tuple:
@@ -102,10 +104,19 @@ class _Backjump(Exception):
         self.depth = depth
 
 
+_BIG_ENDIAN_UINTS = tuple(np.dtype(f">u{w}") for w in (1, 2, 4, 8))
+
+
+def _invariant_dtype(k: int) -> np.dtype:
+    """Big-endian unsigned integers of the fewest bytes (1, 2, 4 or 8) that
+    hold k. Fixed-width big-endian bytes of non-negative integers compare
+    like the tuple of the integers, a proper prefix first."""
+    return next(d for d in _BIG_ENDIAN_UINTS if k >> (8 * d.itemsize) == 0)
+
+
 class _Search:
-    def __init__(self, qrows, keys, deadline):
+    def __init__(self, qrows, descs, deadline):
         self.qrows = qrows
-        self.keys = keys           # label-invariant initial vertex keys
         self.k = len(qrows)
         self.deadline = deadline
         self.best_key = None
@@ -114,9 +125,20 @@ class _Search:
         self.first_lab = None
         self.first_path = None
         self.autos: list[tuple] = []
+        self.supports: list[int] = []  # bitset of the points each moves
         self._auto_seen: set = set()
+        self.adj_bool = _bit_matrix(qrows)
         # integer adjacency: a segment sum of booleans would be an or
-        self.adj = _bit_matrix(qrows).astype(np.int32)
+        self.adj = self.adj_bool.astype(np.int32)
+        # a node invariant's cell sizes and neighbor counts are at most k
+        self.inv_dtype = _invariant_dtype(self.k)
+        # label-invariant initial vertex keys: descriptors plus a triangle
+        # census of the quotient, a cheap invariant that plain refinement
+        # misses. einsum's integer product needs no BLAS and is several
+        # times faster than matmul's at these sizes.
+        census = (np.einsum("ij,jk->ik", self.adj, self.adj)
+                  * self.adj).sum(axis=1, dtype=np.int64)
+        self.keys = list(zip(descs, census.tolist()))
         # search effort
         self.nodes = self.leaves = self.automorphisms = self.backjumps = 0
 
@@ -136,8 +158,10 @@ class _Search:
         counts every vertex's neighbors in every cell with one segment sum;
         a cell splits by its members' count rows, and its new cells are
         ordered by those rows, which keeps the procedure labeling-invariant.
-        The invariant is the cell sizes plus the representatives' count
-        rows of the last, stable pass."""
+        The invariant is the cell sizes and the representatives' count rows
+        of the last, stable pass, each as the bytes of one inv_dtype array:
+        two invariants compare like the tuples of their integers, so no
+        node turns its counts into Python ints."""
         while True:
             sizes = [len(c) for c in cells]
             starts = list(accumulate(sizes[:-1], initial=0))
@@ -149,8 +173,8 @@ class _Search:
             step = (counts[1:] != counts[:-1]).any(axis=1)
             step[[s - 1 for s in starts[1:]]] = False
             if not step.any():
-                return cells, (tuple(sizes),
-                               tuple(counts[starts].ravel().tolist()))
+                return cells, (np.array(sizes, self.inv_dtype).tobytes(),
+                               counts[starts].astype(self.inv_dtype).tobytes())
             new_cells = []
             for cell, s in zip(cells, starts):
                 if not step[s:s + len(cell) - 1].any():
@@ -165,48 +189,55 @@ class _Search:
     def _leaf(self, cells, seq, fixed):
         self.leaves += 1
         lab = [c[0] for c in cells]
-        mat = induced_rows(self.qrows, lab)
+        mat = _bit_rows(self.adj_bool.take(lab, 0).take(lab, 1))
         key = (seq, mat)
-        gamma = None
+        auto = None
         if self.first_mat is None:
             self.first_mat = mat
             self.first_lab = lab
             self.first_path = fixed
         elif mat == self.first_mat:
-            gamma = self._record_auto(lab, self.first_lab)
+            auto = self._record_auto(lab, self.first_lab)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_lab = lab
         elif mat == self.best_key[1]:
             self._record_auto(lab, self.best_lab)
-        if gamma is not None:
+        if auto is not None:
             # If gamma fixes the common prefix with the first path and sends
             # the divergence vertex to the first path's choice, the rest of
             # this subtree is the gamma-image of fully explored ground.
+            gamma, support = auto
             c = 0
             while (c < len(fixed) and c < len(self.first_path)
                    and fixed[c] == self.first_path[c]):
                 c += 1
             if (c < len(fixed) and c < len(self.first_path)
-                    and all(gamma[f] == f for f in fixed[:c])
+                    and not support & sum(1 << f for f in fixed[:c])
                     and gamma[fixed[c]] == self.first_path[c]):
                 self.backjumps += 1
                 raise _Backjump(c)
 
     def _record_auto(self, lab, ref_lab):
+        """The automorphism lab[p] -> ref_lab[p] with its support, or None
+        for the identity."""
         gamma = [0] * self.k
         for p in range(self.k):
             gamma[lab[p]] = ref_lab[p]
         g = tuple(gamma)
-        if any(g[v] != v for v in range(self.k)):
-            if g not in self._auto_seen:
-                self._auto_seen.add(g)
-                self.autos.append(g)
-                self.automorphisms += 1
-            return g
-        return None
+        support = sum(1 << v for v in range(self.k) if g[v] != v)
+        if not support:
+            return None
+        if g not in self._auto_seen:
+            self._auto_seen.add(g)
+            self.autos.append(g)
+            self.supports.append(support)
+            self.automorphisms += 1
+        return g, support
 
-    def _search(self, cells, seq, fixed):
+    def _search(self, cells, seq, fixed, fixed_mask=0):
+        """Explore the node whose individualized prefix is ``fixed``, which
+        is ``fixed_mask`` as a bitset."""
         if time.monotonic() > self.deadline:
             raise Timeout("canonical form search exceeded its time budget")
         self.nodes += 1
@@ -246,12 +277,16 @@ class _Search:
             nonlocal absorbed
             while absorbed < len(self.autos):
                 g = self.autos[absorbed]
+                support = self.supports[absorbed]
                 absorbed += 1
-                if all(g[f] == f for f in fixed):
+                # fixing the prefix is moving none of it
+                if not support & fixed_mask:
                     for v in target:
-                        ra, rb = find(v), find(g[v])
-                        if ra != rb:
-                            parent[ra] = rb
+                        # a point g fixes joins no other point's orbit
+                        if g[v] != v:
+                            ra, rb = find(v), find(g[v])
+                            if ra != rb:
+                                parent[ra] = rb
 
         tried: list[int] = []
         for v in target:
@@ -265,7 +300,7 @@ class _Search:
                      + cells[target_idx + 1:])
             child = _codegree_split(self.qrows, child, v)
             try:
-                self._search(child, seq, fixed + (v,))
+                self._search(child, seq, fixed + (v,), fixed_mask | 1 << v)
             except _Backjump as bj:
                 if bj.depth != len(fixed):
                     raise
@@ -289,14 +324,12 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
         else _iterated_contraction(rows))
     k = len(qrows)
     if k == 1:
-        lab_q = [0]
+        lab_q, effort = [0], (1, 0, 0, 0, 0)
     else:
-        # seed the partition with descriptors plus a triangle census of the
-        # quotient, a cheap invariant that plain refinement misses
-        keys = [(desc, sum((row & qrows[u]).bit_count()
-                           for u in bits_to_indices(row)))
-                for desc, row in zip(descs, qrows)]
-        lab_q = _Search(qrows, keys, deadline).run()
+        search = _Search(qrows, descs, deadline)
+        lab_q = search.run()
+        effort = (k, search.nodes, search.leaves, search.automorphisms,
+                  search.backjumps)
 
     lab_full = []
     for qv in lab_q:
@@ -309,7 +342,8 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
     cert = n.to_bytes(8, "big") + b"".join(
         row.to_bytes(row_bytes, "big") for row in matrix)
     digest = blake2b(cert, digest_size=16).hexdigest()
-    return CanonicalForm(n, tuple(matrix), tuple(labeling), cert, digest)
+    return CanonicalForm(n, tuple(matrix), tuple(labeling), cert, digest,
+                         effort)
 
 
 # ---------------------------------------------------------------------------

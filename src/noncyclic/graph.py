@@ -59,12 +59,16 @@ def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
+def _bit_rows(matrix: np.ndarray) -> tuple:
+    """Int bit rows of a boolean matrix; the inverse of _bit_matrix."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
     """Rows of the subgraph induced on the vertices idx, with idx[i]
     renamed to i."""
-    sub = _bit_matrix(rows)[np.ix_(idx, idx)]
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return _bit_rows(_bit_matrix(rows)[np.ix_(idx, idx)])
 
 
 def _merge_classes(qrows, descs, members, key_of, tag):

@@ -358,19 +358,34 @@ def bitset_refine(qrows, cells):
             return cells
 
 
+def big_endian_bytes(values, k):
+    """Each value as big-endian bytes of the fewest of 1, 2, 4 or 8 bytes
+    that hold k; int.to_bytes refuses a value that does not fit."""
+    width = min(w for w in (1, 2, 4, 8) if k < 256 ** w)
+    return b"".join(x.to_bytes(width, "big") for x in values)
+
+
 def bitset_node_invariant(qrows, cells):
     """Cell sizes plus the quotient count matrix of an equitable
-    partition."""
+    partition, each as big_endian_bytes for the quotient size k."""
     masks = []
     for cell in cells:
         m = 0
         for v in cell:
             m |= 1 << v
         masks.append(m)
-    sizes = tuple(len(c) for c in cells)
-    counts = tuple((qrows[cell[0]] & m).bit_count()
-                   for cell in cells for m in masks)
-    return (sizes, counts)
+    sizes = [len(c) for c in cells]
+    counts = [(qrows[cell[0]] & m).bit_count()
+              for cell in cells for m in masks]
+    k = len(qrows)
+    return (big_endian_bytes(sizes, k), big_endian_bytes(counts, k))
+
+
+def triangle_census(qrows):
+    """Per vertex v, the sum over its neighbors u of |N(v) & N(u)|."""
+    return [sum((row & qrows[u]).bit_count() for u in range(len(qrows))
+                if row >> u & 1)
+            for row in qrows]
 
 
 class ReferenceSearch(_Search):

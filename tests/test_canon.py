@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from noncyclic import canon
@@ -12,6 +15,11 @@ from noncyclic.graph import build_graph
 from noncyclic.harness import Catalog
 
 import oracles
+
+
+# two catalog labellings of Z2^4 x Z3^2 and A4 x Z2^2 x Z3: the sweep's
+# slowest searches, with many automorphisms and backjumps
+TAIL_EXPRS = ("Z2xZ2xZ2xZ2xZ3xZ3", "Z3xZ3xZ2xZ2xZ2xZ2", "A4xZ2xZ2xZ3")
 
 
 def graph_of(expr):
@@ -76,7 +84,7 @@ def test_search_matches_bitset_reference(oracle_graphs, monkeypatch):
     ref = recording(oracles.ReferenceSearch)
     rng = random.Random(0xC0DE)
     totals = [0, 0, 0, 0]
-    for g in oracle_graphs:
+    for g in oracle_graphs + [graph_of(e) for e in TAIL_EXPRS]:
         variants = [g.adjacency]
         for _ in range(2):
             perm = list(range(g.n_vertices))
@@ -97,16 +105,87 @@ def test_search_matches_bitset_reference(oracle_graphs, monkeypatch):
     assert all(totals), totals
 
 
+def test_effort_is_the_search_counters(monkeypatch):
+    # CanonicalForm.effort is (k, nodes, leaves, automorphisms, backjumps)
+    # of the search, the reference search's counters, and == ignores it
+    new = canon._Search
+    searches = []
+
+    class Recording(oracles.ReferenceSearch):
+        def run(self):
+            searches.append(self)
+            return super().run()
+
+    for expr in ("EA(2,2)", "Z2xZ4", "S4", "Z6xS3") + TAIL_EXPRS:
+        g = graph_of(expr)
+        k = len(g.twin_quotient[0])
+        monkeypatch.setattr(canon, "_Search", new)
+        cf = canonical_form(g)
+        searches.clear()
+        monkeypatch.setattr(canon, "_Search", Recording)
+        ref = canonical_form(g)
+        if k == 1:
+            assert not searches
+            assert cf.effort == (1, 0, 0, 0, 0), expr
+        else:
+            [s] = searches
+            assert cf.effort == (k, s.nodes, s.leaves, s.automorphisms,
+                                 s.backjumps), expr
+        assert ref == cf and ref.effort == cf.effort, expr
+        other = dataclasses.replace(cf, effort=None)
+        assert other == cf and hash(other) == hash(cf)
+    # the tail graphs exercise automorphisms and backjumps
+    assert cf.effort[3] and cf.effort[4]
+
+
+def test_triangle_census_keys_match_bit_loop(oracle_graphs):
+    for g in oracle_graphs + [graph_of(e) for e in TAIL_EXPRS]:
+        qrows, descs, _ = g.twin_quotient
+        if len(qrows) > 1:
+            search = canon._Search(qrows, descs, float("inf"))
+            assert search.keys == list(
+                zip(descs, oracles.triangle_census(qrows))), g.group.label
+
+
+def test_invariant_bytes_order_like_int_tuples():
+    # the node invariant's encoding: for values up to k, fixed-width
+    # big-endian bytes order like the int tuples (a proper prefix first),
+    # never wrap, and equal the oracle's int.to_bytes encoding
+    rng = random.Random(0xB17E5)
+    for k in (1, 255, 256, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 3, 2 ** 20,
+              2 ** 32 - 1, 2 ** 32):
+        dtype = canon._invariant_dtype(k)
+        assert k < 256 ** dtype.itemsize
+        assert dtype.itemsize == 1 or k >= 256 ** (dtype.itemsize // 2)
+        pool = (0, 1, k // 2, k - 1, k)
+        seqs = [[rng.choice(pool) if rng.random() < 0.7
+                 else rng.randrange(k + 1)
+                 for _ in range(rng.randrange(6))] for _ in range(80)]
+        enc = []
+        for seq in seqs:
+            b = np.array(seq, dtype).tobytes()
+            assert np.array(seq, np.int64).astype(dtype).tobytes() == b
+            assert np.frombuffer(b, dtype).tolist() == seq
+            assert oracles.big_endian_bytes(seq, k) == b
+            enc.append(b)
+        for a, ea in zip(seqs, enc):
+            for b, eb in zip(seqs, enc):
+                assert (a < b) == (ea < eb) and (a == b) == (ea == eb)
+
+
 def test_catalog_certificates_are_labeling_invariant():
-    # every non-cyclic graph of the default catalog, two relabelings each
+    # every non-cyclic graph of the default catalog, two relabelings each;
+    # the base certificates are pinned by their SHA-256 in catalog order
     rng = random.Random(0x5EED)
     graphs = 0
+    digest = hashlib.sha256()
     for entry in Catalog.default(max_order=200).entries:
         group = G.build(entry.spec)
         if G.is_cyclic_group(group):
             continue
         g = build_graph(group)
         base = canonical_form(g)
+        digest.update(base.certificate)
         for _ in range(2):
             perm = list(range(g.n_vertices))
             rng.shuffle(perm)
@@ -114,6 +193,8 @@ def test_catalog_certificates_are_labeling_invariant():
             assert cf.certificate == base.certificate, entry.label
         graphs += 1
     assert graphs == 1454
+    assert digest.hexdigest() == ("9d8e085bcbcb945eb97bdcd82fc8fd92"
+                                  "192fa8e602bb4aa61443b202d46623c0")
 
 
 def test_certificate_matrix_is_relabeled_input():
