@@ -4,7 +4,9 @@ Two graphs are isomorphic iff their canonical adjacency matrices are
 bit-identical. The pipeline alternately contracts false-twin classes
 (equal neighborhoods) and true-twin classes (equal closed neighborhoods),
 canonicalizes the type-annotated quotient by individualization-refinement
-with node-invariant, orbit and backjump pruning, and expands back.
+with node-invariant, orbit and backjump pruning, the orbits fed by
+automorphisms found at leaves and guessed beside the first path, and
+expands back.
 Non-cyclic graphs collapse hard under the contraction: the complete
 multipartite ones, the dominant case, reduce to a handful of vertices.
 """
@@ -40,7 +42,9 @@ class CanonicalForm:
     certificate: bytes
     hash_hex: str        # 128-bit digest of the certificate
     # (k, nodes, leaves, automorphisms, backjumps) of the search on the
-    # k-vertex twin quotient; not part of the form
+    # k-vertex twin quotient; not part of the form. automorphisms counts
+    # those found at leaves and those guessed and verified at first-path
+    # siblings; a guess settles its node without a leaf or a backjump
     effort: tuple = field(compare=False)
 
 
@@ -115,6 +119,31 @@ def _invariant_dtype(k: int) -> np.dtype:
 
 
 class _Search:
+    """Individualization-refinement on the twin quotient. The best leaf is
+    the first leaf, in depth-first order of the unpruned tree, that carries
+    the least key (node invariants along its path, then its matrix); every
+    pruning step removes only subtrees that an automorphism maps onto ground
+    already explored or on a worse invariant, so it never removes that leaf,
+    and the form and the labeling do not depend on which automorphisms turn
+    up or when.
+
+    Automorphisms come from two places. A leaf with the first or the best
+    leaf's matrix gives one. And at a sibling of the first path, the node
+    with prefix first_path[:d] + (w,), w != first_path[d], whose invariant
+    equals the first path's at depth d + 1, the search guesses one before
+    descending (nauty's cheap automorphisms, McKay & Piperno 2014): pair the
+    node's ordered cells P_i with the first path's Q_i at depth d + 1, fix
+    P_i & Q_i and map sorted(P_i - Q_i) onto sorted(Q_i - P_i) in order. A
+    guess counts only once verified: it preserves adjacency and the initial
+    vertex keys, fixes first_path[:d] and sends w to first_path[d]. The
+    node's subtree is then its image of the first path's, fully explored,
+    so the node returns and orbit pruning in the parent skips the rest of
+    w's orbit; a rejected guess leaves the node to descend as usual."""
+
+    # the triangle census runs in row blocks of about this many
+    # multiply-adds, with a deadline check before each block
+    CENSUS_BLOCK_OPS = 1 << 24
+
     def __init__(self, qrows, descs, deadline):
         self.qrows = qrows
         self.k = len(qrows)
@@ -124,6 +153,11 @@ class _Search:
         self.first_mat = None      # first leaf; a second automorphism anchor
         self.first_lab = None
         self.first_path = None
+        self.first_seq = None      # node invariants along the first path
+        self.first_path_idx = None
+        # refined cells along the first path, each turned into a
+        # _cell_index array when a guess first needs it
+        self.first_cells = []
         self.autos: list[tuple] = []
         self.supports: list[int] = []  # bitset of the points each moves
         self._auto_seen: set = set()
@@ -136,9 +170,15 @@ class _Search:
         # census of the quotient, a cheap invariant that plain refinement
         # misses. einsum's integer product needs no BLAS and is several
         # times faster than matmul's at these sizes.
-        census = (np.einsum("ij,jk->ik", self.adj, self.adj)
-                  * self.adj).sum(axis=1, dtype=np.int64)
-        self.keys = list(zip(descs, census.tolist()))
+        census = []
+        block = max(1, self.CENSUS_BLOCK_OPS // (self.k * self.k))
+        for i in range(0, self.k, block):
+            if time.monotonic() > self.deadline:
+                raise Timeout("canonical form search exceeded its time budget")
+            rows = self.adj[i:i + block]
+            census.extend((np.einsum("ij,jk->ik", rows, self.adj)
+                           * rows).sum(axis=1, dtype=np.int64).tolist())
+        self.keys = list(zip(descs, census))
         # search effort
         self.nodes = self.leaves = self.automorphisms = self.backjumps = 0
 
@@ -150,8 +190,17 @@ class _Search:
                 cells[-1].append(v)
             else:
                 cells.append([v])
+        # initial cell of each vertex: a guess must keep it
+        self.key_class = self._cell_index(cells)
         self._search(cells, (), ())
         return self.best_lab
+
+    def _cell_index(self, cells):
+        """Array mapping each vertex to the index of its cell."""
+        out = np.empty(self.k, np.intp)
+        out[[v for c in cells for v in c]] = np.repeat(
+            np.arange(len(cells)), [len(c) for c in cells])
+        return out
 
     def _refine(self, cells):
         """Coarsest equitable refinement and its node invariant. Each pass
@@ -196,6 +245,8 @@ class _Search:
             self.first_mat = mat
             self.first_lab = lab
             self.first_path = fixed
+            self.first_seq = seq
+            self.first_path_idx = np.array(fixed, np.intp)
         elif mat == self.first_mat:
             auto = self._record_auto(lab, self.first_lab)
         if self.best_key is None or key < self.best_key:
@@ -228,12 +279,55 @@ class _Search:
         support = sum(1 << v for v in range(self.k) if g[v] != v)
         if not support:
             return None
+        self._add_auto(g, support)
+        return g, support
+
+    def _add_auto(self, g, support):
         if g not in self._auto_seen:
             self._auto_seen.add(g)
             self.autos.append(g)
             self.supports.append(support)
             self.automorphisms += 1
-        return g, support
+
+    def _guess(self, cells, inv, fixed):
+        """Whether a verified guessed automorphism settles the node with
+        refined cells ``cells``, invariant ``inv`` and prefix ``fixed`` (see
+        the class docstring); the guess is recorded like a leaf's. Until
+        the first leaf, the nodes are the first path's, and their cells are
+        kept instead."""
+        fp = self.first_path
+        if fp is None:
+            self.first_cells.append(cells)
+            return False
+        d = len(fixed) - 1
+        if (d < 0 or d >= len(fp) or fixed[d] == fp[d]
+                or inv != self.first_seq[d + 1] or fixed[:d] != fp[:d]):
+            return False
+        first = self.first_cells[d + 1]
+        if not isinstance(first, np.ndarray):
+            first = self.first_cells[d + 1] = self._cell_index(first)
+        mine = self._cell_index(cells)
+        moved = mine != first
+        # equal invariants give equal cell sizes, so P_i - Q_i and Q_i - P_i
+        # have equal sizes: sorting the moved points by cell pairs them
+        movers = np.flatnonzero(moved)
+        src = movers[np.argsort(mine[movers], kind="stable")]
+        dst = movers[np.argsort(first[movers], kind="stable")]
+        gamma = np.arange(self.k)
+        gamma[src] = dst
+        adj = self.adj_bool
+        if (gamma[fixed[d]] != fp[d]
+                or moved[self.first_path_idx[:d]].any()
+                or not np.array_equal(self.key_class[src],
+                                      self.key_class[dst])
+                # rows of the moved points suffice: the adjacency is
+                # symmetric and the rest of gamma is the identity
+                or not np.array_equal(adj.take(dst, 0).take(gamma, 1),
+                                      adj.take(src, 0))):
+            return False
+        self._add_auto(tuple(gamma.tolist()), int.from_bytes(
+            np.packbits(moved, bitorder="little").tobytes(), "little"))
+        return True
 
     def _search(self, cells, seq, fixed, fixed_mask=0):
         """Explore the node whose individualized prefix is ``fixed``, which
@@ -248,6 +342,8 @@ class _Search:
             d = len(seq) - 1
             if d < len(best_seq) and seq[d] > best_seq[d]:
                 return
+        if self._guess(cells, inv, fixed):
+            return
         if len(cells) == self.k:
             self._leaf(cells, seq, fixed)
             return
@@ -259,7 +355,8 @@ class _Search:
         # the individualized prefix explore identical subtrees; the union
         # structure absorbs each discovered automorphism once per node. A
         # recorded automorphism keeps the initial cells (leaf position p
-        # always lies in the initial cell at p), and refinement,
+        # always lies in the initial cell at p, and a guess is checked for
+        # it), and refinement,
         # individualization and the codegree split are equivariant, so one
         # that fixes the prefix maps every cell of this node to itself: the
         # union structure needs the target alone.

@@ -68,7 +68,8 @@ def _bit_rows(matrix: np.ndarray) -> tuple:
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
     """Rows of the subgraph induced on the vertices idx, with idx[i]
     renamed to i."""
-    return _bit_rows(_bit_matrix(rows)[np.ix_(idx, idx)])
+    # two takes gather several times faster than one np.ix_ index
+    return _bit_rows(_bit_matrix(rows).take(idx, 0).take(idx, 1))
 
 
 def _merge_classes(qrows, descs, members, key_of, tag):

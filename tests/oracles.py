@@ -388,10 +388,29 @@ def triangle_census(qrows):
             for row in qrows]
 
 
+def is_quotient_automorphism(qrows, descs, gamma):
+    """Whether gamma (gamma[v] = image of v) is a permutation of the
+    quotient vertices that keeps every descriptor and maps each row, bit by
+    bit, onto the row of the image."""
+    k = len(qrows)
+    if sorted(gamma) != list(range(k)):
+        return False
+    for u in range(k):
+        if descs[gamma[u]] != descs[u]:
+            return False
+        image = 0
+        for v in range(k):
+            if qrows[u] >> v & 1:
+                image |= 1 << gamma[v]
+        if image != qrows[gamma[u]]:
+            return False
+    return True
+
+
 class ReferenceSearch(_Search):
     """canon._Search with bitset refinement and an orbit union-find over
-    all k quotient vertices; leaves, automorphisms and backjumps are
-    shared, and so are the effort counters."""
+    all k quotient vertices; leaves, guessed automorphisms, automorphisms
+    and backjumps are shared, and so are the effort counters."""
 
     def _search(self, cells, seq, fixed):
         self.nodes += 1
@@ -402,6 +421,8 @@ class ReferenceSearch(_Search):
             d = len(seq) - 1
             if d < len(best_seq) and seq[d] > best_seq[d]:
                 return
+        if self._guess(cells, seq[-1], fixed):
+            return
         if all(len(c) == 1 for c in cells):
             self._leaf(cells, seq, fixed)
             return

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,20 +11,34 @@ from noncyclic import groups as G
 from noncyclic.canon import (are_isomorphic, canonical_form,
                              check_goormaghtigh_condition, induced_rows,
                              relabel_rows)
-from noncyclic.errors import InvalidParameter, TooLarge
-from noncyclic.graph import build_graph
+from noncyclic.errors import InvalidParameter, Timeout, TooLarge
+from noncyclic.graph import _bit_rows, build_graph
 from noncyclic.harness import Catalog
 
 import oracles
 
 
 # two catalog labellings of Z2^4 x Z3^2 and A4 x Z2^2 x Z3: the sweep's
-# slowest searches, with many automorphisms and backjumps
+# slowest searches, with many automorphisms and, without guessed
+# automorphisms, many backjumps
 TAIL_EXPRS = ("Z2xZ2xZ2xZ2xZ3xZ3", "Z3xZ3xZ2xZ2xZ2xZ2", "A4xZ2xZ2xZ3")
+# searches where some guesses fail verification, so leaves still find
+# automorphisms and backjump
+REJECTED_GUESS_EXPRS = ("Z6xZ6", "Z12xZ12")
 
 
 def graph_of(expr):
     return build_graph(G.build(G.parse_group_expr(expr)))
+
+
+def _variants(g, rng, count=2):
+    """g's rows and ``count`` random relabellings of them."""
+    out = [g.adjacency]
+    for _ in range(count):
+        perm = list(range(g.n_vertices))
+        rng.shuffle(perm)
+        out.append(relabel_rows(g.adjacency, perm))
+    return out
 
 
 def test_k3_certificate_is_labeling_invariant():
@@ -85,12 +100,7 @@ def test_search_matches_bitset_reference(oracle_graphs, monkeypatch):
     rng = random.Random(0xC0DE)
     totals = [0, 0, 0, 0]
     for g in oracle_graphs + [graph_of(e) for e in TAIL_EXPRS]:
-        variants = [g.adjacency]
-        for _ in range(2):
-            perm = list(range(g.n_vertices))
-            rng.shuffle(perm)
-            variants.append(relabel_rows(g.adjacency, perm))
-        for rows in variants:
+        for rows in _variants(g, rng):
             efforts.clear()
             monkeypatch.setattr(canon, "_Search", new)
             got = canonical_form(rows)
@@ -116,7 +126,8 @@ def test_effort_is_the_search_counters(monkeypatch):
             searches.append(self)
             return super().run()
 
-    for expr in ("EA(2,2)", "Z2xZ4", "S4", "Z6xS3") + TAIL_EXPRS:
+    for expr in (("EA(2,2)", "Z2xZ4", "S4", "Z6xS3") + TAIL_EXPRS
+                 + REJECTED_GUESS_EXPRS):
         g = graph_of(expr)
         k = len(g.twin_quotient[0])
         monkeypatch.setattr(canon, "_Search", new)
@@ -134,8 +145,122 @@ def test_effort_is_the_search_counters(monkeypatch):
         assert ref == cf and ref.effort == cf.effort, expr
         other = dataclasses.replace(cf, effort=None)
         assert other == cf and hash(other) == hash(cf)
-    # the tail graphs exercise automorphisms and backjumps
+    # the rejected-guess graphs exercise automorphisms and backjumps
     assert cf.effort[3] and cf.effort[4]
+
+
+class _NoGuess(canon._Search):
+    """The search without guessed automorphisms: every first-path sibling
+    descends."""
+
+    def _guess(self, cells, inv, fixed):
+        return False
+
+
+class _GuessLog(canon._Search):
+    """The search, logging every recorded automorphism and every guess as
+    accepted or rejected."""
+
+    log = {"autos": [], "accepted": 0, "rejected": 0}
+
+    def _guess(self, cells, inv, fixed):
+        fp, d = self.first_path, len(fixed) - 1
+        candidate = (fp is not None and 0 <= d < len(fp) and fixed[d] != fp[d]
+                     and inv == self.first_seq[d + 1] and fixed[:d] == fp[:d])
+        settled = super()._guess(cells, inv, fixed)
+        if candidate:
+            self.log["accepted" if settled else "rejected"] += 1
+        else:
+            assert not settled
+        return settled
+
+    def _add_auto(self, g, support):
+        assert support == sum(1 << v for v in range(self.k) if g[v] != v)
+        self.log["autos"].append((self.qrows, [d for d, _ in self.keys], g))
+        super()._add_auto(g, support)
+
+
+def test_every_recorded_automorphism_is_one(oracle_graphs, monkeypatch):
+    # automorphisms from leaves and from guesses alike, checked bit by bit;
+    # the corpus has guesses that pass verification and guesses that fail
+    monkeypatch.setattr(canon, "_Search", _GuessLog)
+    log = _GuessLog.log
+    log.update(autos=[], accepted=0, rejected=0)
+    rng = random.Random(0xA070)
+    checked = 0
+    for g in oracle_graphs + [graph_of(e) for e in TAIL_EXPRS]:
+        for rows in _variants(g, rng):
+            canonical_form(rows)
+            for qrows, descs, gamma in log["autos"]:
+                assert any(gamma[v] != v for v in range(len(gamma)))
+                assert oracles.is_quotient_automorphism(qrows, descs, gamma)
+            checked += len(log["autos"])
+            log["autos"].clear()
+    assert checked and log["accepted"] and log["rejected"], log
+
+
+def test_guessing_changes_only_the_effort(oracle_graphs, monkeypatch):
+    # the search with guesses off gives the same form and labeling; on the
+    # tail graphs it takes strictly more nodes
+    rng = random.Random(0x6E55)
+    for g in (oracle_graphs + [graph_of(e) for e in TAIL_EXPRS]
+              + [graph_of(e) for e in REJECTED_GUESS_EXPRS]):
+        for rows in _variants(g, rng, 1):
+            monkeypatch.setattr(canon, "_Search", _NoGuess)
+            off = canonical_form(rows)
+            monkeypatch.undo()
+            on = canonical_form(rows)
+            assert on == off and on.labeling == off.labeling, g.group.label
+            if g.group.label in TAIL_EXPRS:
+                assert on.effort[1] < off.effort[1], g.group.label
+
+
+def _guess_on_hexagon(descs, first_path, fixed, first, mine):
+    """Run one guess on the 6-cycle i ~ i +- 1 with a hand-made first path:
+    ``first`` is its partition at depth len(fixed), ``mine`` the node's.
+    Returns (settled, recorded automorphisms)."""
+    search = canon._Search(tuple((1 << (v + 1) % 6) | (1 << (v - 1) % 6)
+                                 for v in range(6)), descs, float("inf"))
+    search.key_class = search._cell_index(
+        [[v for v in range(6) if descs[v] == d] for d in sorted(set(descs))])
+    search.first_path = first_path
+    search.first_path_idx = np.array(first_path, np.intp)
+    search.first_seq = ("root",) + ("inv",) * len(first_path)
+    search.first_cells = [None] * len(fixed) + [first]
+    return search._guess(mine, "inv", fixed), search.autos
+
+
+def test_guess_checks_each_condition():
+    # each pairing below is an automorphism of the 6-cycle; the guess must
+    # also keep the descriptors, fix the prefix and send the divergence
+    # vertex to the first path's, and each case breaks exactly one of these
+    depth1 = [[0], [1, 5], [2, 4], [3]]
+    # v -> 3 - v sends 3 to 0: accepted
+    assert _guess_on_hexagon("aaaaaa", (0, 1), (3,), depth1,
+                             [[3], [2, 4], [1, 5], [0]]) == (
+        True, [(3, 2, 1, 0, 5, 4)])
+    # the same pairing swaps the descriptors a and b
+    assert _guess_on_hexagon("ababab", (0, 1), (3,), depth1,
+                             [[3], [2, 4], [1, 5], [0]]) == (False, [])
+    # v -> 2 - v sends the divergence vertex 3 to 5, not 0
+    assert _guess_on_hexagon("aaaaaa", (0, 1), (3,), depth1,
+                             [[2], [1, 3], [0, 4], [5]]) == (False, [])
+    # v -> 3 - v sends 2 to 1 but moves the prefix vertex 0
+    assert _guess_on_hexagon("aaaaaa", (0, 1), (0, 2),
+                             [[v] for v in range(6)],
+                             [[3], [2], [1], [0], [5], [4]]) == (False, [])
+    # this pairing sends 3 to 0 but the edge 1-2 to the non-edge 3-1
+    assert _guess_on_hexagon("aaaaaa", (0, 1), (3,), depth1,
+                             [[3], [2, 4], [0, 5], [1]]) == (False, [])
+
+
+def test_guessed_automorphisms_pin_the_effort(monkeypatch):
+    # (k, nodes, leaves, automorphisms, backjumps) of Z2^4 x Z3^2: one
+    # leaf, and every first-path level settled by a guess
+    g = graph_of("Z2xZ2xZ2xZ2xZ3xZ3")
+    assert canonical_form(g).effort == (79, 35, 1, 17, 0)
+    monkeypatch.setattr(canon, "_Search", _NoGuess)
+    assert canonical_form(g).effort == (79, 171, 18, 17, 17)
 
 
 def test_triangle_census_keys_match_bit_loop(oracle_graphs):
@@ -175,10 +300,12 @@ def test_invariant_bytes_order_like_int_tuples():
 
 def test_catalog_certificates_are_labeling_invariant():
     # every non-cyclic graph of the default catalog, two relabelings each;
-    # the base certificates are pinned by their SHA-256 in catalog order
+    # the base certificates and labelings are pinned by their SHA-256 in
+    # catalog order
     rng = random.Random(0x5EED)
     graphs = 0
     digest = hashlib.sha256()
+    labelings = hashlib.sha256()
     for entry in Catalog.default(max_order=200).entries:
         group = G.build(entry.spec)
         if G.is_cyclic_group(group):
@@ -186,6 +313,7 @@ def test_catalog_certificates_are_labeling_invariant():
         g = build_graph(group)
         base = canonical_form(g)
         digest.update(base.certificate)
+        labelings.update(np.array(base.labeling, ">u4").tobytes())
         for _ in range(2):
             perm = list(range(g.n_vertices))
             rng.shuffle(perm)
@@ -195,6 +323,8 @@ def test_catalog_certificates_are_labeling_invariant():
     assert graphs == 1454
     assert digest.hexdigest() == ("9d8e085bcbcb945eb97bdcd82fc8fd92"
                                   "192fa8e602bb4aa61443b202d46623c0")
+    assert labelings.hexdigest() == ("d68dbf6613299474c6fa1b4050097c9c"
+                                     "599385447ce0de88e4fdc055b01e6053")
 
 
 def test_certificate_matrix_is_relabeled_input():
@@ -265,7 +395,6 @@ def test_vertex_cap():
 
 
 def test_timeout_budget(monkeypatch):
-    from noncyclic.errors import Timeout
     g = graph_of("Z2xZ4")  # not complete multipartite, so the search runs
     with pytest.raises(Timeout):
         canonical_form(g, timeout=0.0)
@@ -274,6 +403,20 @@ def test_timeout_budget(monkeypatch):
         canonical_form(g)
     monkeypatch.setenv("NONCYC_TIMEOUT_SECS", "30")
     assert canonical_form(g).vertex_count == 7
+
+
+def test_timeout_holds_during_the_triangle_census():
+    # a dense random graph at the vertex cap has no twins, and its O(k^3)
+    # triangle census alone takes seconds; the deadline is checked between
+    # the census's row blocks
+    rng = np.random.default_rng(2048)
+    upper = np.triu(rng.random((2048, 2048)) < 0.5, 1)
+    rows = _bit_rows(upper | upper.T)
+    budget = 0.5
+    start = time.monotonic()
+    with pytest.raises(Timeout):
+        canonical_form(rows, timeout=budget)
+    assert time.monotonic() - start < 4 * budget
 
 
 def test_goormaghtigh_condition():
