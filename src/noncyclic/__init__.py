@@ -14,8 +14,8 @@ from .cyclicizers import (CyclicizerTable, cyclicizer, cyclicizer_of_set,
                           quotient_by_cyclicizer)
 from .errors import (ClosureTooLarge, Disconnected, EmptySet, GroupIsCyclic,
                      InvalidCayleyFile, InvalidParameter, NonCyclicError,
-                     NotAGroup, ParseError, Timeout, TooLarge, UnknownCheck,
-                     VerificationFailure)
+                     NotAGroup, OrderTooLarge, ParseError, Timeout, TooLarge,
+                     UnknownCheck, VerificationFailure)
 from .graph import (InvariantReport, NonCyclicGraph, build_graph,
                     clique_and_chromatic, degree_kinds, diameter_info,
                     independence_info, invariant_report, multipartite_profile,

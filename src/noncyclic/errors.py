@@ -62,5 +62,9 @@ class TooLarge(NonCyclicError):
     """An input exceeds the configured size cap."""
 
 
+class OrderTooLarge(TooLarge):
+    """A group's order exceeds the maximum order a build was given."""
+
+
 class UnknownCheck(NonCyclicError, KeyError):
     """No check is registered under the requested name."""

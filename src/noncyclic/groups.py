@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from array import array
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import factorial, gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     InvalidCayleyFile,
     InvalidParameter,
     NotAGroup,
+    OrderTooLarge,
     ParseError,
 )
 
@@ -57,15 +59,57 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-# Bytes each temporary of a row-blocked array pass may take.
-_BLOCK_BYTES = 1 << 20
+# Bytes each temporary of a row-blocked array pass may take: the Cayley-file
+# parser's int64 rows, the validator's and the writer's. At 256 KiB they
+# stay small beside an order-720 table (2 MB), and a table of order up to
+# 256 is one validation block.
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes in one block: at most ``_BLOCK_BYTES``
+    of them, and at least one row."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _row_blocks(n: int, row_bytes: int) -> Iterator[slice]:
-    """Slices covering range(n) in blocks of rows of ``row_bytes`` bytes
-    each, at most ``_BLOCK_BYTES`` per block and at least one row."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
+    """Slices covering range(n) in blocks of ``_block_rows(row_bytes)``."""
+    step = _block_rows(row_bytes)
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _table_buffer(n: int) -> np.ndarray:
+    """A writable n x n intc view of a new zeroed ``array('i')``, which is
+    the view's ``base``."""
+    return np.ndarray((n, n), dtype=np.intc, buffer=array("i", [0]) * (n * n))
+
+
+class _Handover(NamedTuple):
+    """A table whose buffer a new Group keeps rather than copies: a
+    ``_table_buffer`` view (or a group's ``np_table``) that only this
+    module's builders and loader have written."""
+
+    table: np.ndarray
+
+
+def _as_table(table) -> np.ndarray:
+    """``table`` checked to be a non-empty square integer matrix with
+    entries in 0..n-1: the handed-over table itself, or a copy in a new
+    ``_table_buffer``."""
+    kept = isinstance(table, _Handover)
+    t = np.asarray(table.table if kept else table)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
+        raise NotAGroup("table must be a non-empty square matrix")
+    n = int(t.shape[0])
+    if t.dtype.kind not in "iu":
+        raise NotAGroup(f"table entries must be integers, not {t.dtype}")
+    if int(t.min()) < 0 or int(t.max()) >= n:
+        raise NotAGroup("table entries out of range")
+    if kept:
+        return t
+    out = _table_buffer(n)
+    out[...] = t
+    return out
 
 
 def _validate_structure(t: np.ndarray) -> None:
@@ -80,17 +124,33 @@ def _validate_structure(t: np.ndarray) -> None:
 
     Every pass runs over blocks of rows (of columns for the column Latin
     check), so the extra memory beside the table is O(block * n), with the
-    block sized by ``_BLOCK_BYTES``.
+    block sized by ``_BLOCK_BYTES``. The passes write into three block-sized
+    scratch arrays made once: fresh block temporaries near the allocator's
+    mmap threshold are mapped and faulted in anew each time, which made
+    validating S7 half as slow again.
     """
     n = t.shape[0]
     idx = np.arange(n, dtype=t.dtype)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise NotAGroup("index 0 is not a two-sided identity")
     blocks = list(_row_blocks(n, n * t.itemsize))
-    if not all((np.sort(t[b], axis=1) == idx).all()
-               and (np.sort(t[:, b], axis=0) == idx[:, None]).all()
-               for b in blocks):
-        raise NotAGroup("table is not a Latin square")
+    size = (blocks[0].stop - blocks[0].start) * n
+    one, two = np.empty(size, dtype=t.dtype), np.empty(size, dtype=t.dtype)
+    bad = np.empty(size, dtype=bool)
+
+    def scratch(buf, rows, cols):
+        return buf[:rows * cols].reshape(rows, cols)
+
+    for b in blocks:
+        k = b.stop - b.start
+        rows, cols = scratch(one, k, n), scratch(two, n, k)
+        rows[...] = t[b]
+        cols[...] = t[:, b]
+        rows.sort(axis=1)
+        cols.sort(axis=0)
+        if (np.not_equal(rows, idx, out=scratch(bad, k, n)).any()
+                or np.not_equal(cols, idx[:, None], out=scratch(bad, n, k)).any()):
+            raise NotAGroup("table is not a Latin square")
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     gens = []
@@ -98,10 +158,16 @@ def _validate_structure(t: np.ndarray) -> None:
         if reached[g]:
             continue
         for b in blocks:
-            # (x*g)*y versus x*(g*y) for the x in block b
-            bad = np.take(t, t[b, g], axis=0) != np.take(t[b], t[g], axis=1)
-            if bad.any():
-                x, y = (int(v) for v in np.argwhere(bad)[0])
+            # (x*g)*y versus x*(g*y) for the x in block b; the entries are in
+            # range, so mode="clip" only spares take a buffered copy
+            k = b.stop - b.start
+            lhs = np.take(t, t[b, g], axis=0, out=scratch(one, k, n),
+                          mode="clip")
+            rhs = np.take(t[b], t[g], axis=1, out=scratch(two, k, n),
+                          mode="clip")
+            diff = np.not_equal(lhs, rhs, out=scratch(bad, k, n))
+            if diff.any():
+                x, y = (int(v) for v in np.argwhere(diff)[0])
                 x += b.start
                 raise NotAGroup(f"associativity fails at ({x},{g},{y})",
                                 triple=(x, g, y))
@@ -131,6 +197,11 @@ class Group:
     tables, Cayley files) or built as groups (cyclic, permutation and
     product tables), and ``quotient_by_central``, whose quotient tables are
     groups by construction.
+
+    A group keeps its table in one buffer, the ``array('i')`` ``_flat``.
+    ``build`` and ``from_cayley_file`` write their tables straight into one
+    and hand it over (``_Handover``); any other table is copied into a new
+    one.
     """
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
@@ -138,15 +209,8 @@ class Group:
                  "_cyc_table", "_sylow")
 
     def __init__(self, table, labels=None, label="G", validate=True):
-        t = np.asarray(table)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
-            raise NotAGroup("table must be a non-empty square matrix")
-        n = int(t.shape[0])
-        if t.dtype.kind not in "iu":
-            raise NotAGroup(f"table entries must be integers, not {t.dtype}")
-        if int(t.min()) < 0 or int(t.max()) >= n:
-            raise NotAGroup("table entries out of range")
-        t = t.astype(np.intc, copy=False)
+        t = _as_table(table)
+        n = t.shape[0]
         if labels is None:
             labels = [f"e{i}" for i in range(n)]
         if len(labels) != n:
@@ -156,10 +220,7 @@ class Group:
         self.order = n
         self.label = label
         self.labels = tuple(str(x) for x in labels)
-        # a byte view of t, read in place when t is C-contiguous
-        flat = array("i")
-        flat.frombytes(np.ascontiguousarray(t).view(np.uint8))
-        self._flat = flat
+        self._flat = t.base
         self._walk_cyclic_subgroups()
         self._cyc_table = None
         self._sylow = None
@@ -208,8 +269,12 @@ class Group:
         return self._flat[i * self.order + j]
 
     def np_table(self) -> np.ndarray:
-        return np.frombuffer(self._flat, dtype=np.intc).reshape(
-            self.order, self.order)
+        """The table as a read-only n x n view of ``_flat``: orders,
+        inverses and cyclic subgroups were computed from it, and other
+        groups may share the buffer."""
+        n = self.order
+        return np.ndarray((n, n), dtype=np.intc,
+                          buffer=memoryview(self._flat).toreadonly())
 
     def elements(self) -> range:
         return range(self.order)
@@ -493,7 +558,9 @@ def _metacyclic_table(m: int, p: int, u: int, s: int) -> np.ndarray:
     upow = np.array([pow(u, e, m) for e in range(p)], dtype=np.int64)
     jl = j[:, None] + j[None, :]
     a = (i[:, None] + upow[j][:, None] * i[None, :] + s * (jl >= p)) % m
-    return ((jl % p) * m + a).astype(np.intc)
+    t = _table_buffer(m * p)
+    np.add((jl % p) * m, a, out=t)
+    return t
 
 
 def _words(m: int, p: int, a: str, x: str,
@@ -534,7 +601,7 @@ def _perm_table(perms: list[tuple], gens: Sequence[tuple]) -> np.ndarray:
     n = len(perms)
     left = [np.fromiter((index[tuple(g[x] for x in p)] for p in perms),
                         dtype=np.intc, count=n) for g in gens]
-    table = np.empty((n, n), dtype=np.intc)
+    table = _table_buffer(n)
     table[0] = np.arange(n)
     done = bytearray(n)
     done[0] = 1
@@ -582,23 +649,32 @@ def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]]
     acc = factors[0][0]
     for t2, _ in factors[1:]:
         n1, n2 = acc.shape[0], t2.shape[0]
-        acc = (acc[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(
-            n1 * n2, n1 * n2)
+        out = _table_buffer(n1 * n2)
+        np.add(acc[:, None, :, None] * n2, t2[None, :, None, :],
+               out=out.reshape(n1, n2, n1, n2))
+        acc = out
     labels = ["(" + ",".join(parts) + ")"
               for parts in iter_product(*(labels for _, labels in factors))]
     return acc, labels
 
 
-def _table(spec: GroupSpec) -> tuple[np.ndarray, Sequence[str]]:
-    """The intc Cayley table and the element labels of the group ``spec``
-    describes. Metacyclic tables are validated here and Cayley files by
+def _table(spec: GroupSpec, max_order: Optional[int] = None
+           ) -> tuple[np.ndarray, Sequence[str]]:
+    """The Cayley table, as a ``_table_buffer`` view or a group's
+    ``np_table``, and the element labels of the group ``spec`` describes.
+    Metacyclic tables are validated here and Cayley files by
     ``from_cayley_file``; cyclic, permutation and product tables (products
-    of tables made here) are groups by construction."""
+    of tables made here) are groups by construction. A permutation closure
+    larger than ``max_order`` raises OrderTooLarge before its table is
+    built."""
     k, p = spec.kind, spec.params
     if k == "cyclic":
         n = p[0]
         idx = np.arange(n, dtype=np.intc)
-        return (idx[:, None] + idx[None, :]) % n, [str(i) for i in range(n)]
+        t = _table_buffer(n)
+        np.add(idx[:, None], idx[None, :], out=t)
+        np.remainder(t, n, out=t)
+        return t, [str(i) for i in range(n)]
     if k in ("dihedral", "quaternion", "modular", "semidihedral"):
         m, prime, u, s = _presentation(k, p)
         t = _metacyclic_table(m, prime, u, s)
@@ -611,6 +687,7 @@ def _table(spec: GroupSpec) -> tuple[np.ndarray, Sequence[str]]:
         # order, the identity first
         degree, gens = p if k == "perm" else (p[0], _classical_gens(k, p[0]))
         perms = _perm_closure(degree, gens)
+        _check_order(len(perms), max_order)
         if k != "perm":
             perms.sort()
         return _perm_table(perms, gens), [_perm_label(x) for x in perms]
@@ -622,35 +699,44 @@ def _table(spec: GroupSpec) -> tuple[np.ndarray, Sequence[str]]:
     raise InvalidParameter(f"unknown spec kind {k!r}")
 
 
-def build(spec: GroupSpec, *, label: Optional[str] = None) -> Group:
+def build(spec: GroupSpec, *, label: Optional[str] = None,
+          max_order: Optional[int] = None) -> Group:
     """Build the group described by ``spec``, labelled ``label``, else the
     spec's name, else after its constructor (a Cayley file's basename).
 
     Only metacyclic tables and Cayley files are validated; ``_table`` says
-    why the others need not be.
+    why the others need not be. A group whose order exceeds ``max_order``
+    raises OrderTooLarge before its table is built, its order read from the
+    spec, a Cayley file's first line or the permutation closure the build
+    then uses.
     """
+    if max_order is not None:
+        _check_order(_order_before_build(spec), max_order)
     if spec.kind == "cayley":
         return from_cayley_file(spec.params[0],
                                 label=spec.name if label is None else label)
-    table, labels = _table(spec)
-    return Group(table, labels=labels,
+    table, labels = _table(spec, max_order)
+    return Group(_Handover(table), labels=labels,
                  label=spec.label() if label is None else label,
                  validate=False)
 
 
+def _check_order(order: Optional[int], max_order: Optional[int]) -> None:
+    if order is not None and max_order is not None and order > max_order:
+        raise OrderTooLarge(
+            f"order {order} exceeds the maximum order {max_order}")
+
+
 def _order_before_build(spec: GroupSpec) -> Optional[int]:
-    """The order of the group ``spec`` builds, with no table built: from
-    the spec, a Cayley file's first line or a permutation closure. None
-    when neither gives one; building then says why."""
-    k, p = spec.kind, spec.params
-    try:
-        if k == "perm":
-            return len(_perm_closure(p[0], p[1]))
-        if k == "cayley":
-            with open(p[0], "r", encoding="utf-8") as fh:
+    """The order of the group ``spec`` builds, from the spec or a Cayley
+    file's first line; None when neither gives one (a permutation group's
+    order comes from its closure)."""
+    if spec.kind == "cayley":
+        try:
+            with open(spec.params[0], "r", encoding="utf-8") as fh:
                 return int(next(ln for ln in fh if ln.strip()))
-    except (ClosureTooLarge, OSError, ValueError, StopIteration):
-        return None
+        except (OSError, ValueError, StopIteration):
+            return None
     return spec.order()
 
 
@@ -664,42 +750,119 @@ def _order_before_build(spec: GroupSpec) -> Optional[int]:
 
 def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
     """Read and validate a Cayley-table file; ``label`` defaults to the
-    file's basename."""
+    file's basename.
+
+    The lines are read lazily and parsed in blocks of rows straight into
+    the buffer the Group keeps, so the load takes the table plus
+    O(block * n), with blocks sized by ``_BLOCK_BYTES``. A file that is not
+    a regular file, is too short to hold n rows of n entries, or fails a
+    check in some block is read again and parsed whole: its error is the
+    one a single parse of the whole body gives.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = _nonblank_lines(fh)
+            n = _cayley_order(next(lines, None))
+            info = os.fstat(fh.fileno())
+            read = None
+            if stat.S_ISREG(info.st_mode) and info.st_size >= n * (2 * n - 1):
+                read = _stream_body(lines, n)
+                if read is None:
+                    fh.seek(0)
+                    lines = _nonblank_lines(fh)
+                    next(lines)
+            if read is None:
+                read = _whole_body(list(lines), n)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    table, labels = read
+    if label is None:
+        label = os.path.basename(path)
+    return Group(_Handover(table), labels=labels, label=label)
+
+
+def _nonblank_lines(fh) -> Iterator[str]:
+    return (s for s in map(str.strip, fh) if s)
+
+
+def _cayley_order(first: Optional[str]) -> int:
+    if first is None:
         raise InvalidCayleyFile("empty file")
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError as exc:
-        raise InvalidCayleyFile(f"first line must be the order: {lines[0]!r}") from exc
+        raise InvalidCayleyFile(f"first line must be the order: {first!r}") from exc
     if n < 1:
         raise InvalidCayleyFile("order must be positive")
-    if len(lines) == n + 1:
+    return n
+
+
+def _whole_body(lines: list[str], n: int) -> tuple[np.ndarray, Optional[list]]:
+    """The table buffer and labels from ``lines``, the non-empty lines after
+    the order line, parsed as one body. Its checks, in this order, decide
+    every error a Cayley file raises."""
+    if len(lines) == n:
         labels = None
-        rows_text = lines[1:]
-    elif len(lines) == n + 2:
-        labels = lines[1].split()
+    elif len(lines) == n + 1:
+        labels = lines[0].split()
         if len(labels) != n:
             raise InvalidCayleyFile(
                 f"label line has {len(labels)} entries, expected {n}")
-        rows_text = lines[2:]
+        lines = lines[1:]
     else:
         raise InvalidCayleyFile(
-            f"expected {n + 1} or {n + 2} non-empty lines, got {len(lines)}")
+            f"expected {n + 1} or {n + 2} non-empty lines, got {len(lines) + 1}")
     try:
-        table = np.loadtxt(rows_text, dtype=np.int64, ndmin=2, comments=None)
+        table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
     except ValueError as exc:
         raise InvalidCayleyFile(f"bad table body: {exc}") from exc
     if table.shape != (n, n):
         raise InvalidCayleyFile(
             f"table has shape {table.shape}, expected {(n, n)}")
-    if label is None:
-        label = os.path.basename(path)
-    return Group(table, labels=labels, label=label)
+    return _as_table(table), labels
+
+
+def _stream_body(lines: Iterator[str], n: int
+                 ) -> Optional[tuple[np.ndarray, Optional[list]]]:
+    """What ``_whole_body`` returns, parsed in blocks of rows straight into
+    a new table buffer; None at the first check that fails.
+
+    Line 2 is the label line or row 0, which only the line count tells.
+    The rows after it fill the table from row 0, as in a labelled file; an
+    unlabelled file's rows then move down one, in place, for line 2.
+    """
+    second = next(lines, None)
+    if second is None:
+        return None
+    t = _table_buffer(n)
+    step = _block_rows(n * 8)
+    done = 0
+    while block := list(islice(lines, step)):
+        stop = done + len(block)
+        if stop > n or not _parse_rows(block, t[done:stop]):
+            return None
+        done = stop
+    if done == n:
+        labels = second.split()
+        return (t, labels) if len(labels) == n else None
+    if done != n - 1:
+        return None
+    for b in reversed(list(_row_blocks(n - 1, n * t.itemsize))):
+        t[b.start + 1:b.stop + 1] = t[b]
+    return (t, None) if _parse_rows([second], t[:1]) else None
+
+
+def _parse_rows(lines: list[str], out: np.ndarray) -> bool:
+    """Parse ``lines`` into the rows ``out`` of an n-column table; False
+    unless each line is a row of n integers in 0..n-1."""
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return False
+    if rows.shape != out.shape or rows.min() < 0 or rows.max() >= out.shape[1]:
+        return False
+    out[...] = rows
+    return True
 
 
 def to_cayley_file(group: Group, path: str) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import combinations, product
 from math import gcd
@@ -30,8 +30,8 @@ from .canon import canonical_form, check_goormaghtigh_condition
 from .cyclicizers import (CyclicizerTable, central_cosets,
                           cyclicizer_table, is_tidy, quotient_by_central,
                           quotient_by_cyclicizer)
-from .errors import (Disconnected, NonCyclicError, Timeout, TooLarge,
-                     UnknownCheck, VerificationFailure)
+from .errors import (Disconnected, NonCyclicError, OrderTooLarge, Timeout,
+                     TooLarge, UnknownCheck, VerificationFailure)
 from .graph import (NonCyclicGraph, _bit_matrix, build_graph,
                     clique_and_chromatic, degree_kinds, diameter_info,
                     distance, independence_info, induced_rows,
@@ -40,7 +40,7 @@ from .groups import (Group, GroupSpec, build, center, cyclic,
                      dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
                      pi_e, prime_factorization, semidihedral, symmetric,
-                     alternating, _order_before_build)
+                     alternating)
 
 MAX_REPORTED = 10
 
@@ -53,6 +53,7 @@ MAX_REPORTED = 10
 class CatalogEntry:
     label: str
     spec: GroupSpec
+    max_order: Optional[int] = None     # a larger group is not built
 
 
 class Catalog:
@@ -234,12 +235,17 @@ class GroupProfile:
 
 
 def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
+    """Build the entry's group, cyclicizer table and graph; a group larger
+    than the entry's ``max_order`` is not built, and its error says so."""
     az = AnalyzedGroup(entry.label, entry.spec)
     try:
-        az.group = build(entry.spec, label=entry.label)
+        az.group = build(entry.spec, label=entry.label,
+                         max_order=entry.max_order)
         az.ctable = cyclicizer_table(az.group)
         if not is_cyclic_group(az.group):
             az.graph = build_graph(az.group, az.ctable)
+    except OrderTooLarge as exc:
+        az.error = str(exc)
     except NonCyclicError as exc:
         az.error = f"build failed ({type(exc).__name__}: {exc})"
     return az
@@ -955,12 +961,9 @@ def _timed(result: CheckResult, fn: Callable, *args) -> None:
 
 def _run_entry(entry: CatalogEntry, entry_checks: list[str],
                want_certificate: bool, max_order: Optional[int]):
-    order = None if max_order is None else _order_before_build(entry.spec)
-    if order is not None and order > max_order:
-        az = AnalyzedGroup(entry.label, entry.spec, error=(
-            f"order {order} exceeds the maximum order {max_order}"))
-    else:
-        az = analyze_entry(entry)
+    if max_order is not None:
+        entry = replace(entry, max_order=max_order)
+    az = analyze_entry(entry)
     outcomes = {}
     for name in entry_checks:
         check = CHECKS[name]

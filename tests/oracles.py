@@ -7,12 +7,14 @@ optimized paths, so tests can cross-check the two. The one exception is
 form on a Sylow subgroup rebuilt as a group of its own.
 """
 
+import os
 import re
 from itertools import permutations
 
 import numpy as np
 
 from noncyclic.canon import _Backjump, _codegree_split, _Search, canonical_form
+from noncyclic.errors import InvalidCayleyFile, ParseError
 from noncyclic.graph import build_graph
 from noncyclic.groups import Group, Subgroup
 from noncyclic.harness import _ce
@@ -88,6 +90,46 @@ def cayley_file_text(group):
     lines = [str(group.order), " ".join(sanitized)]
     lines += [" ".join(map(str, row)) for row in group.np_table().tolist()]
     return "\n".join(lines) + "\n"
+
+
+def whole_file_cayley_load(path, label=None):
+    """Read and validate a Cayley-table file held whole: every stripped
+    non-empty line in a list, then one ``np.loadtxt`` over the body."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise InvalidCayleyFile("empty file")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise InvalidCayleyFile(f"first line must be the order: {lines[0]!r}") from exc
+    if n < 1:
+        raise InvalidCayleyFile("order must be positive")
+    if len(lines) == n + 1:
+        labels = None
+        rows_text = lines[1:]
+    elif len(lines) == n + 2:
+        labels = lines[1].split()
+        if len(labels) != n:
+            raise InvalidCayleyFile(
+                f"label line has {len(labels)} entries, expected {n}")
+        rows_text = lines[2:]
+    else:
+        raise InvalidCayleyFile(
+            f"expected {n + 1} or {n + 2} non-empty lines, got {len(lines)}")
+    try:
+        table = np.loadtxt(rows_text, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise InvalidCayleyFile(f"bad table body: {exc}") from exc
+    if table.shape != (n, n):
+        raise InvalidCayleyFile(
+            f"table has shape {table.shape}, expected {(n, n)}")
+    if label is None:
+        label = os.path.basename(path)
+    return Group(table, labels=labels, label=label)
 
 
 def walk_orders_and_inverses(group):

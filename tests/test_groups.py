@@ -1,5 +1,7 @@
 import os
+import pickle
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -338,7 +340,7 @@ def test_cayley_file_rejections(tmp_path):
         G.from_cayley_file(str(malformed))
 
 
-@pytest.mark.parametrize("body", [
+BAD_BODIES = [
     "0 1 2\n1 2 x\n2 0 1\n",         # non-integer token
     "0 1 2\n1 2\n2 0 1\n",           # short row
     "0 1 2\n1 2 0 1\n2 0 1\n",       # long row
@@ -346,7 +348,10 @@ def test_cayley_file_rejections(tmp_path):
     "0 1 2\n1 2 0 # Z3\n2 0 1\n",    # comments are not part of the format
     "0 1 2\n1 2 0\n",                 # missing row
     "0 1 2\n1 2 0\n2 0 99999999999999999999\n",   # beyond int64
-])
+]
+
+
+@pytest.mark.parametrize("body", BAD_BODIES)
 def test_cayley_file_body_rejections(tmp_path, body):
     path = tmp_path / "bad.cayley"
     path.write_text("3\n" + body)
@@ -363,6 +368,136 @@ def test_entries_are_range_checked_before_narrowing(tmp_path):
         G.Group([[0, 1.5], [1.5, 0]])             # truncates to Z2
     with pytest.raises(NotAGroup):
         G.Group([[0, 2 ** 64], [1, 0]])           # does not fit int64
+
+
+def _cayley_corpus(tmp_path):
+    """Cayley files, good and bad, that a loader must read as the whole-file
+    reference does."""
+    files = {
+        "empty": "",
+        "blank": "\n  \n",
+        "header": "three\n0\n",
+        "order0": "0\n",
+        "huge": "1000000000\n0\n",
+        "wide": "2\n0 4294967297\n1 0\n",
+        "labels": "3\na b\n0 1 2\n1 2 0\n2 0 1\n",
+        "numeric_labels": "3\n2 0 1\n0 1 2\n1 2 0\n2 0 1\n",
+        "crlf": "3\r\n\r\n0\t1 2\r\n\t\r\n1 2\t0\r\n \t \r\n2 0 1\r\n\r\n",
+    }
+    for i, body in enumerate(BAD_BODIES):
+        files[f"body{i}"] = "3\n" + body
+    for entry in Catalog.default(max_order=40).entries:
+        path = tmp_path / "table.cayley"
+        G.to_cayley_file(G.build(entry.spec), str(path))
+        text = path.read_text()
+        files[entry.label] = text
+        head, _, rest = text.partition("\n")
+        files[entry.label + "_unlabelled"] = head + "\n" + rest.partition("\n")[2]
+    # faults in a late block of Z40, labelled and not
+    z40 = files["Z40"].splitlines()
+    rows = z40[2:]
+    faults = {
+        "token": {35: rows[35].replace(" 7 ", " 7x ")},
+        "short_last": {39: rows[39].rsplit(" ", 1)[0]},
+        "range_then_token": {5: rows[5].replace(" 9 ", " 40 "),
+                             30: rows[30].replace(" 9 ", " nine ")},
+        "range": {33: rows[33].replace(" 9 ", " -1 ")},
+        "non_latin": {20: rows[20].replace(" 9 ", " 8 ")},
+        "extra_row": {39: rows[39] + "\n" + rows[0]},
+        "all_short": {i: r.rsplit(" ", 1)[0] for i, r in enumerate(rows)},
+    }
+    for name, edits in faults.items():
+        body = [edits.get(i, r) for i, r in enumerate(rows)]
+        files[f"z40_{name}"] = "\n".join(z40[:2] + body) + "\n"
+        files[f"z40_{name}_unlabelled"] = "\n".join(z40[:1] + body) + "\n"
+    files["z40_short_label"] = "\n".join([z40[0], z40[1].rsplit(" ", 1)[0]]
+                                         + rows) + "\n"
+    files["z40_row0_token"] = "\n".join(z40[:1] + [rows[0] + "x"]
+                                        + rows[1:]) + "\n"
+    paths = []
+    for name, text in files.items():
+        path = tmp_path / f"{name}.cayley"
+        path.write_bytes(text.encode())
+        paths.append(path)
+    return paths
+
+
+def _load_outcome(load, path):
+    try:
+        g = load(str(path))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "triple", None)
+    return g.np_table().tolist(), g.labels, g.label
+
+
+@pytest.mark.parametrize("budget", [1, 100, 1000, None])
+def test_cayley_loader_matches_whole_file_reference(monkeypatch, tmp_path,
+                                                    budget):
+    if budget is not None:
+        monkeypatch.setattr(G, "_BLOCK_BYTES", budget)
+    kinds = set()
+    for path in _cayley_corpus(tmp_path):
+        want = _load_outcome(oracles.whole_file_cayley_load, path)
+        assert _load_outcome(G.from_cayley_file, path) == want, path.name
+        kinds.add(want[0] if isinstance(want[0], type) else "group")
+    assert kinds == {"group", InvalidCayleyFile, NotAGroup}
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_cayley_load_peaks_at_twice_the_table(tmp_path, labelled):
+    big = tmp_path / "s6.cayley"
+    G.to_cayley_file(build("S6"), str(big))
+    if not labelled:
+        head, _, rest = big.read_text().partition("\n")
+        big.write_text(head + "\n" + rest.partition("\n")[2])
+    warm = tmp_path / "a4.cayley"
+    G.to_cayley_file(build("A4"), str(warm))
+    G.from_cayley_file(str(warm))
+    tracemalloc.start()
+    try:
+        g = G.from_cayley_file(str(big))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 720
+    assert peak <= 2 * g.order ** 2 * np.dtype(np.intc).itemsize
+
+
+def test_huge_header_fails_on_the_line_count(tmp_path):
+    path = tmp_path / "huge.cayley"
+    path.write_text("1000000000\n0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidCayleyFile) as exc:
+            G.from_cayley_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        "expected 1000000001 or 1000000002 non-empty lines, got 2")
+    assert peak < 1 << 20
+
+
+def test_loaded_group_pickles(tmp_path):
+    path = tmp_path / "g.cayley"
+    G.to_cayley_file(build("S4xZ5"), str(path))
+    g = G.from_cayley_file(str(path))
+    back = pickle.loads(pickle.dumps(g))
+    for attr in ("order", "label", "labels", "elem_orders", "inverses",
+                 "pair_rows", "cyclic_subgroups"):
+        assert getattr(back, attr) == getattr(g, attr), attr
+    assert back.np_table().tolist() == g.np_table().tolist()
+    assert back.mult(7, 11) == g.mult(7, 11)
+
+
+def test_np_table_is_read_only_and_callers_tables_are_copied():
+    g = build("S3")
+    with pytest.raises(ValueError):
+        g.np_table()[0, 1] = 0
+    t = g.np_table().copy()
+    h = G.Group(t)
+    t[0, 1] = 0
+    assert h.np_table()[0, 1] == g.np_table()[0, 1] == 1
 
 
 def test_as_group_rejects_unclosed_members():

@@ -411,3 +411,26 @@ def test_analysed_groups_are_freed_without_the_cycle_collector():
         assert left == []
     finally:
         gc.enable()
+
+
+def test_one_perm_closure_per_entry_under_max_order(monkeypatch, tmp_path):
+    calls = []
+    closure = groups._perm_closure
+
+    def counted(degree, gens):
+        calls.append(degree)
+        return closure(degree, gens)
+
+    monkeypatch.setattr(groups, "_perm_closure", counted)
+    cat_file = tmp_path / "catalog.json"
+    cat_file.write_text(json.dumps([
+        {"spec": "perm:4:(1 2),(1 2 3 4)"},
+        {"label": "v4", "spec": "perm:4:(1 2)(3 4),(1 3)(2 4)"},
+        {"label": "s3", "spec": "perm:3:(1 2),(1 2 3)"},
+        {"spec": "Z2xZ2"},
+    ]))
+    res = run_check(Catalog.from_file(str(cat_file), max_order=10),
+                    "diam_le_3")
+    assert calls == [4, 4, 3]
+    assert res.passed and res.tested == 3
+    assert res.skipped == [("perm:4", "order 24 exceeds the maximum order 10")]
