@@ -1,12 +1,13 @@
 """Canonical forms and isomorphism testing for non-cyclic graphs.
 
-Two graphs are isomorphic iff their canonical adjacency matrices are
-bit-identical. The pipeline alternately contracts false-twin classes
-(equal neighborhoods) and true-twin classes (equal closed neighborhoods),
-canonicalizes the type-annotated quotient by individualization-refinement
-with node-invariant, orbit and backjump pruning, the orbits fed by
-automorphisms found at leaves and guessed beside the first path, and
-expands back.
+Two graphs are isomorphic iff their certificates are equal. The pipeline
+alternately contracts false-twin classes (equal neighborhoods) and
+true-twin classes (equal closed neighborhoods) and canonicalizes the
+type-annotated quotient by individualization-refinement with
+node-invariant, orbit and backjump pruning, the orbits fed by automorphisms
+found at leaves and guessed beside the first path. The certificate is the
+canonical annotated quotient; a form expands back to the whole graph's
+labeling and canonical matrix only when asked.
 Non-cyclic graphs collapse hard under the contraction: the complete
 multipartite ones, the dominant case, reduce to a handful of vertices.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import blake2b
 from itertools import accumulate
 from math import gcd, isnan, nan
@@ -36,9 +38,20 @@ TIMEOUT_ENV_VAR = "NONCYC_TIMEOUT_SECS"
 
 @dataclass(frozen=True)
 class CanonicalForm:
+    """The canonical form of an n-vertex graph whose twin quotient has k
+    vertices. ``certificate`` is n and k (8 bytes each, big-endian), the
+    canonical quotient's k bit rows ((k + 7) // 8 bytes each, big-endian)
+    and the quotient vertices' twin descriptors in canonical order (see
+    ``_descriptor_bytes``). The quotient rows and the descriptors determine
+    the expanded graph, so two graphs are isomorphic iff their certificates
+    are equal, and ``==`` compares forms by certificate alone.
+
+    ``labeling`` (labeling[original position] = canonical position) and
+    ``matrix`` (the canonical adjacency bit rows of the whole graph) are
+    computed on first use from the quotient's canonical labeling and the
+    twin classes' members; only bijections need them."""
+
     vertex_count: int
-    matrix: tuple        # canonical adjacency bit rows
-    labeling: tuple      # labeling[original position] = canonical position
     certificate: bytes
     hash_hex: str        # 128-bit digest of the certificate
     # (k, nodes, leaves, automorphisms, backjumps) of the search on the
@@ -46,6 +59,25 @@ class CanonicalForm:
     # those found at leaves and those guessed and verified at first-path
     # siblings; a guess settles its node without a leaf or a backjump
     effort: tuple = field(compare=False)
+    rows: tuple = field(compare=False, repr=False)      # the input graph
+    # canonical position -> quotient vertex, and each quotient vertex's
+    # members in expansion order
+    quotient_labeling: tuple = field(compare=False, repr=False)
+    members: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def labeling(self) -> tuple:
+        labeling = [0] * self.vertex_count
+        p = 0
+        for qv in self.quotient_labeling:
+            for v in self.members[qv]:
+                labeling[v] = p
+                p += 1
+        return tuple(labeling)
+
+    @cached_property
+    def matrix(self) -> tuple:
+        return relabel_rows(self.rows, self.labeling)
 
 
 def _rows_of(graph_or_rows) -> tuple:
@@ -407,7 +439,7 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
                    vertex_cap: int = DEFAULT_VERTEX_CAP,
                    timeout: Optional[float] = None) -> CanonicalForm:
     """Deterministic canonical form; relabelings of the same graph produce
-    bit-identical canonical matrices."""
+    the same certificate and the same canonical matrix."""
     rows = _rows_of(graph_or_rows)
     n = len(rows)
     if n > vertex_cap:
@@ -421,26 +453,34 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
         else _iterated_contraction(rows))
     k = len(qrows)
     if k == 1:
-        lab_q, effort = [0], (1, 0, 0, 0, 0)
+        lab_q, qmatrix, effort = [0], (0,), (1, 0, 0, 0, 0)
     else:
         search = _Search(qrows, descs, deadline)
         lab_q = search.run()
+        qmatrix = search.best_key[1]
         effort = (k, search.nodes, search.leaves, search.automorphisms,
                   search.backjumps)
 
-    lab_full = []
-    for qv in lab_q:
-        lab_full.extend(members[qv])
-    labeling = [0] * n
-    for p, v in enumerate(lab_full):
-        labeling[v] = p
-    matrix = list(relabel_rows(rows, labeling))
-    row_bytes = (n + 7) // 8
-    cert = n.to_bytes(8, "big") + b"".join(
-        row.to_bytes(row_bytes, "big") for row in matrix)
+    row_bytes = (k + 7) // 8
+    width = _invariant_dtype(n).itemsize
+    cert = b"".join([n.to_bytes(8, "big"), k.to_bytes(8, "big"),
+                     *(row.to_bytes(row_bytes, "big") for row in qmatrix),
+                     *(_descriptor_bytes(descs[qv], width) for qv in lab_q)])
     digest = blake2b(cert, digest_size=16).hexdigest()
-    return CanonicalForm(n, tuple(matrix), tuple(labeling), cert, digest,
-                         effort)
+    return CanonicalForm(n, cert, digest, effort, rows, tuple(lab_q),
+                         members)
+
+
+def _descriptor_bytes(desc: tuple, width: int) -> bytes:
+    """Prefix-free bytes of a twin descriptor whose class sizes fit in
+    ``width`` bytes: the tag byte (I or C) and the size of each nested
+    class from the outside in, then v for the lone vertex."""
+    out = []
+    while desc[0] != "v":
+        tag, size, desc = desc
+        out.append(tag.encode("ascii") + size.to_bytes(width, "big"))
+    out.append(b"v")
+    return b"".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +500,7 @@ def bijection_from_forms(g1: Union[NonCyclicGraph, Sequence[int]],
                          ) -> Optional[list[tuple[int, int]]]:
     """are_isomorphic's answer for g1 and g2, from their canonical forms
     cf1 and cf2."""
-    if cf1.hash_hex != cf2.hash_hex or cf1.matrix != cf2.matrix:
+    if cf1.hash_hex != cf2.hash_hex or cf1.certificate != cf2.certificate:
         return None
     rows1, rows2 = _rows_of(g1), _rows_of(g2)
     inv2 = [0] * len(rows2)

@@ -14,7 +14,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import islice, product as iter_product
 from math import factorial, gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -82,6 +83,11 @@ def _table_buffer(n: int) -> np.ndarray:
     """A writable n x n intc view of a new zeroed ``array('i')``, which is
     the view's ``base``."""
     return np.ndarray((n, n), dtype=np.intc, buffer=array("i", [0]) * (n * n))
+
+
+def _scratch_table(n: int) -> np.ndarray:
+    """An uninitialised n x n intc array, for a table no Group keeps."""
+    return np.empty((n, n), dtype=np.intc)
 
 
 class _Handover(NamedTuple):
@@ -550,15 +556,17 @@ def _presentation(kind: str, params: tuple) -> tuple[int, int, int, int]:
     return m, prime, pow(r, -1, m), 0
 
 
-def _metacyclic_table(m: int, p: int, u: int, s: int) -> np.ndarray:
+def _metacyclic_table(m: int, p: int, u: int, s: int,
+                      alloc: Callable[[int], np.ndarray]) -> np.ndarray:
     """<a, x | a^m = 1, x^p = a^s, x a x^-1 = a^u>, with a^i x^j at index
-    j*m + i: (a^i x^j)(a^k x^l) = a^(i + k*u^j + s*[j+l >= p]) x^((j+l) % p).
-    The parameters are not checked to present a group of order m*p."""
+    j*m + i: (a^i x^j)(a^k x^l) = a^(i + k*u^j + s*[j+l >= p]) x^((j+l) % p),
+    written into ``alloc(m * p)``. The parameters are not checked to present
+    a group of order m*p."""
     j, i = np.divmod(np.arange(m * p, dtype=np.int64), m)
     upow = np.array([pow(u, e, m) for e in range(p)], dtype=np.int64)
     jl = j[:, None] + j[None, :]
     a = (i[:, None] + upow[j][:, None] * i[None, :] + s * (jl >= p)) % m
-    t = _table_buffer(m * p)
+    t = alloc(m * p)
     np.add((jl % p) * m, a, out=t)
     return t
 
@@ -592,16 +600,18 @@ def _perm_label(p: tuple) -> str:
     return "".join(cycles) or "e"
 
 
-def _perm_table(perms: list[tuple], gens: Sequence[tuple]) -> np.ndarray:
+def _perm_table(perms: list[tuple], gens: Sequence[tuple],
+                alloc: Callable[[int], np.ndarray]) -> np.ndarray:
     """The table of ``perms`` (identity first) under (a*b)(x) = a(b(x)),
-    given generators of the group they form. If b = g*c for a generator g
-    then b*a = g*(c*a), so row b is row c gathered through left
-    multiplication by g; a walk from the identity row fills the rest."""
+    written into ``alloc(len(perms))``, given generators of the group they
+    form. If b = g*c for a generator g then b*a = g*(c*a), so row b is row
+    c gathered through left multiplication by g; a walk from the identity
+    row fills the rest."""
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
     left = [np.fromiter((index[tuple(g[x] for x in p)] for p in perms),
                         dtype=np.intc, count=n) for g in gens]
-    table = _table_buffer(n)
+    table = alloc(n)
     table[0] = np.arange(n)
     done = bytearray(n)
     done[0] = 1
@@ -642,26 +652,35 @@ def _perm_closure(degree: int, gens: Sequence[tuple]) -> list[tuple]:
     return ordered
 
 
-def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]]
+def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]],
+                   alloc: Callable[[int], np.ndarray]
                    ) -> tuple[np.ndarray, list[str]]:
     """Table and labels of the direct product of the (table, labels)
-    factors, in mixed radix with the leftmost factor most significant."""
+    factors, in mixed radix with the leftmost factor most significant. The
+    table is written into ``alloc(order)``, the intermediate products into
+    scratch arrays."""
     acc = factors[0][0]
-    for t2, _ in factors[1:]:
+    for step, (t2, _) in enumerate(factors[1:], 2):
         n1, n2 = acc.shape[0], t2.shape[0]
-        out = _table_buffer(n1 * n2)
+        out = (alloc if step == len(factors) else _scratch_table)(n1 * n2)
         np.add(acc[:, None, :, None] * n2, t2[None, :, None, :],
                out=out.reshape(n1, n2, n1, n2))
         acc = out
+    if len(factors) == 1:
+        acc = alloc(acc.shape[0])
+        acc[...] = factors[0][0]
     labels = ["(" + ",".join(parts) + ")"
               for parts in iter_product(*(labels for _, labels in factors))]
     return acc, labels
 
 
-def _table(spec: GroupSpec, max_order: Optional[int] = None
+def _table(spec: GroupSpec, alloc: Callable[[int], np.ndarray],
+           max_order: Optional[int] = None
            ) -> tuple[np.ndarray, Sequence[str]]:
-    """The Cayley table, as a ``_table_buffer`` view or a group's
-    ``np_table``, and the element labels of the group ``spec`` describes.
+    """The Cayley table, written into ``alloc(order)`` (a Cayley file's is
+    its group's ``np_table``), and the element labels of the group ``spec``
+    describes. A product's factor tables are written into scratch arrays,
+    so a build makes one ``_table_buffer``, the one its Group keeps.
     Metacyclic tables are validated here and Cayley files by
     ``from_cayley_file``; cyclic, permutation and product tables (products
     of tables made here) are groups by construction. A permutation closure
@@ -671,13 +690,13 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
     if k == "cyclic":
         n = p[0]
         idx = np.arange(n, dtype=np.intc)
-        t = _table_buffer(n)
+        t = alloc(n)
         np.add(idx[:, None], idx[None, :], out=t)
         np.remainder(t, n, out=t)
         return t, [str(i) for i in range(n)]
     if k in ("dihedral", "quaternion", "modular", "semidihedral"):
         m, prime, u, s = _presentation(k, p)
-        t = _metacyclic_table(m, prime, u, s)
+        t = _metacyclic_table(m, prime, u, s, alloc)
         _validate_structure(t)
         words = (_words(m, 2, "r", "s", x_first=True) if k == "dihedral"
                  else _words(m, prime, "a", "b" if k == "quaternion" else "x"))
@@ -690,9 +709,11 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
         _check_order(len(perms), max_order)
         if k != "perm":
             perms.sort()
-        return _perm_table(perms, gens), [_perm_label(x) for x in perms]
+        return (_perm_table(perms, gens, alloc),
+                [_perm_label(x) for x in perms])
     if k == "product":
-        return _product_table([_table(c) for c in spec.children])
+        return _product_table(
+            [_table(c, _scratch_table) for c in spec.children], alloc)
     if k == "cayley":
         g = from_cayley_file(p[0])
         return g.np_table(), g.labels
@@ -715,7 +736,7 @@ def build(spec: GroupSpec, *, label: Optional[str] = None,
     if spec.kind == "cayley":
         return from_cayley_file(spec.params[0],
                                 label=spec.name if label is None else label)
-    table, labels = _table(spec, max_order)
+    table, labels = _table(spec, _table_buffer, max_order)
     return Group(_Handover(table), labels=labels,
                  label=spec.label() if label is None else label,
                  validate=False)

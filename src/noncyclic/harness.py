@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -119,6 +120,18 @@ def _abelian_factor_lists(order: int) -> list[tuple[int, ...]]:
 
 
 def _default_entries(max_order: int, include_degree_seven: bool):
+    base = [(label, spec, spec.order())
+            for label, spec in _base_specs(max_order, include_degree_seven)]
+    entries = [(order, label, spec)
+               for label, spec, order in base + _products(base, max_order)
+               if order <= max_order]
+    entries.sort(key=lambda t: t[:2])
+    return [CatalogEntry(label, spec) for _, label, spec in entries]
+
+
+def _base_specs(max_order: int, include_degree_seven: bool
+                ) -> list[tuple[str, GroupSpec]]:
+    """The catalog's families, labelled, before products of pairs."""
     family_bound = min(128, max_order)
     specs: list[tuple[str, GroupSpec]] = []
 
@@ -153,28 +166,36 @@ def _default_entries(max_order: int, include_degree_seven: bool):
             specs.append((f"S{n}", symmetric(n)))
         if n >= 3 and fact // 2 <= max_order:
             specs.append((f"A{n}", alternating(n)))
+    return specs
 
-    seen = {label for label, _ in specs}
-    base = [(label, spec, spec.order()) for label, spec in specs]
+
+def _products(base: list[tuple[str, GroupSpec, int]], max_order: int
+              ) -> list[tuple[str, GroupSpec, int]]:
+    """(label, spec, order) of the products of pairs of ``base`` entries up
+    to ``max_order``. The pairs are visited as in a scan of base[i] against
+    base[i:], and a product label made twice (such as Z2xZ2xZ2xZ2xZ17)
+    keeps the spec of the first pair; but only the partners with
+    oa * ob <= max_order are visited, found by bisection among the base
+    orders."""
     products = []
-    for i, (la, sa, oa) in enumerate(base):
-        if oa is None or oa < 2:
-            continue
-        for lb, sb, ob in base[i:]:
-            if ob is None or ob < 2 or oa * ob > max_order:
-                continue
-            pair = sorted([(oa, la, sa), (ob, lb, sb)],
-                          key=lambda t: (t[0], t[1]))
-            label = f"{pair[0][1]}x{pair[1][1]}"
-            if label in seen:
-                continue
-            seen.add(label)
-            products.append(
-                (label, direct_product([pair[0][2], pair[1][2]], name=label)))
-    entries = [CatalogEntry(label, spec) for label, spec in specs + products
-               if spec.order() is not None and spec.order() <= max_order]
-    entries.sort(key=lambda e: (e.spec.order(), e.label))
-    return entries
+    seen = {label for label, _, _ in base}
+    factors = [(o, i) for i, (_, _, o) in enumerate(base) if o >= 2]
+    by_order = sorted(factors)
+    orders = [o for o, _ in by_order]
+    for oa, i in factors:
+        la, sa, _ = base[i]
+        stop = bisect_right(orders, max_order // oa)
+        for j in sorted(j for _, j in by_order[:stop] if j >= i):
+            lb, sb, ob = base[j]
+            # the factor of smaller (order, label) goes first
+            pair = ((la, sa), (lb, sb)) if (oa, la) <= (ob, lb) else (
+                (lb, sb), (la, sa))
+            label = f"{pair[0][0]}x{pair[1][0]}"
+            if label not in seen:
+                seen.add(label)
+                products.append((label, direct_product(
+                    [pair[0][1], pair[1][1]], name=label), oa * ob))
+    return products
 
 
 # ---------------------------------------------------------------------------

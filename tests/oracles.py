@@ -16,8 +16,8 @@ import numpy as np
 from noncyclic.canon import _Backjump, _codegree_split, _Search, canonical_form
 from noncyclic.errors import InvalidCayleyFile, ParseError
 from noncyclic.graph import build_graph
-from noncyclic.groups import Group, Subgroup
-from noncyclic.harness import _ce
+from noncyclic.groups import Group, Subgroup, direct_product
+from noncyclic.harness import CatalogEntry, _ce
 
 
 def closure(group, gens):
@@ -809,3 +809,30 @@ def quotient_loop(az, result):
             Group(loop_quotient(g, z)[2]).pair_rows) != 1:
         _ce(result, group=az.label,
             reason="central quotient has non-trivial cyclicizer")
+
+
+def scanned_default_entries(specs, max_order):
+    """The default catalog's entries from its base (label, spec) pairs by
+    scanning every pair, calling ``spec.order()`` wherever an order is
+    needed."""
+    seen = {label for label, _ in specs}
+    base = [(label, spec, spec.order()) for label, spec in specs]
+    products = []
+    for i, (la, sa, oa) in enumerate(base):
+        if oa is None or oa < 2:
+            continue
+        for lb, sb, ob in base[i:]:
+            if ob is None or ob < 2 or oa * ob > max_order:
+                continue
+            pair = sorted([(oa, la, sa), (ob, lb, sb)],
+                          key=lambda t: (t[0], t[1]))
+            label = f"{pair[0][1]}x{pair[1][1]}"
+            if label in seen:
+                continue
+            seen.add(label)
+            products.append(
+                (label, direct_product([pair[0][2], pair[1][2]], name=label)))
+    entries = [CatalogEntry(label, spec) for label, spec in specs + products
+               if spec.order() is not None and spec.order() <= max_order]
+    entries.sort(key=lambda e: (e.spec.order(), e.label))
+    return entries

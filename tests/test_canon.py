@@ -107,6 +107,7 @@ def test_search_matches_bitset_reference(oracle_graphs, monkeypatch):
             monkeypatch.setattr(canon, "_Search", ref)
             want = canonical_form(rows)
             assert got == want, g.group.label
+            assert got.labeling == want.labeling, g.group.label
             assert len(efforts) in (0, 2)
             if efforts:
                 assert efforts[0] == efforts[1], g.group.label
@@ -143,6 +144,7 @@ def test_effort_is_the_search_counters(monkeypatch):
             assert cf.effort == (k, s.nodes, s.leaves, s.automorphisms,
                                  s.backjumps), expr
         assert ref == cf and ref.effort == cf.effort, expr
+        assert ref.labeling == cf.labeling, expr
         other = dataclasses.replace(cf, effort=None)
         assert other == cf and hash(other) == hash(cf)
     # the rejected-guess graphs exercise automorphisms and backjumps
@@ -298,14 +300,23 @@ def test_invariant_bytes_order_like_int_tuples():
                 assert (a < b) == (ea < eb) and (a == b) == (ea == eb)
 
 
+def _partition(keys):
+    """The classes of equal keys, as sorted lists of positions."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, set()).add(i)
+    return sorted(map(sorted, classes.values()))
+
+
 def test_catalog_certificates_are_labeling_invariant():
     # every non-cyclic graph of the default catalog, two relabelings each;
     # the base certificates and labelings are pinned by their SHA-256 in
-    # catalog order
+    # catalog order, and the quotient certificates split the graphs into
+    # the classes of the expanded canonical matrices
     rng = random.Random(0x5EED)
-    graphs = 0
     digest = hashlib.sha256()
     labelings = hashlib.sha256()
+    certificates, matrices = [], []
     for entry in Catalog.default(max_order=200).entries:
         group = G.build(entry.spec)
         if G.is_cyclic_group(group):
@@ -314,15 +325,18 @@ def test_catalog_certificates_are_labeling_invariant():
         base = canonical_form(g)
         digest.update(base.certificate)
         labelings.update(np.array(base.labeling, ">u4").tobytes())
+        certificates.append(base.certificate)
+        matrices.append(base.matrix)
         for _ in range(2):
             perm = list(range(g.n_vertices))
             rng.shuffle(perm)
             cf = canonical_form(relabel_rows(g.adjacency, perm))
             assert cf.certificate == base.certificate, entry.label
-        graphs += 1
-    assert graphs == 1454
-    assert digest.hexdigest() == ("9d8e085bcbcb945eb97bdcd82fc8fd92"
-                                  "192fa8e602bb4aa61443b202d46623c0")
+            assert cf.matrix == base.matrix, entry.label
+    assert len(certificates) == 1454
+    assert _partition(certificates) == _partition(matrices)
+    assert digest.hexdigest() == ("8c906c616a2b39b5ccad9f123dfafc76"
+                                  "2f462b3c54d2ccf4c9b091eff890ce25")
     assert labelings.hexdigest() == ("d68dbf6613299474c6fa1b4050097c9c"
                                      "599385447ce0de88e4fdc055b01e6053")
 
@@ -331,6 +345,71 @@ def test_certificate_matrix_is_relabeled_input():
     g = graph_of("D8")
     cf = canonical_form(g)
     assert cf.matrix == relabel_rows(g.adjacency, cf.labeling)
+
+
+def test_certificate_is_the_annotated_quotient():
+    # n, k, the best leaf's quotient rows and the descriptors in canonical
+    # order; the lazy labeling lists each quotient vertex's members in turn
+    for expr in ("Q8", "Z6xS3", "Z2xZ2xZ2xZ2xZ3xZ3"):
+        g = graph_of(expr)
+        qrows, descs, members = g.twin_quotient
+        n, k = g.n_vertices, len(qrows)
+        cf = canonical_form(g)
+        lab_q = cf.quotient_labeling
+        width = canon._invariant_dtype(n).itemsize
+        row_bytes = (k + 7) // 8
+        quotient = induced_rows(qrows, lab_q)
+        assert cf.certificate == (
+            n.to_bytes(8, "big") + k.to_bytes(8, "big")
+            + b"".join(r.to_bytes(row_bytes, "big") for r in quotient)
+            + b"".join(canon._descriptor_bytes(descs[q], width)
+                       for q in lab_q)), expr
+        order = [v for q in lab_q for v in members[q]]
+        assert [cf.labeling[v] for v in order] == list(range(n)), expr
+
+
+def _decode_descriptors(data, width):
+    """Descriptors read back from concatenated _descriptor_bytes."""
+    out, i = [], 0
+    while i < len(data):
+        chain = []
+        while data[i:i + 1] != b"v":
+            tag = data[i:i + 1].decode("ascii")
+            assert tag in "IC"
+            chain.append((tag, int.from_bytes(data[i + 1:i + 1 + width],
+                                              "big")))
+            i += 1 + width
+        i += 1
+        desc = ("v",)
+        for tag, size in reversed(chain):
+            desc = (tag, size, desc)
+        out.append(desc)
+    return out
+
+
+def test_descriptor_bytes_are_prefix_free_and_injective():
+    v = ("v",)
+    c_over_i = ("C", 2, ("I", 2, v))
+    i_over_c = ("I", 2, ("C", 2, v))
+    descs = [v, ("I", 2, v), ("C", 2, v), c_over_i, i_over_c,
+             ("I", 3, ("C", 2, ("I", 2, v))), ("I", 300, v),
+             ("C", 2, ("C", 2, v))]
+    for width in (2, 4):
+        enc = [canon._descriptor_bytes(d, width) for d in descs]
+        assert len(set(enc)) == len(enc)
+        assert not any(a != b and b.startswith(a) for a in enc for b in enc)
+        seq = descs + descs[::-1]
+        assert _decode_descriptors(
+            b"".join(canon._descriptor_bytes(d, width) for d in seq),
+            width) == seq
+    # the 4-cycle is C over I, two disjoint edges I over C: one quotient
+    # vertex each, told apart by the descriptor alone
+    square = canonical_form((0b1010, 0b0101, 0b1010, 0b0101))
+    edges = canonical_form((0b0010, 0b0001, 0b1000, 0b0100))
+    assert square.certificate[:17] == edges.certificate[:17]
+    assert square.certificate != edges.certificate
+    assert are_isomorphic((0b1010, 0b0101, 0b1010, 0b0101),
+                          (0b0010, 0b0001, 0b1000, 0b0100)) is None
 
 
 def test_paper_families_iso_and_noniso():

@@ -237,6 +237,33 @@ def test_build_constructs_one_group(monkeypatch, expr):
     assert labels == [expr]
 
 
+@pytest.mark.parametrize("spec", [
+    G.cyclic(7), G.dihedral(8), G.symmetric(4),
+    G.parse_group_expr("Z2xZ2xZ2"), G.parse_group_expr("D8xQ8xZ3"),
+    G.parse_group_expr("S4xZ5"),
+    G.direct_product([G.direct_product([G.cyclic(2), G.cyclic(3)]),
+                      G.dihedral(8)]),
+    G.direct_product([G.modular_pgroup(2, 4)]),
+    G.parse_group_expr("perm:4:(1 2 3),(1 2)(3 4)"),
+], ids=lambda spec: spec.label())
+def test_build_makes_one_table_buffer(monkeypatch, spec):
+    # factor tables and intermediate products are scratch arrays: the one
+    # table buffer a build makes is the one its Group keeps
+    made = []
+    real = G._table_buffer
+
+    def counted(n):
+        made.append(real(n))
+        return made[-1]
+
+    want = G.build(spec)
+    monkeypatch.setattr(G, "_table_buffer", counted)
+    g = G.build(spec)
+    assert len(made) == 1 and g._flat is made[0].base
+    assert g.np_table().tolist() == want.np_table().tolist()
+    assert g.labels == want.labels
+
+
 def test_products_match_loop_oracle_on_catalog():
     products = [e for e in Catalog.default(max_order=200).entries
                 if e.spec.kind == "product"]

@@ -41,6 +41,20 @@ def test_default_catalog_bound_filters_symmetric_groups():
     assert "S6" in {e.label for e in big.entries}
 
 
+def test_catalog_products_match_the_full_pair_scan():
+    # bisected partners, orders carried once: the same entries in the same
+    # order as scanning every base pair, including which pair's spec a
+    # colliding product label keeps
+    for max_order in (30, 200, 720):
+        for seven in (False, True):
+            specs = harness._base_specs(max_order, seven)
+            assert (Catalog.default(max_order, seven).entries
+                    == oracles.scanned_default_entries(specs, max_order))
+    entries = {e.label: e.spec for e in Catalog.default(720).entries}
+    assert [c.label() for c in entries["Z2xZ2xZ2xZ2xZ17"].children] == [
+        "Z2xZ2xZ2xZ2", "Z17"]
+
+
 def test_catalog_subset_and_unknown_check(small_catalog):
     sub = small_catalog.subset(["Q8"])
     assert len(sub) == 1
@@ -285,6 +299,26 @@ def test_group_checks_alone_compute_no_certificate(monkeypatch, small_catalog):
     monkeypatch.setattr(harness, "canonical_form", no_canonical_form)
     res = run_check(small_catalog.subset(["Q8", "D8", "Z2xZ4"]), "diam_le_3")
     assert res.passed and res.tested == 3
+
+
+def test_profiles_expand_no_canonical_form(monkeypatch):
+    # profiles keep the quotient certificates alone: no canonical labeling
+    # or matrix of a whole graph is built, for the graph or a Sylow graph
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("canonical form expanded")
+
+    monkeypatch.setattr(canon, "relabel_rows", no_expansion)
+    sylow_graphs = 0
+    for entry in Catalog.default(max_order=64).entries:
+        az = analyze_entry(entry)
+        prof = profile_of(az)
+        if az.graph is None:
+            continue
+        n, k = az.graph.n_vertices, len(az.graph.twin_quotient[0])
+        assert prof.certificate[:16] == (n.to_bytes(8, "big")
+                                         + k.to_bytes(8, "big"))
+        sylow_graphs += len(prof.sylow_certificates or ())
+    assert sylow_graphs
 
 
 def test_sylow_certificates_match_rebuilt_subgroups():
