@@ -10,6 +10,7 @@ once (``twin_quotient``); canonical forms and eccentricities share it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -20,41 +21,17 @@ import numpy as np
 from .cyclicizers import (CyclicizerTable, bits_to_indices, cyclicizer_table,
                           prime_graph)
 from .errors import Disconnected, GroupIsCyclic, VerificationFailure
-from .groups import Group, is_cyclic_group
+from .groups import Group, _row_blocks, is_cyclic_group
 
 
-def _make_compressor(keep: Sequence[int]):
-    """Function mapping a bitset over group indices to a bitset over the
-    positions of ``keep`` (sorted). Works segment-wise, so the common case
-    of dropping only a few positions stays O(#segments) per row."""
-    segs = []
-    i = 0
-    out = 0
-    while i < len(keep):
-        j = i
-        while j + 1 < len(keep) and keep[j + 1] == keep[j] + 1:
-            j += 1
-        length = j - i + 1
-        segs.append((keep[i], (1 << length) - 1, out))
-        out += length
-        i = j + 1
-
-    def compress(bits: int) -> int:
-        acc = 0
-        for start, mask, shift in segs:
-            acc |= ((bits >> start) & mask) << shift
-        return acc
-
-    return compress
-
-
-def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
-    """Boolean n x n matrix with entry [i, j] = bit j of rows[i]."""
-    n = len(rows)
+def _bit_matrix(rows: Sequence[int], n: Optional[int] = None) -> np.ndarray:
+    """Boolean len(rows) x n matrix with entry [i, j] = bit j of rows[i]; n
+    defaults to len(rows)."""
+    n = len(rows) if n is None else n
     width = (n + 7) // 8
     packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in rows),
-        dtype=np.uint8).reshape(n, width)
+        b"".join([row.to_bytes(width, "little") for row in rows]),
+        dtype=np.uint8).reshape(len(rows), width)
     return np.unpackbits(packed, axis=1, count=n,
                          bitorder="little").view(bool)
 
@@ -62,7 +39,12 @@ def _bit_matrix(rows: Sequence[int]) -> np.ndarray:
 def _bit_rows(matrix: np.ndarray) -> tuple:
     """Int bit rows of a boolean matrix; the inverse of _bit_matrix."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    # slices of one bytes object are cheaper than a view per numpy row
+    data, width = packed.tobytes(), packed.shape[1]
+    if not width:
+        return (0,) * len(packed)
+    return tuple([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
 
 
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
@@ -72,27 +54,27 @@ def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
     return _bit_rows(_bit_matrix(rows).take(idx, 0).take(idx, 1))
 
 
-def _merge_classes(qrows, descs, members, key_of, tag):
-    """One contraction round; returns the merged arrays or None when every
-    class is a singleton."""
-    groups: dict = {}
-    for v in range(len(qrows)):
-        groups.setdefault(key_of(v), []).append(v)
-    if all(len(g) == 1 for g in groups.values()):
+def _merge_classes(keys, qrows, descs, members, tag):
+    """One contraction round over the vertices' ``keys``, in vertex order;
+    the merged arrays, or None when every class is a singleton. Quotient
+    vertices ascend by least member, which their members list first, so the
+    classes, in order of first appearance, ascend by least member and list
+    their vertices in member order: the merged vertices keep the invariant."""
+    classes: dict = {}
+    for v, key in enumerate(keys):
+        classes.setdefault(key, []).append(v)
+    if len(classes) == len(qrows):
         return None
-    classes = sorted(groups.values(), key=lambda c: min(members[v][0]
-                                                        for v in c))
+    classes = list(classes.values())
     # twins share their neighborhoods, so the representatives' induced
     # subgraph is the quotient
     new_rows = induced_rows(qrows, [cls[0] for cls in classes])
-    new_descs = []
-    new_members = []
-    for cls in classes:
-        desc = descs[cls[0]]
-        new_descs.append(desc if len(cls) == 1 else (tag, len(cls), desc))
-        order = sorted(cls, key=lambda v: members[v][0])
-        new_members.append(tuple(u for v in order for u in members[v]))
-    return new_rows, tuple(new_descs), tuple(new_members)
+    new_descs = tuple(descs[cls[0]] if len(cls) == 1
+                      else (tag, len(cls), descs[cls[0]]) for cls in classes)
+    new_members = tuple(members[cls[0]] if len(cls) == 1
+                        else tuple(u for v in cls for u in members[v])
+                        for cls in classes)
+    return new_rows, new_descs, new_members
 
 
 def _iterated_contraction(rows):
@@ -113,12 +95,11 @@ def _iterated_contraction(rows):
     descs = (("v",),) * len(rows)
     members = tuple((v,) for v in range(len(rows)))
     while True:
-        merged = _merge_classes(qrows, descs, members,
-                                lambda v: (qrows[v], descs[v]), "I")
+        merged = _merge_classes(zip(qrows, descs), qrows, descs, members, "I")
         if merged is None:
-            merged = _merge_classes(qrows, descs, members,
-                                    lambda v: (qrows[v] | (1 << v), descs[v]),
-                                    "C")
+            closed = enumerate(zip(qrows, descs))
+            merged = _merge_classes(((r | 1 << v, d) for v, (r, d) in closed),
+                                    qrows, descs, members, "C")
         if merged is None:
             return qrows, descs, members
         qrows, descs, members = merged
@@ -135,6 +116,17 @@ class NonCyclicGraph:
         """The iterated twin contraction of the adjacency, computed once."""
         return _iterated_contraction(self.adjacency)
 
+    @cached_property
+    def positions(self) -> dict:
+        """Group element -> vertex position."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def degree_census(self) -> tuple:
+        """Sorted (degree, count) pairs."""
+        return tuple(sorted(Counter(
+            row.bit_count() for row in self.adjacency).items()))
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -146,8 +138,8 @@ class NonCyclicGraph:
         return self.group.labels[self.vertices[pos]]
 
     def position_of(self, element: int) -> int:
-        # vertices are sorted, so bisect would do; linear is fine at scale
-        return self.vertices.index(element)
+        """Position of a vertex; KeyError when ``element`` is none."""
+        return self.positions[element]
 
 
 def build_graph(group: Group,
@@ -157,13 +149,15 @@ def build_graph(group: Group,
         raise GroupIsCyclic(f"{group.label} is cyclic")
     if ctable is None:
         ctable = cyclicizer_table(group)
-    cyc = ctable.cyc_bits
-    vertices = [i for i in range(group.order) if not (cyc >> i) & 1]
-    compress = _make_compressor(vertices)
-    vmask_full = ((1 << group.order) - 1) & ~cyc
-    rows = ctable.rows
-    adjacency = tuple(compress(vmask_full & ~rows[v]) for v in vertices)
-    return NonCyclicGraph(group, tuple(vertices), adjacency)
+    # the complement of the cyclicizer matrix on the non-Cyc(G) rows and
+    # columns, a block of rows at a time, so that no n x n matrix is made
+    n = group.order
+    vertices = np.flatnonzero(~_bit_matrix((ctable.cyc_bits,), n)[0])
+    rows = [ctable.rows[v] for v in vertices.tolist()]
+    adjacency = ()
+    for b in _row_blocks(len(rows), n):
+        adjacency += _bit_rows(~_bit_matrix(rows[b], n).take(vertices, 1))
+    return NonCyclicGraph(group, tuple(vertices.tolist()), adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +261,30 @@ def clique_and_chromatic(graph: NonCyclicGraph,
     maximal = ctable.maximal
     s = len(maximal)
     cyc = ctable.cyc_bits
-    pos_of = {v: i for i, v in enumerate(graph.vertices)}
-    clique = []
-    for m in maximal:
-        if (cyc >> m.generator) & 1:
-            raise VerificationFailure(
-                "maximal cyclic generator sits in the group cyclicizer")
-        clique.append(pos_of[m.generator])
+    if any((cyc >> m.generator) & 1 for m in maximal):
+        raise VerificationFailure(
+            "maximal cyclic generator sits in the group cyclicizer")
+    clique = tuple(graph.positions[m.generator] for m in maximal)
     adj = graph.adjacency
-    for i, a in enumerate(clique):
-        for b in clique[i + 1:]:
-            if not (adj[a] >> b) & 1:
-                raise VerificationFailure("clique witness has a missing edge")
-    coloring = []
-    for v in graph.vertices:
-        for ci, m in enumerate(maximal):
-            if (m.bits >> v) & 1:
-                coloring.append(ci)
-                break
-        else:
-            raise VerificationFailure(
-                "vertex lies in no maximal cyclic subgroup")
-    masks = {}
-    for pos, color in enumerate(coloring):
-        masks[color] = masks.get(color, 0) | (1 << pos)
-    for mask in masks.values():
-        if any(adj[pos] & mask for pos in bits_to_indices(mask)):
-            raise VerificationFailure("coloring is not proper")
-    return CliqueChromatic(s, tuple(clique), s, tuple(coloring))
+    mask = sum(1 << a for a in set(clique))
+    # a repeated generator misses an edge too: no vertex is its own neighbour
+    if mask.bit_count() < s or any(mask & ~adj[a] != 1 << a for a in clique):
+        raise VerificationFailure("clique witness has a missing edge")
+    # colour i: the members of the i-th maximal cyclic subgroup not coloured
+    # before, in group elements, then in vertex positions
+    uncoloured = ((1 << graph.group.order) - 1) & ~cyc
+    classes = []
+    for m in maximal:
+        classes.append(m.bits & uncoloured)
+        uncoloured &= ~m.bits
+    if uncoloured:
+        raise VerificationFailure("vertex lies in no maximal cyclic subgroup")
+    at = _bit_matrix(classes, graph.group.order).take(graph.vertices, 1)
+    classes = _bit_rows(at)
+    coloring = tuple(at.argmax(axis=0).tolist())
+    if any(adj[p] & classes[c] for p, c in enumerate(coloring)):
+        raise VerificationFailure("coloring is not proper")
+    return CliqueChromatic(s, clique, s, coloring)
 
 
 def _max_clique_bits(rows: Sequence[int], nv: int):
@@ -347,17 +337,15 @@ def independence_info(graph: NonCyclicGraph,
     formula = e - ctable.cyc_size
     gen = min(x for x in range(group.order) if group.elem_orders[x] == e)
     members = group.generated_cyclic_bits(gen) & ~ctable.cyc_bits
-    pos_of = {v: i for i, v in enumerate(graph.vertices)}
-    witness = tuple(pos_of[v] for v in bits_to_indices(members))
+    witness = tuple(graph.positions[v] for v in bits_to_indices(members))
     if len(witness) != formula:
         raise VerificationFailure(
             "independent-set witness does not meet the closed form; the "
             "group cyclicizer escaped a maximum-order cyclic subgroup")
     adj = graph.adjacency
-    for i, a in enumerate(witness):
-        for b in witness[i + 1:]:
-            if (adj[a] >> b) & 1:
-                raise VerificationFailure("independence witness has an edge")
+    mask = sum(1 << a for a in witness)
+    if any(adj[a] & mask for a in witness):
+        raise VerificationFailure("independence witness has an edge")
     brute = None
     nv = graph.n_vertices
     if nv <= brute_cap:
@@ -376,11 +364,7 @@ def independence_info(graph: NonCyclicGraph,
 
 def degree_kinds(graph: NonCyclicGraph):
     """(sorted (degree, count) pairs, number of kinds, is_regular)."""
-    census: dict[int, int] = {}
-    for row in graph.adjacency:
-        d = row.bit_count()
-        census[d] = census.get(d, 0) + 1
-    multiset = tuple(sorted(census.items()))
+    multiset = graph.degree_census
     return multiset, len(multiset), len(multiset) == 1
 
 

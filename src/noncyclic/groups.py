@@ -12,6 +12,7 @@ import re
 import stat
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, product as iter_product
 from math import factorial, gcd
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
@@ -198,11 +199,12 @@ class Group:
     ascending generator. Row x of ``pair_rows`` has bit y set iff <x, y> is
     cyclic, i.e. x and y lie in a common cyclic subgroup: it is Cyc(x).
 
-    The table is checked exactly unless ``validate`` is False. Two callers
-    pass False: ``build``, whose tables ``_table`` has validated (metacyclic
-    tables, Cayley files) or built as groups (cyclic, permutation and
-    product tables), and ``quotient_by_central``, whose quotient tables are
-    groups by construction.
+    The table is checked exactly unless ``validate`` is False. Three
+    callers pass False: ``build``, whose tables ``_table`` has validated
+    (metacyclic tables, Cayley files) or built as groups (cyclic,
+    permutation and product tables), ``from_cayley_file``, whose table
+    ``_read_cayley_file`` has validated, and ``quotient_by_central``, whose
+    quotient tables are groups by construction.
 
     A group keeps its table in one buffer, the ``array('i')`` ``_flat``.
     ``build`` and ``from_cayley_file`` write their tables straight into one
@@ -571,6 +573,13 @@ def _metacyclic_table(m: int, p: int, u: int, s: int,
     return t
 
 
+@cache
+def _check_presentation(m: int, p: int, u: int, s: int) -> None:
+    """Raise NotAGroup unless (m, p, u, s) presents a group of order m*p.
+    Cached, as the table depends on them alone; failures are not."""
+    _validate_structure(_metacyclic_table(m, p, u, s, _scratch_table))
+
+
 def _words(m: int, p: int, a: str, x: str,
            x_first: bool = False) -> list[str]:
     """Labels of the elements a^i x^j at index j*m + i, such as a2x or sr2."""
@@ -677,15 +686,15 @@ def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]],
 def _table(spec: GroupSpec, alloc: Callable[[int], np.ndarray],
            max_order: Optional[int] = None
            ) -> tuple[np.ndarray, Sequence[str]]:
-    """The Cayley table, written into ``alloc(order)`` (a Cayley file's is
-    its group's ``np_table``), and the element labels of the group ``spec``
-    describes. A product's factor tables are written into scratch arrays,
-    so a build makes one ``_table_buffer``, the one its Group keeps.
-    Metacyclic tables are validated here and Cayley files by
-    ``from_cayley_file``; cyclic, permutation and product tables (products
-    of tables made here) are groups by construction. A permutation closure
-    larger than ``max_order`` raises OrderTooLarge before its table is
-    built."""
+    """The Cayley table, written into ``alloc(order)`` (a Cayley file's
+    into a table buffer of its own), and the element labels of the group
+    ``spec`` describes. A product's factor tables are written into scratch
+    arrays, so a build makes one ``_table_buffer``, the one its Group
+    keeps. Metacyclic presentations are validated by
+    ``_check_presentation`` and Cayley files by ``_read_cayley_file``;
+    cyclic, permutation and product tables (products of tables made here)
+    are groups by construction. A permutation closure larger than
+    ``max_order`` raises OrderTooLarge before its table is built."""
     k, p = spec.kind, spec.params
     if k == "cyclic":
         n = p[0]
@@ -696,8 +705,8 @@ def _table(spec: GroupSpec, alloc: Callable[[int], np.ndarray],
         return t, [str(i) for i in range(n)]
     if k in ("dihedral", "quaternion", "modular", "semidihedral"):
         m, prime, u, s = _presentation(k, p)
+        _check_presentation(m, prime, u, s)
         t = _metacyclic_table(m, prime, u, s, alloc)
-        _validate_structure(t)
         words = (_words(m, 2, "r", "s", x_first=True) if k == "dihedral"
                  else _words(m, prime, "a", "b" if k == "quaternion" else "x"))
         return t, words
@@ -715,8 +724,7 @@ def _table(spec: GroupSpec, alloc: Callable[[int], np.ndarray],
         return _product_table(
             [_table(c, _scratch_table) for c in spec.children], alloc)
     if k == "cayley":
-        g = from_cayley_file(p[0])
-        return g.np_table(), g.labels
+        return _read_cayley_file(p[0])
     raise InvalidParameter(f"unknown spec kind {k!r}")
 
 
@@ -771,10 +779,18 @@ def _order_before_build(spec: GroupSpec) -> Optional[int]:
 
 def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
     """Read and validate a Cayley-table file; ``label`` defaults to the
-    file's basename.
+    file's basename."""
+    table, labels = _read_cayley_file(path)
+    return Group(_Handover(table), labels=labels, validate=False,
+                 label=os.path.basename(path) if label is None else label)
+
+
+def _read_cayley_file(path: str) -> tuple[np.ndarray, list]:
+    """The validated table buffer and the element labels (``e0``, ``e1``,
+    ... when the file has none) of a Cayley-table file.
 
     The lines are read lazily and parsed in blocks of rows straight into
-    the buffer the Group keeps, so the load takes the table plus
+    the buffer a Group keeps, so the load takes the table plus
     O(block * n), with blocks sized by ``_BLOCK_BYTES``. A file that is not
     a regular file, is too short to hold n rows of n entries, or fails a
     check in some block is read again and parsed whole: its error is the
@@ -797,9 +813,8 @@ def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     table, labels = read
-    if label is None:
-        label = os.path.basename(path)
-    return Group(_Handover(table), labels=labels, label=label)
+    _validate_structure(table)
+    return table, labels or [f"e{i}" for i in range(n)]
 
 
 def _nonblank_lines(fh) -> Iterator[str]:

@@ -10,6 +10,7 @@ form on a Sylow subgroup rebuilt as a group of its own.
 import os
 import re
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
@@ -265,6 +266,98 @@ def brute_chromatic(rows, upper):
         if colorable(k):
             return k
     return upper + 1
+
+
+def string_induced(rows, idx):
+    """Rows of the subgraph induced on the non-empty idx, with idx[i]
+    renamed to i, picked from each row's binary string."""
+    pick = itemgetter(*idx)
+    width = len(rows)
+    return tuple(int("".join(pick(format(rows[v], f"0{width}b")[::-1]))[::-1],
+                     2) for v in idx)
+
+
+def _sorted_merge_classes(qrows, descs, members, key_of, tag):
+    """One twin-contraction round with a key function per vertex, the
+    classes sorted by least member and each class's vertices by member."""
+    groups = {}
+    for v in range(len(qrows)):
+        groups.setdefault(key_of(v), []).append(v)
+    if all(len(g) == 1 for g in groups.values()):
+        return None
+    classes = sorted(groups.values(), key=lambda c: min(members[v][0]
+                                                        for v in c))
+    new_rows = string_induced(qrows, [cls[0] for cls in classes])
+    new_descs = []
+    new_members = []
+    for cls in classes:
+        desc = descs[cls[0]]
+        new_descs.append(desc if len(cls) == 1 else (tag, len(cls), desc))
+        order = sorted(cls, key=lambda v: members[v][0])
+        new_members.append(tuple(u for v in order for u in members[v]))
+    return tuple(new_rows), tuple(new_descs), tuple(new_members)
+
+
+def sorted_twin_contraction(rows):
+    """The iterated twin contraction (quotient rows, descriptors, members)
+    by sorted key-function rounds: false twins, then true twins when no
+    false twins are left, until neither merges."""
+    qrows = tuple(rows)
+    descs = (("v",),) * len(rows)
+    members = tuple((v,) for v in range(len(rows)))
+    while True:
+        merged = _sorted_merge_classes(qrows, descs, members,
+                                       lambda v: (qrows[v], descs[v]), "I")
+        if merged is None:
+            merged = _sorted_merge_classes(
+                qrows, descs, members,
+                lambda v: (qrows[v] | (1 << v), descs[v]), "C")
+        if merged is None:
+            return qrows, descs, members
+        qrows, descs, members = merged
+
+
+def scanned_clique_and_coloring(graph, ctable):
+    """(clique, coloring) of the maximal-cyclic-subgroup witnesses: the
+    generators' positions, checked pairwise to be a clique, and each vertex
+    coloured by the first maximal cyclic subgroup whose bits contain it,
+    scanned vertex by vertex."""
+    pos_of = {v: i for i, v in enumerate(graph.vertices)}
+    clique = [pos_of[m.generator] for m in ctable.maximal]
+    adj = graph.adjacency
+    for i, a in enumerate(clique):
+        for b in clique[i + 1:]:
+            assert (adj[a] >> b) & 1, "clique witness has a missing edge"
+    coloring = tuple(next(ci for ci, m in enumerate(ctable.maximal)
+                          if (m.bits >> v) & 1) for v in graph.vertices)
+    return tuple(clique), coloring
+
+
+def pairwise_independent_witness(graph, ctable):
+    """Positions of <g> minus Cyc(G) for the least g of largest order,
+    checked pairwise to be independent."""
+    group = graph.group
+    e = max(group.elem_orders)
+    gen = group.elem_orders.index(e)
+    powers = [0]
+    while (x := group.mult(powers[-1], gen)) != 0:
+        powers.append(x)
+    pos_of = {v: i for i, v in enumerate(graph.vertices)}
+    witness = tuple(pos_of[v] for v in sorted(powers)
+                    if not (ctable.cyc_bits >> v) & 1)
+    for i, a in enumerate(witness):
+        for b in witness[i + 1:]:
+            assert not (graph.adjacency[a] >> b) & 1, "witness has an edge"
+    return witness
+
+
+def recounted_degrees(rows):
+    """Sorted (degree, count) pairs, each degree counted bit by bit."""
+    census = {}
+    for row in rows:
+        d = bin(row).count("1")
+        census[d] = census.get(d, 0) + 1
+    return tuple(sorted(census.items()))
 
 
 def perm_isomorphic(rows1, rows2):

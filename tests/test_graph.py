@@ -1,16 +1,21 @@
 import json
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from noncyclic import groups as G
-from noncyclic.cyclicizers import cyclicizer_table
-from noncyclic.errors import Disconnected, GroupIsCyclic
-from noncyclic.graph import (InvariantReport, NonCyclicGraph, build_graph,
+from noncyclic import structure
+from noncyclic.cyclicizers import MaximalCyclic, cyclicizer_table
+from noncyclic.errors import Disconnected, GroupIsCyclic, VerificationFailure
+from noncyclic.graph import (InvariantReport, NonCyclicGraph,
+                             _iterated_contraction, build_graph,
                              clique_and_chromatic, degree_kinds,
                              diameter_info, distance, independence_info,
-                             invariant_report, multipartite_profile,
-                             omega_bound_info, to_dot)
+                             induced_rows, invariant_report,
+                             multipartite_profile, omega_bound_info, to_dot)
+from noncyclic.harness import Catalog
 
 import oracles
 
@@ -253,3 +258,165 @@ def test_dot_export():
     assert dot.startswith('graph "EA(2,2)" {')
     assert dot.count("--") == 3
     assert '"(0,1)" -- "(1,0)";' in dot
+
+
+def _doctored_q8(maximal_of):
+    """Q8's graph and its cyclicizer table with ``maximal`` replaced by
+    ``maximal_of(maximal)``; the maximal cyclic subgroups are <a>, <b> and
+    <ab>, and Cyc(Q8) is {e, a2}."""
+    q8 = G.build(G.parse_group_expr("Q8"))
+    table = cyclicizer_table(q8)
+    return build_graph(q8, table), replace(table,
+                                           maximal=maximal_of(table.maximal))
+
+
+def _merged_first_two(maximal):
+    first, second, *rest = maximal
+    return (MaximalCyclic(first.generator, first.bits | second.bits), second,
+            *rest)
+
+
+CLIQUE_CHROMATIC_FAULTS = {
+    # a generator moved into Cyc(G) by a table whose first maximal subgroup
+    # is generated by a2
+    "generator in Cyc(G)": (
+        lambda ms: (MaximalCyclic(2, ms[0].bits), *ms[1:]),
+        "maximal cyclic generator sits in the group cyclicizer"),
+    # a and a3 generate the same subgroup, so they are not adjacent
+    "missing clique edge": (
+        lambda ms: (ms[0], MaximalCyclic(3, ms[0].bits), *ms[2:]),
+        "clique witness has a missing edge"),
+    "uncovered vertex": (
+        lambda ms: ms[:-1], "vertex lies in no maximal cyclic subgroup"),
+    # <a> and <b> as one colour class: a and b are adjacent
+    "improper colouring": (
+        _merged_first_two, "coloring is not proper"),
+}
+
+
+@pytest.mark.parametrize("fault", list(CLIQUE_CHROMATIC_FAULTS))
+def test_clique_and_chromatic_rejects_doctored_tables(fault):
+    maximal_of, message = CLIQUE_CHROMATIC_FAULTS[fault]
+    g, table = _doctored_q8(maximal_of)
+    assert [g.group.labels[m.generator] for m in cyclicizer_table(
+        g.group).maximal] == ["a", "b", "ab"]
+    with pytest.raises(VerificationFailure, match=f"^{message}$"):
+        clique_and_chromatic(g, table)
+
+
+def test_independence_witness_with_an_edge_is_rejected():
+    h = graph_of("Z2xZ4")
+    # the witness is <(0,1)> minus the identity; join (0,1) and (0,2)
+    a, b = (h.vertices.index(h.group.labels.index(x))
+            for x in ("(0,1)", "(0,2)"))
+    rows = list(h.adjacency)
+    rows[a] |= 1 << b
+    rows[b] |= 1 << a
+    doctored = NonCyclicGraph(h.group, h.vertices, tuple(rows))
+    with pytest.raises(VerificationFailure,
+                       match="^independence witness has an edge$"):
+        independence_info(doctored)
+
+
+@pytest.fixture(scope="module")
+def catalog_graphs():
+    """(group, cyclicizer table, graph) of every non-cyclic catalog group
+    of order at most 200."""
+    out = []
+    for entry in Catalog.default(max_order=200).entries:
+        group = G.build(entry.spec, label=entry.label)
+        if not G.is_cyclic_group(group):
+            table = cyclicizer_table(group)
+            out.append((group, table, build_graph(group, table)))
+    return out
+
+
+def test_graph_invariants_match_oracles_on_catalog(catalog_graphs):
+    assert len(catalog_graphs) == 1454
+    for group, table, g in catalog_graphs:
+        assert g.twin_quotient == oracles.sorted_twin_contraction(
+            g.adjacency), group.label
+        cc = clique_and_chromatic(g, table)
+        assert cc.omega == cc.chi == len(table.maximal)
+        assert (cc.clique, cc.coloring) == \
+            oracles.scanned_clique_and_coloring(g, table), group.label
+        info = independence_info(g, table)
+        witness = oracles.pairwise_independent_witness(g, table)
+        assert info.formula_value == len(witness) == \
+            max(group.elem_orders) - table.cyc_size
+        assert not info.mismatch and info.alpha == info.formula_value
+        assert info.witness == witness, group.label
+        assert degree_kinds(g)[0] == oracles.recounted_degrees(g.adjacency)
+        assert [g.position_of(v) for v in g.vertices] == \
+            list(range(g.n_vertices))
+
+
+def test_sylow_subgraph_contraction_matches_oracle(catalog_graphs):
+    seen = 0
+    for group, table, g in catalog_graphs:
+        sylows = structure.sylow_decomposition(group)
+        if sylows is None or table.cyc_size != 1 or len(sylows) == 1:
+            continue
+        for mem in sylows.values():
+            rows = induced_rows(g.adjacency,
+                                [g.position_of(x) for x in mem[1:]])
+            assert _iterated_contraction(rows) == \
+                oracles.sorted_twin_contraction(rows), group.label
+            seen += 1
+    assert seen > 100
+
+
+def _planted_module(rng, depth):
+    """(vertex count, edges) of a module of nested twin classes: a lone
+    vertex, or two or three sub-modules joined pairwise (true twins) or not
+    at all (false twins), some of them equal."""
+    if depth == 0 or rng.random() < 0.3:
+        return 1, []
+    sub = _planted_module(rng, depth - 1)
+    parts = [sub if rng.random() < 0.6 else _planted_module(rng, depth - 1)
+             for _ in range(rng.randint(2, 3))]
+    true_twins = rng.random() < 0.5
+    n, edges = 0, []
+    for i, (m, inner) in enumerate(parts):
+        edges += [(a + n, b + n) for a, b in inner]
+        if true_twins:
+            edges += [(a, b) for a in range(n) for b in range(n, n + m)]
+        n += m
+    return n, edges
+
+
+def planted_twin_graph(seed, k=8, depth=3):
+    """Bit rows of a random graph on k modules of nested twin classes,
+    with the vertices shuffled."""
+    rng = random.Random(seed)
+    modules = [_planted_module(rng, depth) for _ in range(k)]
+    starts = [sum(m for m, _ in modules[:i]) for i in range(k + 1)]
+    edges = [(a + starts[i], b + starts[i])
+             for i, (_, inner) in enumerate(modules) for a, b in inner]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < 0.5:
+                edges += [(a, b) for a in range(starts[i], starts[i + 1])
+                          for b in range(starts[j], starts[j + 1])]
+    perm = list(range(starts[k]))
+    rng.shuffle(perm)
+    rows = [0] * starts[k]
+    for a, b in edges:
+        rows[perm[a]] |= 1 << perm[b]
+        rows[perm[b]] |= 1 << perm[a]
+    return tuple(rows)
+
+
+def test_planted_twin_contraction_matches_oracle():
+    nested = Counter()
+    for seed in range(200):
+        rows = planted_twin_graph(seed)
+        got = _iterated_contraction(rows)
+        assert got == oracles.sorted_twin_contraction(rows), seed
+        for desc in got[1]:
+            while desc[0] != "v" and desc[2][0] != "v":
+                nested[desc[0] + desc[2][0]] += 1
+                desc = desc[2]
+    # each kind nested in the other; twins of twins of one kind are one
+    # class
+    assert set(nested) == {"IC", "CI"}

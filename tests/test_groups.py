@@ -290,6 +290,55 @@ def test_product_factors_are_validated(monkeypatch, tmp_path):
         build("Z3xD8")
 
 
+def _metacyclic_presentations(spec):
+    """The presentations (m, p, u, s) of the metacyclic factors in ``spec``."""
+    if spec.kind == "product":
+        return {x for c in spec.children for x in _metacyclic_presentations(c)}
+    if spec.kind in ("dihedral", "quaternion", "modular", "semidihedral"):
+        return {G._presentation(spec.kind, spec.params)}
+    return set()
+
+
+def test_each_metacyclic_presentation_is_validated_once(monkeypatch):
+    entries = Catalog.default(max_order=200).entries
+    distinct = set().union(*(_metacyclic_presentations(e.spec)
+                             for e in entries))
+    validated = []
+    real = G._validate_structure
+
+    def counted(t):
+        validated.append(t.shape[0])
+        real(t)
+
+    monkeypatch.setattr(G, "_validate_structure", counted)
+    G._check_presentation.cache_clear()
+    for e in entries:
+        G.build(e.spec, label=e.label)
+    assert len(distinct) == 78
+    assert len(validated) == len(distinct)
+    assert sorted(validated) == sorted(m * p for m, p, _, _ in distinct)
+
+
+def test_cayley_file_factor_builds_one_group(monkeypatch, tmp_path):
+    path = tmp_path / "s5.cayley"
+    G.to_cayley_file(build("S5"), str(path))
+    spec = G.direct_product([G.cyclic(2), G.cayley_file(str(path))])
+    want = G.build(spec)
+    inits = []
+    real = G.Group.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(kwargs.get("label"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(G.Group, "__init__", counted)
+    g = G.build(spec)
+    assert len(inits) == 1
+    assert g.np_table().tolist() == want.np_table().tolist()
+    assert g.labels == want.labels == tuple(
+        f"({a},{b})" for a in "01" for b in G.from_cayley_file(path).labels)
+
+
 def test_flat_table_ignores_memory_layout():
     # S4's table read through transposed, strided and wider-typed views
     t = build("S4").np_table()
