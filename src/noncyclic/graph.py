@@ -520,14 +520,9 @@ def to_dot(graph: NonCyclicGraph) -> str:
     lines = [f"graph {q(graph.group.label)} {{"]
     for pos in range(graph.n_vertices):
         lines.append(f"  {q(graph.vertex_label(pos))};")
-    for a in range(graph.n_vertices):
-        row = graph.adjacency[a] >> (a + 1)
-        b = a + 1
-        while row:
-            if row & 1:
-                lines.append(
-                    f"  {q(graph.vertex_label(a))} -- {q(graph.vertex_label(b))};")
-            row >>= 1
-            b += 1
+    for a, row in enumerate(graph.adjacency):
+        for b in bits_to_indices(row >> (a + 1)):
+            lines.append(f"  {q(graph.vertex_label(a))} -- "
+                         f"{q(graph.vertex_label(a + 1 + b))};")
     lines.append("}")
     return "\n".join(lines) + "\n"

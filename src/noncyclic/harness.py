@@ -28,7 +28,7 @@ import numpy as np
 
 from . import structure
 from .canon import canonical_form, check_goormaghtigh_condition
-from .cyclicizers import (CyclicizerTable, central_cosets,
+from .cyclicizers import (CyclicizerTable, bits_to_indices, central_cosets,
                           cyclicizer_table, is_tidy, quotient_by_central,
                           quotient_by_cyclicizer)
 from .errors import (Disconnected, NonCyclicError, OrderTooLarge, Timeout,
@@ -249,7 +249,6 @@ class GroupProfile:
     vertex_count: Optional[int] = None
     degrees_gcd: Optional[int] = None
     certificate: Optional[bytes] = None
-    cert_hash: Optional[str] = None
     cert_error: Optional[str] = None  # why the certificate is missing
     sylow_certificates: Optional[tuple] = None   # ((p, certificate), ...)
     error: Optional[str] = None
@@ -314,7 +313,6 @@ def profile_of(az: AnalyzedGroup, want_certificate: bool = True
                 prof.cert_error = f"{type(exc).__name__}: {exc}"
             else:
                 prof.certificate = cf.certificate
-                prof.cert_hash = cf.hash_hex
                 prof.sylow_certificates = sylow_certs
     return prof
 
@@ -420,29 +418,18 @@ def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
            "cyclic subgroup containing x", "group")
 def _check_core_cyclic(az: AnalyzedGroup, result: CheckResult):
     g, ct = az.group, az.ctable
-    n = g.order
     result.tested += 1
+    cyclic = {bits for _, bits in g.cyclic_subgroups}
     verdicts: dict[int, tuple] = {}
-    for x in range(n):
-        d_bits = ct.rows[x]
+    for x, d_bits in enumerate(ct.rows):
         cached = verdicts.get(d_bits)
         if cached is None:
-            core_bits = 0
-            rest = d_bits
-            while rest:
-                b = rest & -rest
-                if ct.rows[b.bit_length() - 1] & d_bits == d_bits:
-                    core_bits |= b
-                rest ^= b
-            # the core is a cyclic subgroup iff one member generates it all
-            rest = core_bits
-            ok = False
-            while rest and not ok:
-                b = rest & -rest
-                ok = g.generated_cyclic_bits(b.bit_length() - 1) == core_bits
-                rest ^= b
-            cached = (core_bits, ok)
-            verdicts[d_bits] = cached
+            # Cyc is a symmetric relation, so this is {y in D : D <= Cyc(y)};
+            # a cyclic subgroup equal to it is generated by one of its members
+            core_bits = d_bits
+            for w in bits_to_indices(d_bits):
+                core_bits &= ct.rows[w]
+            cached = verdicts[d_bits] = (core_bits, core_bits in cyclic)
         core_bits, ok = cached
         if not (core_bits >> x) & 1:
             _ce(result, group=az.label, element=g.labels[x],
@@ -462,11 +449,10 @@ def _check_pgroup_cyc(az: AnalyzedGroup, result: CheckResult):
         result.skip(az.label, "not a p-group")
         return
     result.tested += 1
-    expected = az.is_cyclic or structure.is_generalized_quaternion(az.group)
-    if (az.ctable.cyc_size > 1) != expected:
+    quaternion = structure.is_generalized_quaternion(az.group)
+    if (az.ctable.cyc_size > 1) != (az.is_cyclic or quaternion):
         _ce(result, group=az.label, cyc_size=az.ctable.cyc_size,
-            cyclic=az.is_cyclic,
-            generalized_quaternion=structure.is_generalized_quaternion(az.group))
+            cyclic=az.is_cyclic, generalized_quaternion=quaternion)
 
 
 @_register("quotient_cyc_trivial",
@@ -503,7 +489,7 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
 def _check_complete(az: AnalyzedGroup, result: CheckResult):
     result.tested += 1
     nv = az.graph.n_vertices
-    complete = all(row.bit_count() == nv - 1 for row in az.graph.adjacency)
+    complete = degree_kinds(az.graph)[0] == ((nv - 1, nv),)
     ea = structure.elementary_abelian_parameters(az.group)
     if complete != (ea is not None and ea[0] == 2):
         _ce(result, group=az.label, complete=complete,
@@ -763,7 +749,7 @@ def _family_graph(expr: str):
            "while the order-8 chain group, the semidihedral groups and the "
            "dihedral groups sit in singleton classes", "fixed")
 def _check_families(result: CheckResult):
-    certs = {expr: _family_graph(expr).hash_hex
+    certs = {expr: _family_graph(expr).certificate
              for expr in ("G(2,3)", "K(2,3)", "D8",
                           "G(2,4)", "K(2,4)", "H(4)", "D16", "Q16",
                           "G(2,5)", "K(2,5)", "H(5)", "D32", "Q32",
@@ -795,10 +781,10 @@ def _check_families(result: CheckResult):
 
 
 def _certificate_classes(profiles) -> list[list[GroupProfile]]:
-    buckets: dict[str, list[GroupProfile]] = {}
+    buckets: dict[bytes, list[GroupProfile]] = {}
     for p in profiles:
-        if p.cert_hash is not None:
-            buckets.setdefault(p.cert_hash, []).append(p)
+        if p.certificate is not None:
+            buckets.setdefault(p.certificate, []).append(p)
     classes = [sorted(v, key=lambda p: p.label) for v in buckets.values()]
     classes.sort(key=lambda c: (c[0].order, c[0].label))
     return classes
@@ -883,7 +869,7 @@ def _check_goor(profiles, result: CheckResult):
         result.tested += 1
         (p1, m1, n1), (p2, m2, n2) = a.goor, b.goor
         c1, c2 = check_goormaghtigh_condition(p1, m1, n1, p2, m2, n2)
-        iso = a.cert_hash == b.cert_hash and a.certificate == b.certificate
+        iso = a.certificate == b.certificate
         if iso != (c1 and c2):
             _ce(result, pair=(a.label, b.label), condition=(c1, c2), iso=iso)
 

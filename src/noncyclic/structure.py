@@ -15,6 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .cyclicizers import cyclicizer_table
 from .errors import InvalidParameter
 from .groups import (Group, _presentation, dihedral, generalized_quaternion,
                      modular_pgroup, prime_factorization, semidihedral)
@@ -254,6 +255,4 @@ def two_kind_abelian_family(group: Group) -> bool:
 def self_cyclicizer_orders(group: Group) -> tuple:
     """Sorted set of orders t such that some element x of order t satisfies
     Cyc(x) = <x>, i.e. the orders of the maximal cyclic subgroups."""
-    return tuple(sorted({group.elem_orders[g]
-                         for g, bits in group.cyclic_subgroups
-                         if group.pair_rows[g] == bits}))
+    return tuple(sorted({mc.size for mc in cyclicizer_table(group).maximal}))

@@ -14,3 +14,12 @@ def oracle_graphs():
                                            name="Z6xS3")))
     groups.append(G.build(G.parse_group_expr("EA(2,3)")))
     return [build_graph(g) for g in groups if not G.is_cyclic_group(g)]
+
+
+@pytest.fixture(scope="session")
+def catalog_groups():
+    """(entry, group) for every entry of the default catalog (order at most
+    200), each group built once with its entry's label. Tests share the
+    groups, so they must not mutate them."""
+    return [(e, G.build(e.spec, label=e.label))
+            for e in Catalog.default(max_order=200).entries]

@@ -177,6 +177,14 @@ def walk_cyclic_subgroups(group):
     return gen_bits, tuple((g, bits) for bits, g in seen.items()), rows
 
 
+def pair_row_self_cyclicizer_orders(group):
+    """Sorted orders of the cyclic subgroups <g> with Cyc(g) = <g>, read
+    from the group's pair rows."""
+    return tuple(sorted({group.elem_orders[g]
+                         for g, bits in group.cyclic_subgroups
+                         if group.pair_rows[g] == bits}))
+
+
 def naive_pair_cyclic(group, x, y):
     """<x, y> is cyclic iff it contains an element of full order."""
     sub = closure(group, [x, y])
@@ -847,6 +855,44 @@ def coset_union_loop(az, result):
                     reason="coset leaks outside the cyclicizer")
                 return
             rest &= ~coset
+
+
+def core_cyclic_loop(az, result):
+    """The cyc_core_cyclic check, testing each member y of each distinct
+    D = Cyc(x) with D <= Cyc(y), and the core's cyclicity by looking for a
+    member that generates all of it."""
+    g, ct = az.group, az.ctable
+    n = g.order
+    result.tested += 1
+    verdicts = {}
+    for x in range(n):
+        d_bits = ct.rows[x]
+        cached = verdicts.get(d_bits)
+        if cached is None:
+            core_bits = 0
+            rest = d_bits
+            while rest:
+                b = rest & -rest
+                if ct.rows[b.bit_length() - 1] & d_bits == d_bits:
+                    core_bits |= b
+                rest ^= b
+            rest = core_bits
+            ok = False
+            while rest and not ok:
+                b = rest & -rest
+                ok = g.generated_cyclic_bits(b.bit_length() - 1) == core_bits
+                rest ^= b
+            cached = (core_bits, ok)
+            verdicts[d_bits] = cached
+        core_bits, ok = cached
+        if not (core_bits >> x) & 1:
+            _ce(result, group=az.label, element=g.labels[x],
+                reason="core misses the element itself")
+            return
+        if not ok:
+            _ce(result, group=az.label, element=g.labels[x],
+                reason="core is not a cyclic subgroup")
+            return
 
 
 def loop_quotient(group, members):

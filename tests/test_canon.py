@@ -13,7 +13,6 @@ from noncyclic.canon import (are_isomorphic, canonical_form,
                              relabel_rows)
 from noncyclic.errors import InvalidParameter, Timeout, TooLarge
 from noncyclic.graph import _bit_rows, build_graph
-from noncyclic.harness import Catalog
 
 import oracles
 
@@ -308,7 +307,7 @@ def _partition(keys):
     return sorted(map(sorted, classes.values()))
 
 
-def test_catalog_certificates_are_labeling_invariant():
+def test_catalog_certificates_are_labeling_invariant(catalog_groups):
     # every non-cyclic graph of the default catalog, two relabelings each;
     # the base certificates and labelings are pinned by their SHA-256 in
     # catalog order, and the quotient certificates split the graphs into
@@ -317,8 +316,7 @@ def test_catalog_certificates_are_labeling_invariant():
     digest = hashlib.sha256()
     labelings = hashlib.sha256()
     certificates, matrices = [], []
-    for entry in Catalog.default(max_order=200).entries:
-        group = G.build(entry.spec)
+    for entry, group in catalog_groups:
         if G.is_cyclic_group(group):
             continue
         g = build_graph(group)

@@ -197,13 +197,12 @@ def test_quotient_s3xz5():
     assert sorted(quo.group.elem_orders) == [1, 2, 2, 2, 3, 3]
 
 
-def test_quotients_match_loop_oracle_on_catalog():
+def test_quotients_match_loop_oracle_on_catalog(catalog_groups):
     """The quotients that quotient_cyc_trivial forms, by a non-trivial Cyc(G)
     and by a proper non-trivial Z(G), equal the coset loop's, and each
     quotient table passes the exact group check."""
     formed = 0
-    for entry in Catalog.default(max_order=200).entries:
-        g = G.build(entry.spec, label=entry.label)
+    for entry, g in catalog_groups:
         cyc, z = cyclicizer_table(g).cyc_members(), G.center(g).members
         for members in ([cyc] if len(cyc) > 1 else []) + \
                 ([z] if 1 < len(z) < g.order else []):

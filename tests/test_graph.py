@@ -15,7 +15,6 @@ from noncyclic.graph import (InvariantReport, NonCyclicGraph,
                              diameter_info, distance, independence_info,
                              induced_rows, invariant_report,
                              multipartite_profile, omega_bound_info, to_dot)
-from noncyclic.harness import Catalog
 
 import oracles
 
@@ -319,12 +318,11 @@ def test_independence_witness_with_an_edge_is_rejected():
 
 
 @pytest.fixture(scope="module")
-def catalog_graphs():
+def catalog_graphs(catalog_groups):
     """(group, cyclicizer table, graph) of every non-cyclic catalog group
     of order at most 200."""
     out = []
-    for entry in Catalog.default(max_order=200).entries:
-        group = G.build(entry.spec, label=entry.label)
+    for _, group in catalog_groups:
         if not G.is_cyclic_group(group):
             table = cyclicizer_table(group)
             out.append((group, table, build_graph(group, table)))

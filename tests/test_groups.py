@@ -264,12 +264,10 @@ def test_build_makes_one_table_buffer(monkeypatch, spec):
     assert g.labels == want.labels
 
 
-def test_products_match_loop_oracle_on_catalog():
-    products = [e for e in Catalog.default(max_order=200).entries
-                if e.spec.kind == "product"]
+def test_products_match_loop_oracle_on_catalog(catalog_groups):
+    products = [(e, g) for e, g in catalog_groups if e.spec.kind == "product"]
     assert len(products) == 1614
-    for entry in products:
-        g = G.build(entry.spec, label=entry.label)
+    for entry, g in products:
         table, labels = oracles.loop_product(
             [G.build(c) for c in entry.spec.children])
         assert g.np_table().tolist() == table, entry.label

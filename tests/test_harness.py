@@ -182,6 +182,46 @@ def test_coset_union_matches_loop_oracle():
     assert reasons["cyclicizer does not project onto the quotient"] > 0
 
 
+def _core_doctored(az, rng):
+    """Copies of ``az`` whose cyclicizer rows stay a symmetric relation, as
+    real rows are (the check's core and the loop's agree only then): x loses
+    its own bit in Cyc(x), and a pair y, z in the core of some Cyc(x) is
+    cleared from both Cyc(y) and Cyc(z)."""
+    g, ct = az.group, az.ctable
+    missing = list(ct.rows)
+    x = rng.randrange(g.order)
+    missing[x] &= ~(1 << x)
+    split = list(ct.rows)
+    x = rng.randrange(1, g.order)   # its core holds x and the identity
+    d_bits = ct.rows[x]
+    core = [y for y in sorted(oracles.rows_to_sets([d_bits])[0])
+            if ct.rows[y] & d_bits == d_bits]
+    y, z = rng.sample(core, 2)
+    split[y] &= ~(1 << z)
+    split[z] &= ~(1 << y)
+    return [dataclasses.replace(az, ctable=dataclasses.replace(
+        ct, rows=tuple(rows))) for rows in (missing, split)]
+
+
+def test_core_cyclic_matches_loop_oracle():
+    """cyc_core_cyclic agrees with its loop oracle on every catalog group
+    and on doctored cyclicizer rows, and both failures occur."""
+    rng = random.Random(0xC0DE)
+    reasons = Counter()
+    for entry in Catalog.default(max_order=64).entries:
+        az = analyze_entry(entry)
+        cases = [az] + (_core_doctored(az, rng) if az.group.order > 1 else [])
+        for case in cases:
+            got = CheckResult("cyc_core_cyclic", "")
+            want = CheckResult("cyc_core_cyclic", "")
+            CHECKS["cyc_core_cyclic"].fn(case, got)
+            oracles.core_cyclic_loop(case, want)
+            assert got == want, entry.label
+            reasons.update(ce["reason"] for ce in got.counterexamples)
+    assert reasons["core misses the element itself"] > 0
+    assert reasons["core is not a cyclic subgroup"] > 0
+
+
 def test_catalog_from_file_respects_max_order(tmp_path):
     cat_file = tmp_path / "catalog.json"
     cat_file.write_text(json.dumps([
@@ -343,7 +383,7 @@ def _synthetic_profile(label, nilpotent=True,
     return GroupProfile(label, None, order=36, cyc_size=1,
                         is_nilpotent=nilpotent,
                         sylow_certificates=sylows if nilpotent else None,
-                        certificate=b"graph", cert_hash="graph")
+                        certificate=b"graph")
 
 
 def test_nilpotent_transfer_reports_each_mismatch():

@@ -66,7 +66,7 @@ def test_family_recognizers():
     assert structure.modular_parameters(build("D8")) == (2, 3)
 
 
-def test_family_recognizers_match_reference_loops():
+def test_family_recognizers_match_reference_loops(catalog_groups):
     recognizers = [
         (structure.dihedral_parameter, oracles.loop_dihedral_parameter),
         (structure.semidihedral_parameter,
@@ -76,8 +76,7 @@ def test_family_recognizers_match_reference_loops():
          oracles.loop_is_generalized_quaternion),
     ]
     hits = [0] * len(recognizers)
-    for entry in Catalog.default(max_order=200).entries:
-        g = G.build(entry.spec)
+    for entry, g in catalog_groups:
         for i, (fast, loop) in enumerate(recognizers):
             got = fast(g)
             assert got == loop(g), (entry.label, fast.__name__)
@@ -92,14 +91,14 @@ def test_homocyclic_recognition():
     assert structure.homocyclic_parameters(build("Z12")) is None
 
 
-def test_regular_family_q8_rule_matches_quaternion_recognizer():
+def test_regular_family_q8_rule_matches_quaternion_recognizer(
+        catalog_groups):
     """regular_family's involution count names Q8 exactly when the Sylow
     2-subgroup is generalized quaternion, on every nilpotent catalog entry
     of order <= 200 with a Sylow 2-subgroup of order 8, odd cofactor and
     cyclic odd Sylow subgroups (the entries where that rule decides)."""
     verdicts = set()
-    for entry in Catalog.default(max_order=200).entries:
-        g = G.build(entry.spec)
+    for entry, g in catalog_groups:
         if g.order % 16 != 8:
             continue
         dec = structure.sylow_decomposition(g)
@@ -148,3 +147,9 @@ def test_self_cyclicizer_orders():
     # their own subgroup only
     assert 4 in structure.self_cyclicizer_orders(build("Q8"))
     assert 8 in structure.self_cyclicizer_orders(build("D16"))
+
+
+def test_self_cyclicizer_orders_match_pair_row_oracle(catalog_groups):
+    for entry, g in catalog_groups:
+        assert structure.self_cyclicizer_orders(g) == \
+            oracles.pair_row_self_cyclicizer_orders(g), entry.label
