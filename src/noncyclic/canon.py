@@ -18,7 +18,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from hashlib import blake2b
 from itertools import accumulate
 from math import gcd, isnan, nan
 from typing import Optional, Sequence, Union
@@ -53,7 +52,6 @@ class CanonicalForm:
 
     vertex_count: int
     certificate: bytes
-    hash_hex: str        # 128-bit digest of the certificate
     # (k, nodes, leaves, automorphisms, backjumps) of the search on the
     # k-vertex twin quotient; not part of the form. automorphisms counts
     # those found at leaves and those guessed and verified at first-path
@@ -64,6 +62,13 @@ class CanonicalForm:
     # members in expansion order
     quotient_labeling: tuple = field(compare=False, repr=False)
     members: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def hash_hex(self) -> str:
+        """128-bit digest of the certificate."""
+        # imported here: only noncyc compare prints a digest
+        from hashlib import blake2b
+        return blake2b(self.certificate, digest_size=16).hexdigest()
 
     @cached_property
     def labeling(self) -> tuple:
@@ -466,9 +471,7 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
     cert = b"".join([n.to_bytes(8, "big"), k.to_bytes(8, "big"),
                      *(row.to_bytes(row_bytes, "big") for row in qmatrix),
                      *(_descriptor_bytes(descs[qv], width) for qv in lab_q)])
-    digest = blake2b(cert, digest_size=16).hexdigest()
-    return CanonicalForm(n, cert, digest, effort, rows, tuple(lab_q),
-                         members)
+    return CanonicalForm(n, cert, effort, rows, tuple(lab_q), members)
 
 
 def _descriptor_bytes(desc: tuple, width: int) -> bytes:
@@ -500,7 +503,7 @@ def bijection_from_forms(g1: Union[NonCyclicGraph, Sequence[int]],
                          ) -> Optional[list[tuple[int, int]]]:
     """are_isomorphic's answer for g1 and g2, from their canonical forms
     cf1 and cf2."""
-    if cf1.hash_hex != cf2.hash_hex or cf1.certificate != cf2.certificate:
+    if cf1.certificate != cf2.certificate:
         return None
     rows1, rows2 = _rows_of(g1), _rows_of(g2)
     inv2 = [0] * len(rows2)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import EmptySet, VerificationFailure
-from .groups import Group, Subgroup, prime_factorization
+from .groups import Group, Subgroup, maximal_generators, prime_factorization
 
 
 def bits_to_indices(bits: int) -> list[int]:
@@ -83,8 +83,8 @@ def cyclicizer_table(group: Group) -> CyclicizerTable:
     inter = (1 << group.order) - 1
     for r in rows:
         inter &= r
-    maximal = sorted((MaximalCyclic(g, bits)
-                      for g, bits in group.cyclic_subgroups if rows[g] == bits),
+    maximal = sorted((MaximalCyclic(g, group.generated_cyclic_bits(g))
+                      for g in maximal_generators(group)),
                      key=lambda mc: (-mc.size, mc.generator))
     table = CyclicizerTable(tuple(rows), inter, tuple(maximal))
     group._cyc_table = table
@@ -194,20 +194,44 @@ def central_cosets(group: Group, members) -> np.ndarray:
     return t[np.ix_(np.unique(t[:, members].min(axis=1)), members)]
 
 
+def check_central(group: Group, members: Iterable[int]) -> None:
+    """Raise VerificationFailure unless the sorted ``members`` are a central
+    subgroup: they hold the identity, are closed under multiplication and
+    commute with each of ``maximal_generators``, which generate G."""
+    members = list(members)
+    if 0 not in members:
+        raise VerificationFailure("central subgroup must contain the identity")
+    t = group.np_table()
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    rows = t[members]
+    # all of G is closed; any other set is tested on every product
+    if not inside.all() and not inside[rows[:, members]].all():
+        raise VerificationFailure("members are not a subgroup")
+    gens = maximal_generators(group)
+    if not (rows[:, gens] == t[gens][:, members].T).all():
+        raise VerificationFailure("subgroup is not central")
+
+
+def quotient_pair_matrix(rows: np.ndarray, row_of: np.ndarray,
+                         cosets: np.ndarray) -> np.ndarray:
+    """Pair-cyclicity matrix of G/N, coset i of ``cosets`` at index i, from
+    the cyclicizers of G: Cyc(x) is the boolean row rows[row_of[x]]. Every
+    cyclic subgroup of G/N is the image <gN> of a cyclic <g>, so <xN, yN>
+    is cyclic iff some x' in xN and y' in yN generate a cyclic subgroup:
+    entry [i, j] says whether coset j meets the union of the cyclicizers
+    of coset i's members, and row i is Cyc(xN)."""
+    meets = rows[:, cosets.T].any(axis=1)    # row r meets coset j
+    return meets[row_of[cosets]].any(axis=1)
+
+
 def quotient_by_central(group: Group, members: Iterable[int],
                         label: Optional[str] = None) -> Quotient:
     """Quotient by a central subgroup N, coset i of ``central_cosets`` at
     index i; N is checked exactly, so G/N is a group by construction."""
     mem = sorted(set(members))
-    if 0 not in mem:
-        raise VerificationFailure("central subgroup must contain the identity")
+    check_central(group, mem)
     t = group.np_table()
-    inside = np.zeros(group.order, dtype=bool)
-    inside[mem] = True
-    if not inside[t[np.ix_(mem, mem)]].all():
-        raise VerificationFailure("members are not a subgroup")
-    if not (t[mem] == t[:, mem].T).all():
-        raise VerificationFailure("subgroup is not central")
     cosets = central_cosets(group, mem)
     reps = cosets[:, 0].tolist()
     coset_of = np.empty(group.order, dtype=np.intp)

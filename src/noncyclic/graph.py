@@ -38,7 +38,11 @@ def _bit_matrix(rows: Sequence[int], n: Optional[int] = None) -> np.ndarray:
 
 def _bit_rows(matrix: np.ndarray) -> tuple:
     """Int bit rows of a boolean matrix; the inverse of _bit_matrix."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return _packed_rows(np.packbits(matrix, axis=1, bitorder="little"))
+
+
+def _packed_rows(packed: np.ndarray) -> tuple:
+    """Int bit rows of a matrix packed little-endian along axis 1."""
     # slices of one bytes object are cheaper than a view per numpy row
     data, width = packed.tobytes(), packed.shape[1]
     if not width:

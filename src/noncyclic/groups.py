@@ -214,7 +214,7 @@ class Group:
 
     __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
                  "inverses", "pair_rows", "_gen_bits", "cyclic_subgroups",
-                 "_cyc_table", "_sylow")
+                 "_cyc_table", "_sylow", "_center")
 
     def __init__(self, table, labels=None, label="G", validate=True):
         t = _as_table(table)
@@ -232,6 +232,7 @@ class Group:
         self._walk_cyclic_subgroups()
         self._cyc_table = None
         self._sylow = None
+        self._center = None
 
     def _walk_cyclic_subgroups(self) -> None:
         """Walk the powers [e, g, ..., g^(L-1)] of each g, in ascending
@@ -370,10 +371,24 @@ def mu(group: Group) -> tuple:
                         if not any(s != t and s % t == 0 for s in pe)))
 
 
+def maximal_generators(group: Group) -> list:
+    """The least generator of each maximal cyclic subgroup, that is of each
+    <g> with Cyc(g) = <g>, by ascending g. The maximal cyclic subgroups
+    cover G, so these elements generate it."""
+    return [g for g, bits in group.cyclic_subgroups
+            if group.pair_rows[g] == bits]
+
+
 def center(group: Group) -> Subgroup:
-    t = group.np_table()
-    mask = (t == t.T).all(axis=1)
-    return Subgroup(group, tuple(np.flatnonzero(mask).tolist()))
+    """Z(G): the elements that commute with each of
+    ``maximal_generators``, which generate G. The members are memoized on
+    the group; the subgroup is not, as it refers back to the group."""
+    if group._center is None:
+        t = group.np_table()
+        gens = maximal_generators(group)
+        mask = (t[:, gens] == t[gens].T).all(axis=1)
+        group._center = tuple(np.flatnonzero(mask).tolist())
+    return Subgroup(group, group._center)
 
 
 def is_cyclic_group(group: Group) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import combinations, product
@@ -28,12 +27,11 @@ import numpy as np
 
 from . import structure
 from .canon import canonical_form, check_goormaghtigh_condition
-from .cyclicizers import (CyclicizerTable, bits_to_indices, central_cosets,
-                          cyclicizer_table, is_tidy, quotient_by_central,
-                          quotient_by_cyclicizer)
+from .cyclicizers import (CyclicizerTable, central_cosets, check_central,
+                          cyclicizer_table, is_tidy, quotient_pair_matrix)
 from .errors import (Disconnected, NonCyclicError, OrderTooLarge, Timeout,
                      TooLarge, UnknownCheck, VerificationFailure)
-from .graph import (NonCyclicGraph, _bit_matrix, build_graph,
+from .graph import (NonCyclicGraph, _bit_matrix, _packed_rows, build_graph,
                     clique_and_chromatic, degree_kinds, diameter_info,
                     distance, independence_info, induced_rows,
                     omega_bound_info)
@@ -219,9 +217,26 @@ class AnalyzedGroup:
     def diameter(self):
         return diameter_info(self.graph)
 
-    @cached_property
+    @property
     def center(self) -> tuple:
         return center(self.group).members
+
+    @cached_property
+    def cyc_matrix(self) -> tuple:
+        """The cyclicizer bit matrix with each distinct row once: (rows,
+        row_of), where the boolean rows hold the distinct Cyc(x) by least
+        x and Cyc(x) is rows[row_of[x]]. The generators of one cyclic
+        subgroup share a row, so there are mostly far fewer rows than
+        elements."""
+        index: dict[int, int] = {}
+        row_of = np.array([index.setdefault(bits, len(index))
+                           for bits in self.ctable.rows])
+        return _bit_matrix(list(index), self.group.order), row_of
+
+    @cached_property
+    def cyc_cosets(self) -> np.ndarray:
+        """The cosets of Cyc(G), one per row (``central_cosets``)."""
+        return central_cosets(self.group, self.ctable.cyc_members())
 
 
 @dataclass
@@ -391,24 +406,25 @@ def _ce(result: CheckResult, **data) -> None:
            "cyclicizer, whose size therefore divides it", "group")
 def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
     g, ct = az.group, az.ctable
-    cyc = ct.cyc_members()
     result.tested += 1
-    if len(cyc) == 1:
+    if ct.cyc_size == 1:
         return
-    cosets = central_cosets(g, cyc)   # the rows partition G
-    inside = _bit_matrix(ct.rows)[:, cosets]   # is cosets[c, k] in Cyc(x)
-    leaks = inside.any(axis=2) & ~inside.all(axis=2)
-    indivisible = inside.sum(axis=(1, 2)) % len(cyc) != 0
-    bad = np.flatnonzero(indivisible | leaks.any(axis=1))
+    rows, row_of = az.cyc_matrix
+    cosets = az.cyc_cosets   # the rows partition G
+    inside = rows[:, cosets.T]   # [r, k, c]: is cosets[c, k] in row r
+    leaks = inside.any(axis=1) & ~inside.all(axis=1)
+    indivisible = np.count_nonzero(rows, axis=1) % ct.cyc_size != 0
+    bad = np.flatnonzero((indivisible | leaks.any(axis=1))[row_of])
     if not bad.size:
         return
     x = int(bad[0])
-    if indivisible[x]:
+    r = row_of[x]
+    if indivisible[r]:
         _ce(result, group=az.label, element=g.labels[x],
             reason="cyclicizer size not divisible by group cyclicizer")
         return
     # the least element of Cyc(x) whose coset leaks
-    y = int(cosets[leaks[x]][inside[x][leaks[x]]].min())
+    y = int(cosets[leaks[r]][inside[r].T[leaks[r]]].min())
     _ce(result, group=az.label, element=g.labels[x], coset_rep=g.labels[y],
         reason="coset leaks outside the cyclicizer")
 
@@ -417,28 +433,39 @@ def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
            "for D = Cyc(x), the simultaneous cyclicizer of D within D is a "
            "cyclic subgroup containing x", "group")
 def _check_core_cyclic(az: AnalyzedGroup, result: CheckResult):
-    g, ct = az.group, az.ctable
+    """The core of each distinct D = Cyc(x) (``_cyc_cores``) is
+    {y in D : D <= Cyc(y)}, as Cyc is a symmetric relation; x is scanned in
+    ascending order, as the failures are reported for the least x."""
+    g, n = az.group, az.group.order
     result.tested += 1
+    rows, row_of = az.cyc_matrix
+    cores = _cyc_cores(rows, row_of)
+    # a cyclic subgroup equal to a core is generated by one of its members
     cyclic = {bits for _, bits in g.cyclic_subgroups}
-    verdicts: dict[int, tuple] = {}
-    for x, d_bits in enumerate(ct.rows):
-        cached = verdicts.get(d_bits)
-        if cached is None:
-            # Cyc is a symmetric relation, so this is {y in D : D <= Cyc(y)};
-            # a cyclic subgroup equal to it is generated by one of its members
-            core_bits = d_bits
-            for w in bits_to_indices(d_bits):
-                core_bits &= ct.rows[w]
-            cached = verdicts[d_bits] = (core_bits, core_bits in cyclic)
-        core_bits, ok = cached
-        if not (core_bits >> x) & 1:
-            _ce(result, group=az.label, element=g.labels[x],
-                reason="core misses the element itself")
-            return
-        if not ok:
-            _ce(result, group=az.label, element=g.labels[x],
-                reason="core is not a cyclic subgroup")
-            return
+    ok = np.array([bits in cyclic for bits in _packed_rows(cores)])
+    xs = np.arange(n)
+    has_self = (cores[row_of, xs >> 3] >> (xs & 7) & 1).astype(bool)
+    bad = np.flatnonzero(~has_self | ~ok[row_of])
+    if bad.size:
+        x = int(bad[0])
+        _ce(result, group=az.label, element=g.labels[x],
+            reason="core is not a cyclic subgroup" if has_self[x]
+            else "core misses the element itself")
+
+
+def _cyc_cores(rows: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """D & AND(Cyc(w) for w in D) for each distinct row D of ``cyc_matrix``,
+    packed little-endian along axis 1. All come from one gather of the
+    packed rows, cut into one segment per D by ``bitwise_and.reduceat``."""
+    of_d, members = np.nonzero(rows)
+    # the packed rows, then an all-true row that closes the gather: the
+    # start of an empty trailing D indexes it and every earlier segment
+    # keeps its whole range; an empty D's segment is cleared by the AND
+    packed = np.packbits(np.vstack([rows, np.ones(rows.shape[1], dtype=bool)]),
+                         axis=1, bitorder="little")
+    return packed[:-1] & np.bitwise_and.reduceat(
+        packed[np.append(row_of[members], -1)],
+        np.searchsorted(of_d, np.arange(len(rows))), axis=0)
 
 
 @_register("pgroup_cyc_nontrivial",
@@ -460,27 +487,44 @@ def _check_pgroup_cyc(az: AnalyzedGroup, result: CheckResult):
            "maps element cyclicizers to coset cyclicizers; the central "
            "quotient also has trivial cyclicizer", "group")
 def _check_quotient(az: AnalyzedGroup, result: CheckResult):
+    """Reads each quotient's cyclicizers off G's, with no quotient group.
+    Every cyclic subgroup of G/N is the image <gN> of a cyclic <g>, so
+    <xN, yN> is cyclic iff some x' in xN and y' in yN generate a cyclic
+    subgroup, and Cyc(xN) is the image of the union of Cyc(x') over x' in
+    xN (``quotient_pair_matrix``). Cyc(G/N) is then trivial iff the
+    identity coset's column is the matrix's only all-true column. Each N is
+    first checked exactly to be a central subgroup."""
     g, ct = az.group, az.ctable
+    rows, row_of = az.cyc_matrix
     result.tested += 1
     if ct.cyc_size > 1:
-        quo = quotient_by_cyclicizer(g)
-        qct = cyclicizer_table(quo.group)
-        if qct.cyc_size != 1:
+        check_central(g, ct.cyc_members())
+        cosets = az.cyc_cosets
+        quo = quotient_pair_matrix(rows, row_of, cosets)
+        if not _cyc_trivial(quo):
             _ce(result, group=az.label,
                 reason="quotient by cyclicizer keeps non-trivial cyclicizer")
             return
-        cosets = central_cosets(g, ct.cyc_members())
-        image = _bit_matrix(ct.rows)[cosets[:, 0]][:, cosets].any(axis=2)
-        bad = np.flatnonzero((image != _bit_matrix(qct.rows)).any(axis=1))
+        image = rows[row_of[cosets[:, 0]]][:, cosets.T].any(axis=1)
+        bad = np.flatnonzero((image != quo).any(axis=1))
         if bad.size:
-            _ce(result, group=az.label, coset=quo.group.labels[bad[0]],
+            _ce(result, group=az.label,
+                coset=f"[{g.labels[cosets[bad[0], 0]]}]",
                 reason="cyclicizer does not project onto the quotient")
             return
-    if 1 < len(az.center) < g.order:
-        quo = quotient_by_central(g, az.center, label=f"{g.label}/Z")
-        if cyclicizer_table(quo.group).cyc_size != 1:
+    z = az.center
+    if 1 < len(z) < g.order:
+        check_central(g, z)
+        if not _cyc_trivial(quotient_pair_matrix(rows, row_of,
+                                                 central_cosets(g, z))):
             _ce(result, group=az.label,
                 reason="central quotient has non-trivial cyclicizer")
+
+
+def _cyc_trivial(pairs: np.ndarray) -> bool:
+    """Whether a group with this pair-cyclicity matrix, identity at index
+    0, has trivial cyclicizer: column 0 is its only all-true column."""
+    return np.flatnonzero(pairs.all(axis=0)).tolist() == [0]
 
 
 @_register("complete_iff_ea2",
@@ -1018,6 +1062,8 @@ def run_all(catalog: Catalog, jobs: int = 1,
                             want_certificate=bool(global_checks),
                             max_order=catalog.max_order)
         if jobs > 1:
+            # the pool's modules are imported only when it is used
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 entry_runs = list(pool.map(run_entry, catalog.entries,
                                            chunksize=8))

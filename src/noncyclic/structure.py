@@ -17,13 +17,13 @@ import numpy as np
 
 from .cyclicizers import cyclicizer_table
 from .errors import InvalidParameter
-from .groups import (Group, _presentation, dihedral, generalized_quaternion,
-                     modular_pgroup, prime_factorization, semidihedral)
+from .groups import (Group, _presentation, center, dihedral,
+                     generalized_quaternion, modular_pgroup,
+                     prime_factorization, semidihedral)
 
 
 def is_abelian(group: Group) -> bool:
-    t = group.np_table()
-    return bool((t == t.T).all())
+    return center(group).order == group.order
 
 
 def p_part(order: int, p: int) -> int:

@@ -185,6 +185,12 @@ def pair_row_self_cyclicizer_orders(group):
                          if group.pair_rows[g] == bits}))
 
 
+def transpose_center(group):
+    """Members of Z(G): the elements whose table row equals their column."""
+    t = group.np_table()
+    return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+
+
 def naive_pair_cyclic(group, x, y):
     """<x, y> is cyclic iff it contains an element of full order."""
     sub = closure(group, [x, y])

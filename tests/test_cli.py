@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import noncyclic
 from noncyclic import canon, cli
 from noncyclic.cli import main
 
@@ -172,3 +176,20 @@ def test_bad_cayley_entry_is_computation_error(capsys, tmp_path, body):
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] in ("NotAGroup",
                                                 "InvalidCayleyFile")
+
+
+@pytest.mark.parametrize("code", [
+    "import noncyclic",
+    "from noncyclic.cli import main; main(['verify', '--max-order', '16'])",
+])
+def test_no_process_pool_or_hashlib_without_need(code):
+    # the process pool's modules load only for --jobs > 1, and hashlib only
+    # for the digest that noncyc compare prints
+    probe = (f"import sys\n{code}\n"
+             "print([m for m in ('concurrent.futures', 'hashlib') "
+             "if m in sys.modules])")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(noncyclic.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from noncyclic import groups as G
-from noncyclic.cyclicizers import (cyclicizer, cyclicizer_of_set,
-                                   cyclicizer_table, is_tidy,
-                                   maximal_cyclic_subgroups, prime_graph,
-                                   quotient_by_central, quotient_by_cyclicizer)
+from noncyclic.cyclicizers import (central_cosets, cyclicizer,
+                                   cyclicizer_of_set, cyclicizer_table,
+                                   is_tidy, maximal_cyclic_subgroups,
+                                   prime_graph, quotient_by_central,
+                                   quotient_by_cyclicizer,
+                                   quotient_pair_matrix)
 from noncyclic.errors import EmptySet, VerificationFailure
+from noncyclic.graph import _bit_matrix, _bit_rows
 from noncyclic.harness import Catalog
 
 import oracles
@@ -186,6 +189,9 @@ def test_quotient_by_non_subgroup_raises():
     for expr in ("Z4", "Z2xZ4"):
         with pytest.raises(VerificationFailure, match="not a subgroup"):
             quotient_by_central(build(expr), [0, 1])
+    # two members cover it by their powers; only their product leaves it
+    with pytest.raises(VerificationFailure, match="not a subgroup"):
+        quotient_by_central(build("Z2xZ2"), [0, 1, 2])
 
 
 def test_quotient_s3xz5():
@@ -212,6 +218,25 @@ def test_quotients_match_loop_oracle_on_catalog(catalog_groups):
             assert np.array_equal(quo.group.np_table(), table), entry.label
             assert quo.group.labels == labels, entry.label
             quo.group.validate_full()
+            formed += 1
+    assert formed > 1000
+
+
+def test_quotient_pair_matrix_matches_quotient_groups(catalog_groups):
+    """The cyclicizer rows of G/N read off G's cyclicizer matrix and the
+    coset table equal those that the quotient group's own power walk
+    finds, for N a non-trivial Cyc(G) and a proper non-trivial Z(G)."""
+    formed = 0
+    for entry, g in catalog_groups:
+        cyc, z = cyclicizer_table(g).cyc_members(), G.center(g).members
+        matrix, row_of = _bit_matrix(g.pair_rows), np.arange(g.order)
+        for members in ([cyc] if len(cyc) > 1 else []) + \
+                ([z] if 1 < len(z) < g.order else []):
+            quo = quotient_by_central(g, members)
+            pairs = quotient_pair_matrix(matrix, row_of,
+                                         central_cosets(g, list(members)))
+            assert _bit_rows(pairs) == cyclicizer_table(quo.group).rows, \
+                entry.label
             formed += 1
     assert formed > 1000
 

@@ -6,6 +6,7 @@ import random
 import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import oracles
@@ -220,6 +221,59 @@ def test_core_cyclic_matches_loop_oracle():
             reasons.update(ce["reason"] for ce in got.counterexamples)
     assert reasons["core misses the element itself"] > 0
     assert reasons["core is not a cyclic subgroup"] > 0
+
+
+def test_cyc_cores_with_empty_rows():
+    """The packed cores equal D & AND(Cyc(w) for w in D) over Python ints on
+    random rows, among them empty rows in the middle and as the last row,
+    right after rows of two or more members."""
+    rng = np.random.default_rng(0xC0DE)
+    empty_last = 0
+    for case in range(400):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 8))
+        rows = rng.random((k, n)) < rng.random()
+        rows[rng.random(k) < 0.2] = False
+        if case % 2:
+            rows[-1] = False
+        row_of = rng.integers(0, k, size=n)
+        ints = graph._packed_rows(np.packbits(rows, axis=1,
+                                              bitorder="little"))
+        want = []
+        for d_bits in ints:
+            core = d_bits
+            for w in oracles.rows_to_sets([d_bits])[0]:
+                core &= ints[row_of[w]]
+            want.append(core)
+        got = graph._packed_rows(harness._cyc_cores(rows, row_of))
+        assert list(got) == want, case
+        empty_last += k > 1 and not rows[-1].any() and rows[-2].sum() > 1
+    assert empty_last > 50
+
+
+def test_quotient_check_builds_no_group(monkeypatch):
+    """quotient_cyc_trivial reads the quotients' cyclicizers off the
+    entry's cyclicizer matrix: it constructs no Group."""
+    entries = [analyze_entry(e) for e in Catalog.default(max_order=64).entries]
+    built = []
+    init = groups.Group.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("label"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Group, "__init__", counted_init)
+    quotients = 0
+    for az in entries:
+        result = CheckResult("quotient_cyc_trivial", "")
+        CHECKS["quotient_cyc_trivial"].fn(az, result)
+        assert result.passed and result.tested == 1, az.label
+        quotients += (az.ctable.cyc_size > 1) + (1 < len(az.center)
+                                                 < az.group.order)
+    assert not built
+    assert quotients > 100
+    groups.build(groups.parse_group_expr("Z2"))
+    assert built     # the patch sees a construction
 
 
 def test_catalog_from_file_respects_max_order(tmp_path):

@@ -18,6 +18,18 @@ def test_abelian_and_nilpotent():
     assert not structure.is_nilpotent(build("A4"))
 
 
+def test_center_and_abelian_match_transpose_oracle(catalog_groups):
+    # the centre from the maximal cyclic generators against the whole
+    # table compared with its transpose
+    groups = [g for _, g in catalog_groups]
+    groups += [build(expr) for expr in ("S5", "S6", "A5xZ2")]
+    for g in groups:
+        want = oracles.transpose_center(g)
+        assert G.center(g).members == want, g.label
+        assert structure.is_abelian(g) == (len(want) == g.order), g.label
+    assert G.center(groups[-1]).order == 2
+
+
 def test_sylow_members():
     g = build("Z6xS3")
     s2 = structure.sylow_members(g, 2)
