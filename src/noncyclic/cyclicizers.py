@@ -189,8 +189,11 @@ class Quotient:
 
 def central_cosets(group: Group, members) -> np.ndarray:
     """Cosets of the central subgroup with sorted ``members``, one per row
-    in ascending order of smallest element; that element is column 0."""
+    in ascending order of smallest element; that element is column 0. For
+    N = G, the one coset is returned without reading the table."""
     t = group.np_table()
+    if len(members) == group.order:
+        return np.array([members], dtype=t.dtype)
     return t[np.ix_(np.unique(t[:, members].min(axis=1)), members)]
 
 
@@ -234,7 +237,7 @@ def quotient_by_central(group: Group, members: Iterable[int],
     t = group.np_table()
     cosets = central_cosets(group, mem)
     reps = cosets[:, 0].tolist()
-    coset_of = np.empty(group.order, dtype=np.intp)
+    coset_of = np.empty(group.order, dtype=np.intc)
     coset_of[cosets] = np.arange(len(reps))[:, None]
     labels = [f"[{group.labels[r]}]" for r in reps]
     q = Group(coset_of[t[np.ix_(reps, reps)]], labels=labels,

@@ -325,9 +325,12 @@ class IndependenceInfo:
     mismatch: bool
 
 
+_BRUTE_CAP = 64
+
+
 def independence_info(graph: NonCyclicGraph,
-                      ctable: Optional[CyclicizerTable] = None,
-                      brute_cap: int = 64) -> IndependenceInfo:
+                      ctable: Optional[CyclicizerTable] = None
+                      ) -> IndependenceInfo:
     """Independence number: closed form (largest element order minus the
     group cyclicizer size) plus an exact cross-check for small graphs.
 
@@ -352,7 +355,7 @@ def independence_info(graph: NonCyclicGraph,
         raise VerificationFailure("independence witness has an edge")
     brute = None
     nv = graph.n_vertices
-    if nv <= brute_cap:
+    if nv <= _BRUTE_CAP:
         full = (1 << nv) - 1
         comp = [(~adj[i]) & full & ~(1 << i) for i in range(nv)]
         brute, bset = _max_clique_bits(comp, nv)

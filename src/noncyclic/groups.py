@@ -1,8 +1,8 @@
 """Finite groups as identity-rooted Cayley tables, with named constructors.
 
-Elements are indices 0..n-1 and index 0 is always the identity. The table is
-stored flat, row major: ``t[i*n + j]`` is the index of g_i * g_j. A Group is
-fully built and immutable when its constructor returns.
+Elements are indices 0..n-1 and index 0 is always the identity; entry [i, j]
+of the n x n table is the index of g_i * g_j. A Group is fully built and
+immutable when its constructor returns.
 """
 
 from __future__ import annotations
@@ -10,13 +10,11 @@ from __future__ import annotations
 import os
 import re
 import stat
-from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice, product as iter_product
 from math import factorial, gcd
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,31 +78,11 @@ def _row_blocks(n: int, row_bytes: int) -> Iterator[slice]:
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _table_buffer(n: int) -> np.ndarray:
-    """A writable n x n intc view of a new zeroed ``array('i')``, which is
-    the view's ``base``."""
-    return np.ndarray((n, n), dtype=np.intc, buffer=array("i", [0]) * (n * n))
-
-
-def _scratch_table(n: int) -> np.ndarray:
-    """An uninitialised n x n intc array, for a table no Group keeps."""
-    return np.empty((n, n), dtype=np.intc)
-
-
-class _Handover(NamedTuple):
-    """A table whose buffer a new Group keeps rather than copies: a
-    ``_table_buffer`` view (or a group's ``np_table``) that only this
-    module's builders and loader have written."""
-
-    table: np.ndarray
-
-
-def _as_table(table) -> np.ndarray:
+def _as_table(table, keep: bool = False) -> np.ndarray:
     """``table`` checked to be a non-empty square integer matrix with
-    entries in 0..n-1: the handed-over table itself, or a copy in a new
-    ``_table_buffer``."""
-    kept = isinstance(table, _Handover)
-    t = np.asarray(table.table if kept else table)
+    entries in 0..n-1, as a C-contiguous intc array: a copy, unless
+    ``keep`` and the table already is one."""
+    t = np.asarray(table)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise NotAGroup("table must be a non-empty square matrix")
     n = int(t.shape[0])
@@ -112,11 +90,8 @@ def _as_table(table) -> np.ndarray:
         raise NotAGroup(f"table entries must be integers, not {t.dtype}")
     if int(t.min()) < 0 or int(t.max()) >= n:
         raise NotAGroup("table entries out of range")
-    if kept:
-        return t
-    out = _table_buffer(n)
-    out[...] = t
-    return out
+    return (np.ascontiguousarray(t, dtype=np.intc) if keep
+            else t.astype(np.intc, order="C"))
 
 
 def _validate_structure(t: np.ndarray) -> None:
@@ -199,25 +174,23 @@ class Group:
     ascending generator. Row x of ``pair_rows`` has bit y set iff <x, y> is
     cyclic, i.e. x and y lie in a common cyclic subgroup: it is Cyc(x).
 
-    The table is checked exactly unless ``validate`` is False. Three
-    callers pass False: ``build``, whose tables ``_table`` has validated
-    (metacyclic tables, Cayley files) or built as groups (cyclic,
-    permutation and product tables), ``from_cayley_file``, whose table
-    ``_read_cayley_file`` has validated, and ``quotient_by_central``, whose
-    quotient tables are groups by construction.
-
-    A group keeps its table in one buffer, the ``array('i')`` ``_flat``.
-    ``build`` and ``from_cayley_file`` write their tables straight into one
-    and hand it over (``_Handover``); any other table is copied into a new
-    one.
+    A group keeps its table as one read-only C-contiguous intc array, which
+    ``np_table`` returns. A table passed in is range-checked, copied and
+    checked exactly. ``validate=False`` hands over a new table instead: the
+    group keeps that array itself, range-checked only. Three callers pass
+    False: ``build``, whose tables ``_table`` has validated (metacyclic
+    tables, Cayley files) or built as groups (cyclic, permutation and
+    product tables), ``from_cayley_file``, whose table ``_read_cayley_file``
+    has validated, and ``quotient_by_central``, whose quotient tables are
+    groups by construction.
     """
 
-    __slots__ = ("order", "label", "labels", "_flat", "elem_orders",
+    __slots__ = ("order", "label", "labels", "_table", "elem_orders",
                  "inverses", "pair_rows", "_gen_bits", "cyclic_subgroups",
                  "_cyc_table", "_sylow", "_center")
 
     def __init__(self, table, labels=None, label="G", validate=True):
-        t = _as_table(table)
+        t = _as_table(table, keep=not validate)
         n = t.shape[0]
         if labels is None:
             labels = [f"e{i}" for i in range(n)]
@@ -228,11 +201,23 @@ class Group:
         self.order = n
         self.label = label
         self.labels = tuple(str(x) for x in labels)
-        self._flat = t.base
+        t.flags.writeable = False
+        self._table = t
         self._walk_cyclic_subgroups()
         self._cyc_table = None
         self._sylow = None
         self._center = None
+
+    def __setstate__(self, state):
+        # (None, slots), the default state; the table unpickles writeable
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._table.flags.writeable = False
+
+    @property
+    def _flat(self) -> memoryview:
+        """The table flat, row major, for Python loops: items are ints."""
+        return memoryview(self._table.reshape(-1))
 
     def _walk_cyclic_subgroups(self) -> None:
         """Walk the powers [e, g, ..., g^(L-1)] of each g, in ascending
@@ -275,22 +260,18 @@ class Group:
     # -- basic queries ----------------------------------------------------
 
     def mult(self, i: int, j: int) -> int:
-        return self._flat[i * self.order + j]
+        return self._table.item(i, j)
 
     def np_table(self) -> np.ndarray:
-        """The table as a read-only n x n view of ``_flat``: orders,
-        inverses and cyclic subgroups were computed from it, and other
-        groups may share the buffer."""
-        n = self.order
-        return np.ndarray((n, n), dtype=np.intc,
-                          buffer=memoryview(self._flat).toreadonly())
+        """The table, read-only: the group's other data are computed from it."""
+        return self._table
 
     def elements(self) -> range:
         return range(self.order)
 
     def validate_full(self) -> None:
         """Re-run the exact group-axiom check that construction runs."""
-        _validate_structure(self.np_table())
+        _validate_structure(self._table)
 
     def generated_cyclic_bits(self, x: int) -> int:
         """Member bitset of <x>."""
@@ -573,26 +554,22 @@ def _presentation(kind: str, params: tuple) -> tuple[int, int, int, int]:
     return m, prime, pow(r, -1, m), 0
 
 
-def _metacyclic_table(m: int, p: int, u: int, s: int,
-                      alloc: Callable[[int], np.ndarray]) -> np.ndarray:
+def _metacyclic_table(m: int, p: int, u: int, s: int) -> np.ndarray:
     """<a, x | a^m = 1, x^p = a^s, x a x^-1 = a^u>, with a^i x^j at index
-    j*m + i: (a^i x^j)(a^k x^l) = a^(i + k*u^j + s*[j+l >= p]) x^((j+l) % p),
-    written into ``alloc(m * p)``. The parameters are not checked to present
-    a group of order m*p."""
+    j*m + i: (a^i x^j)(a^k x^l) = a^(i + k*u^j + s*[j+l >= p]) x^((j+l) % p).
+    The parameters are not checked to present a group of order m*p."""
     j, i = np.divmod(np.arange(m * p, dtype=np.int64), m)
     upow = np.array([pow(u, e, m) for e in range(p)], dtype=np.int64)
     jl = j[:, None] + j[None, :]
     a = (i[:, None] + upow[j][:, None] * i[None, :] + s * (jl >= p)) % m
-    t = alloc(m * p)
-    np.add((jl % p) * m, a, out=t)
-    return t
+    return np.add((jl % p) * m, a, dtype=np.intc)
 
 
 @cache
 def _check_presentation(m: int, p: int, u: int, s: int) -> None:
     """Raise NotAGroup unless (m, p, u, s) presents a group of order m*p.
     Cached, as the table depends on them alone; failures are not."""
-    _validate_structure(_metacyclic_table(m, p, u, s, _scratch_table))
+    _validate_structure(_metacyclic_table(m, p, u, s))
 
 
 def _words(m: int, p: int, a: str, x: str,
@@ -624,18 +601,16 @@ def _perm_label(p: tuple) -> str:
     return "".join(cycles) or "e"
 
 
-def _perm_table(perms: list[tuple], gens: Sequence[tuple],
-                alloc: Callable[[int], np.ndarray]) -> np.ndarray:
+def _perm_table(perms: list[tuple], gens: Sequence[tuple]) -> np.ndarray:
     """The table of ``perms`` (identity first) under (a*b)(x) = a(b(x)),
-    written into ``alloc(len(perms))``, given generators of the group they
-    form. If b = g*c for a generator g then b*a = g*(c*a), so row b is row
-    c gathered through left multiplication by g; a walk from the identity
-    row fills the rest."""
+    given generators of the group they form. If b = g*c for a generator g
+    then b*a = g*(c*a), so row b is row c gathered through left
+    multiplication by g; a walk from the identity row fills the rest."""
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
     left = [np.fromiter((index[tuple(g[x] for x in p)] for p in perms),
                         dtype=np.intc, count=n) for g in gens]
-    table = alloc(n)
+    table = np.empty((n, n), dtype=np.intc)
     table[0] = np.arange(n)
     done = bytearray(n)
     done[0] = 1
@@ -676,52 +651,41 @@ def _perm_closure(degree: int, gens: Sequence[tuple]) -> list[tuple]:
     return ordered
 
 
-def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]],
-                   alloc: Callable[[int], np.ndarray]
+def _product_table(factors: list[tuple[np.ndarray, Sequence[str]]]
                    ) -> tuple[np.ndarray, list[str]]:
     """Table and labels of the direct product of the (table, labels)
-    factors, in mixed radix with the leftmost factor most significant. The
-    table is written into ``alloc(order)``, the intermediate products into
-    scratch arrays."""
+    factors, in mixed radix with the leftmost factor most significant."""
     acc = factors[0][0]
-    for step, (t2, _) in enumerate(factors[1:], 2):
+    for t2, _ in factors[1:]:
         n1, n2 = acc.shape[0], t2.shape[0]
-        out = (alloc if step == len(factors) else _scratch_table)(n1 * n2)
+        out = np.empty((n1 * n2, n1 * n2), dtype=np.intc)
         np.add(acc[:, None, :, None] * n2, t2[None, :, None, :],
                out=out.reshape(n1, n2, n1, n2))
         acc = out
-    if len(factors) == 1:
-        acc = alloc(acc.shape[0])
-        acc[...] = factors[0][0]
     labels = ["(" + ",".join(parts) + ")"
               for parts in iter_product(*(labels for _, labels in factors))]
     return acc, labels
 
 
-def _table(spec: GroupSpec, alloc: Callable[[int], np.ndarray],
-           max_order: Optional[int] = None
+def _table(spec: GroupSpec, max_order: Optional[int] = None
            ) -> tuple[np.ndarray, Sequence[str]]:
-    """The Cayley table, written into ``alloc(order)`` (a Cayley file's
-    into a table buffer of its own), and the element labels of the group
-    ``spec`` describes. A product's factor tables are written into scratch
-    arrays, so a build makes one ``_table_buffer``, the one its Group
-    keeps. Metacyclic presentations are validated by
-    ``_check_presentation`` and Cayley files by ``_read_cayley_file``;
-    cyclic, permutation and product tables (products of tables made here)
-    are groups by construction. A permutation closure larger than
+    """A new C-contiguous intc Cayley table, which ``build`` hands over to
+    its Group, and the element labels of the group ``spec`` describes.
+    Metacyclic presentations are validated by ``_check_presentation`` and
+    Cayley files by ``_read_cayley_file``; cyclic, permutation and product
+    tables are groups by construction. A permutation closure larger than
     ``max_order`` raises OrderTooLarge before its table is built."""
     k, p = spec.kind, spec.params
     if k == "cyclic":
         n = p[0]
         idx = np.arange(n, dtype=np.intc)
-        t = alloc(n)
-        np.add(idx[:, None], idx[None, :], out=t)
+        t = np.add.outer(idx, idx)
         np.remainder(t, n, out=t)
         return t, [str(i) for i in range(n)]
     if k in ("dihedral", "quaternion", "modular", "semidihedral"):
         m, prime, u, s = _presentation(k, p)
         _check_presentation(m, prime, u, s)
-        t = _metacyclic_table(m, prime, u, s, alloc)
+        t = _metacyclic_table(m, prime, u, s)
         words = (_words(m, 2, "r", "s", x_first=True) if k == "dihedral"
                  else _words(m, prime, "a", "b" if k == "quaternion" else "x"))
         return t, words
@@ -733,11 +697,10 @@ def _table(spec: GroupSpec, alloc: Callable[[int], np.ndarray],
         _check_order(len(perms), max_order)
         if k != "perm":
             perms.sort()
-        return (_perm_table(perms, gens, alloc),
+        return (_perm_table(perms, gens),
                 [_perm_label(x) for x in perms])
     if k == "product":
-        return _product_table(
-            [_table(c, _scratch_table) for c in spec.children], alloc)
+        return _product_table([_table(c) for c in spec.children])
     if k == "cayley":
         return _read_cayley_file(p[0])
     raise InvalidParameter(f"unknown spec kind {k!r}")
@@ -759,8 +722,8 @@ def build(spec: GroupSpec, *, label: Optional[str] = None,
     if spec.kind == "cayley":
         return from_cayley_file(spec.params[0],
                                 label=spec.name if label is None else label)
-    table, labels = _table(spec, _table_buffer, max_order)
-    return Group(_Handover(table), labels=labels,
+    table, labels = _table(spec, max_order)
+    return Group(table, labels=labels,
                  label=spec.label() if label is None else label,
                  validate=False)
 
@@ -796,16 +759,16 @@ def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
     """Read and validate a Cayley-table file; ``label`` defaults to the
     file's basename."""
     table, labels = _read_cayley_file(path)
-    return Group(_Handover(table), labels=labels, validate=False,
+    return Group(table, labels=labels, validate=False,
                  label=os.path.basename(path) if label is None else label)
 
 
 def _read_cayley_file(path: str) -> tuple[np.ndarray, list]:
-    """The validated table buffer and the element labels (``e0``, ``e1``,
-    ... when the file has none) of a Cayley-table file.
+    """The validated table and the element labels (``e0``, ``e1``, ...
+    when the file has none) of a Cayley-table file.
 
     The lines are read lazily and parsed in blocks of rows straight into
-    the buffer a Group keeps, so the load takes the table plus
+    the table a Group keeps, so the load takes the table plus
     O(block * n), with blocks sized by ``_BLOCK_BYTES``. A file that is not
     a regular file, is too short to hold n rows of n entries, or fails a
     check in some block is read again and parsed whole: its error is the
@@ -849,7 +812,7 @@ def _cayley_order(first: Optional[str]) -> int:
 
 
 def _whole_body(lines: list[str], n: int) -> tuple[np.ndarray, Optional[list]]:
-    """The table buffer and labels from ``lines``, the non-empty lines after
+    """A new table and the labels from ``lines``, the non-empty lines after
     the order line, parsed as one body. Its checks, in this order, decide
     every error a Cayley file raises."""
     if len(lines) == n:
@@ -876,7 +839,7 @@ def _whole_body(lines: list[str], n: int) -> tuple[np.ndarray, Optional[list]]:
 def _stream_body(lines: Iterator[str], n: int
                  ) -> Optional[tuple[np.ndarray, Optional[list]]]:
     """What ``_whole_body`` returns, parsed in blocks of rows straight into
-    a new table buffer; None at the first check that fails.
+    a new table; None at the first check that fails.
 
     Line 2 is the label line or row 0, which only the line count tells.
     The rows after it fill the table from row 0, as in a labelled file; an
@@ -885,7 +848,7 @@ def _stream_body(lines: Iterator[str], n: int
     second = next(lines, None)
     if second is None:
         return None
-    t = _table_buffer(n)
+    t = np.empty((n, n), dtype=np.intc)
     step = _block_rows(n * 8)
     done = 0
     while block := list(islice(lines, step)):

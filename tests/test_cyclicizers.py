@@ -241,6 +241,21 @@ def test_quotient_pair_matrix_matches_quotient_groups(catalog_groups):
     assert formed > 1000
 
 
+def test_central_cosets_of_a_cyclic_group(catalog_groups):
+    """Cyc(G) = G for a cyclic group, whose one coset is returned without
+    the general gather; the result is the gather's."""
+    cyclic = [(e, g) for e, g in catalog_groups if G.is_cyclic_group(g)]
+    assert len(cyclic) >= 200
+    for entry, g in cyclic:
+        m = cyclicizer_table(g).cyc_members()
+        assert m == tuple(range(g.order)), entry.label
+        t = g.np_table()
+        want = t[np.ix_(np.unique(t[:, m].min(axis=1)), m)]
+        got = central_cosets(g, m)
+        assert got.dtype == want.dtype and np.array_equal(got, want), \
+            entry.label
+
+
 def test_table_json_shape():
     table = cyclicizer_table(build("Q8"))
     doc = table.to_json_dict()

@@ -247,19 +247,19 @@ def test_build_constructs_one_group(monkeypatch, expr):
     G.parse_group_expr("perm:4:(1 2 3),(1 2)(3 4)"),
 ], ids=lambda spec: spec.label())
 def test_build_makes_one_table_buffer(monkeypatch, spec):
-    # factor tables and intermediate products are scratch arrays: the one
-    # table buffer a build makes is the one its Group keeps
+    # the group keeps the table that the outermost _table call returns (it
+    # returns last, after its factors' calls) itself, not a copy of it
     made = []
-    real = G._table_buffer
+    real = G._table
 
-    def counted(n):
-        made.append(real(n))
+    def recorded(spec, max_order=None):
+        made.append(real(spec, max_order))
         return made[-1]
 
     want = G.build(spec)
-    monkeypatch.setattr(G, "_table_buffer", counted)
+    monkeypatch.setattr(G, "_table", recorded)
     g = G.build(spec)
-    assert len(made) == 1 and g._flat is made[0].base
+    assert g.np_table() is made[-1][0]
     assert g.np_table().tolist() == want.np_table().tolist()
     assert g.labels == want.labels
 
@@ -561,6 +561,24 @@ def test_loaded_group_pickles(tmp_path):
                  "pair_rows", "cyclic_subgroups"):
         assert getattr(back, attr) == getattr(g, attr), attr
     assert back.np_table().tolist() == g.np_table().tolist()
+    assert back.mult(7, 11) == g.mult(7, 11)
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_unpickled_group_keeps_a_read_only_table(tmp_path, loaded):
+    g = build("S4xZ5")
+    if loaded:
+        path = tmp_path / "g.cayley"
+        G.to_cayley_file(g, str(path))
+        g = G.from_cayley_file(str(path))
+    back = pickle.loads(pickle.dumps(g))
+    assert back.np_table().dtype == np.intc
+    assert np.array_equal(back.np_table(), g.np_table())
+    for h in (g, back):
+        with pytest.raises(ValueError):
+            h.np_table()[0, 1] = 0
+        assert type(h.mult(7, 11)) is int
+        assert h._flat.readonly
     assert back.mult(7, 11) == g.mult(7, 11)
 
 
