@@ -68,3 +68,6 @@ class OrderTooLarge(TooLarge):
 
 class UnknownCheck(NonCyclicError, KeyError):
     """No check is registered under the requested name."""
+
+    # KeyError's str() is the repr of its key; the message reads plain
+    __str__ = Exception.__str__

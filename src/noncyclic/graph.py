@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence
@@ -426,14 +426,6 @@ def omega_bound_info(group: Group,
 # Reports
 
 
-REPORT_FIELDS = (
-    "label", "order", "cyc_size", "vertex_count", "degree_multiset",
-    "kind_degrees", "is_regular", "is_connected", "diameter",
-    "clique_number", "chromatic_number", "s", "independence_number",
-    "multipartite_profile", "prime_graph_components",
-)
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     label: str
@@ -453,13 +445,8 @@ class InvariantReport:
     prime_graph_components: int
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for name in REPORT_FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, tuple):
-                val = [list(v) if isinstance(v, tuple) else v for v in val]
-            out[name] = val
-        return out
+        return {name: _json_value(getattr(self, name))
+                for name in REPORT_FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -472,16 +459,24 @@ class InvariantReport:
         cells = []
         for name in REPORT_FIELDS:
             val = getattr(self, name)
-            if isinstance(val, tuple) or val is None or isinstance(val, bool):
-                if isinstance(val, tuple):
-                    val = [list(v) if isinstance(v, tuple) else v for v in val]
-                cell = json.dumps(val)
+            if isinstance(val, (tuple, bool)) or val is None:
+                cell = json.dumps(_json_value(val))
             else:
                 cell = str(val)
             if "," in cell:
                 cell = '"' + cell.replace('"', '""') + '"'
             cells.append(cell)
         return ",".join(cells)
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(InvariantReport))
+
+
+def _json_value(val):
+    """``val`` with a tuple, and each tuple in it, made a list."""
+    if isinstance(val, tuple):
+        return [list(v) if isinstance(v, tuple) else v for v in val]
+    return val
 
 
 def invariant_report(group: Group,

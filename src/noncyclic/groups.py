@@ -390,47 +390,20 @@ class GroupSpec:
     name: Optional[str] = None
 
     def label(self) -> str:
+        """The spec's name, else its family's label format filled with its
+        params, its factors' labels joined with x for a product, or its
+        kind when no family has it."""
         if self.name is not None:
             return self.name
-        k, p = self.kind, self.params
-        if k == "cyclic":
-            return f"Z{p[0]}"
-        if k == "dihedral":
-            return f"D{p[0]}"
-        if k == "quaternion":
-            return f"Q{p[0]}"
-        if k == "modular":
-            return f"G({p[0]},{p[1]})"
-        if k == "semidihedral":
-            return f"H({p[0]})"
-        if k == "symmetric":
-            return f"S{p[0]}"
-        if k == "alternating":
-            return f"A{p[0]}"
-        if k == "product":
+        if self.kind == "product":
             return "x".join(c.label() for c in self.children)
-        if k == "cayley":
-            return f"cayley:{p[0]}"
-        if k == "perm":
-            return f"perm:{p[0]}"
-        return self.kind
+        family = _FAMILIES.get(self.kind)
+        return self.kind if family is None else family[0].format(*self.params)
 
     def order(self) -> Optional[int]:
-        """Group order when it is determined by the spec alone."""
-        k, p = self.kind, self.params
-        if k == "cyclic":
-            return p[0]
-        if k in ("dihedral", "quaternion"):
-            return p[0]
-        if k == "modular":
-            return p[0] ** p[1]
-        if k == "semidihedral":
-            return 2 ** p[0]
-        if k == "symmetric":
-            return factorial(p[0])
-        if k == "alternating":
-            return factorial(p[0]) // 2
-        if k == "product":
+        """Group order when it is determined by the spec alone: by its
+        family's order rule, or the product of its factors' orders."""
+        if self.kind == "product":
             out = 1
             for c in self.children:
                 o = c.order()
@@ -438,7 +411,10 @@ class GroupSpec:
                     return None
                 out *= o
             return out
-        return None
+        family = _FAMILIES.get(self.kind)
+        if family is None or family[1] is None:
+            return None
+        return family[1](*self.params)
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -502,7 +478,7 @@ def elementary_abelian(p: int, k: int) -> GroupSpec:
         raise InvalidParameter(f"{p} is not prime")
     if k < 1:
         raise InvalidParameter("need k >= 1")
-    return direct_product([cyclic(p)] * k, name=f"EA({p},{k})")
+    return direct_product([cyclic(p)] * k, name=_EA.format(p, k))
 
 
 def cyclic_times_p(p: int, n: int) -> GroupSpec:
@@ -512,7 +488,7 @@ def cyclic_times_p(p: int, n: int) -> GroupSpec:
     if n < 2:
         raise InvalidParameter("need n >= 2")
     return direct_product([cyclic(p ** (n - 1)), cyclic(p)],
-                          name=f"K({p},{n})")
+                          name=_K.format(p, n))
 
 
 def abelian(factors: Sequence[int]) -> GroupSpec:
@@ -534,6 +510,26 @@ def perm_group(degree: int, gens: Sequence[tuple]) -> GroupSpec:
         if sorted(g) != list(range(degree)):
             raise InvalidParameter(f"not a permutation of 0..{degree-1}: {g}")
     return GroupSpec("perm", (degree, gens))
+
+
+# Each family once: spec kind -> (label format, order from the params or
+# None when only the build tells it, constructor of the expression-language
+# atom the format spells, or None when the parser reads a prefix). Each {}
+# of a format is one integer param of the atom; params past the last {}
+# (a permutation group's generators) stay out of the label. The elementary
+# abelian and K(p,n) products are named by _EA and _K.
+_FAMILIES = {
+    "cyclic": ("Z{}", lambda n: n, cyclic),
+    "dihedral": ("D{}", lambda n: n, dihedral),
+    "quaternion": ("Q{}", lambda n: n, generalized_quaternion),
+    "modular": ("G({},{})", pow, modular_pgroup),
+    "semidihedral": ("H({})", lambda m: 2 ** m, semidihedral),
+    "symmetric": ("S{}", factorial, symmetric),
+    "alternating": ("A{}", lambda n: factorial(n) // 2, alternating),
+    "cayley": ("cayley:{}", None, None),
+    "perm": ("perm:{}", None, None),
+}
+_EA, _K = "EA({},{})", "K({},{})"
 
 
 # ---------------------------------------------------------------------------
@@ -910,19 +906,12 @@ def to_cayley_file(group: Group, path: str) -> None:
 # Atoms: Z4, D8, Q16, S5, A5, G(3,3), H(4), EA(2,3), K(3,3), cayley:PATH,
 # perm:DEG:(1 2),(1 2 3). Products join atoms with the letter x.
 
+# An atom is a family's label format with each {} an integer param.
 _ATOM_PATTERNS = [
-    (re.compile(r"^Z(\d+)$"), lambda m: cyclic(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m: dihedral(int(m.group(1)))),
-    (re.compile(r"^Q(\d+)$"), lambda m: generalized_quaternion(int(m.group(1)))),
-    (re.compile(r"^S(\d+)$"), lambda m: symmetric(int(m.group(1)))),
-    (re.compile(r"^A(\d+)$"), lambda m: alternating(int(m.group(1)))),
-    (re.compile(r"^G\((\d+),(\d+)\)$"),
-     lambda m: modular_pgroup(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^H\((\d+)\)$"), lambda m: semidihedral(int(m.group(1)))),
-    (re.compile(r"^EA\((\d+),(\d+)\)$"),
-     lambda m: elementary_abelian(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^K\((\d+),(\d+)\)$"),
-     lambda m: cyclic_times_p(int(m.group(1)), int(m.group(2)))),
+    (re.compile(re.escape(fmt).replace(r"\{\}", r"(\d+)") + "$"), make)
+    for fmt, _, make in [*_FAMILIES.values(), (_EA, None, elementary_abelian),
+                         (_K, None, cyclic_times_p)]
+    if make is not None
 ]
 
 
@@ -952,7 +941,7 @@ def _parse_atom(text: str) -> GroupSpec:
     for pattern, make in _ATOM_PATTERNS:
         m = pattern.match(text)
         if m:
-            return make(m)
+            return make(*map(int, m.groups()))
     raise ParseError(f"unrecognized group expression atom: {text!r}")
 
 

@@ -18,7 +18,7 @@ import json
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, product
 from math import gcd
 from typing import Callable, Optional
@@ -29,17 +29,16 @@ from . import structure
 from .canon import canonical_form, check_goormaghtigh_condition
 from .cyclicizers import (CyclicizerTable, central_cosets, check_central,
                           cyclicizer_table, is_tidy, quotient_pair_matrix)
-from .errors import (Disconnected, NonCyclicError, OrderTooLarge, Timeout,
-                     TooLarge, UnknownCheck, VerificationFailure)
+from .errors import (Disconnected, NonCyclicError, OrderTooLarge, ParseError,
+                     Timeout, TooLarge, UnknownCheck, VerificationFailure)
 from .graph import (NonCyclicGraph, _bit_matrix, _packed_rows, build_graph,
                     clique_and_chromatic, degree_kinds, diameter_info,
                     distance, independence_info, induced_rows,
                     omega_bound_info)
-from .groups import (Group, GroupSpec, build, center, cyclic,
-                     dihedral, direct_product, generalized_quaternion,
+from .groups import (Group, GroupSpec, abelian, alternating, build, center,
+                     cyclic, dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
-                     pi_e, prime_factorization, semidihedral, symmetric,
-                     alternating)
+                     pi_e, prime_factorization, semidihedral, symmetric)
 
 MAX_REPORTED = 10
 
@@ -77,12 +76,28 @@ class Catalog:
     @classmethod
     def from_file(cls, path: str,
                   max_order: Optional[int] = None) -> "Catalog":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        """The entries of a JSON list of {"spec": ..., "label": ...}
+        objects, each label a string defaulting to its spec's label. A
+        file that cannot be read or is not such a list raises ParseError
+        naming the file, and the item's index when an item is at fault."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read catalog {path}: {exc}") from exc
+        if not isinstance(data, list):
+            raise ParseError(f"catalog {path} is not a JSON list")
         entries = []
-        for item in data:
+        for i, item in enumerate(data):
+            if not (isinstance(item, dict)
+                    and isinstance(item.get("spec"), str)):
+                raise ParseError(
+                    f'catalog {path} item {i}: needs a string "spec"')
             spec = parse_group_expr(item["spec"])
             label = item.get("label", spec.label())
+            if not isinstance(label, str):
+                raise ParseError(
+                    f'catalog {path} item {i}: "label" must be a string')
             order = spec.order()
             if max_order is not None and order is not None and order > max_order:
                 continue
@@ -96,14 +111,13 @@ class Catalog:
                    max_order)
 
 
-def _partitions(e: int, cap: Optional[int] = None):
+@cache
+def _partitions(e: int, cap: Optional[int] = None) -> tuple:
     """Partitions of e into non-increasing parts, none above cap."""
     if e == 0:
-        yield ()
-        return
-    for first in range(min(e, cap or e), 0, -1):
-        for tail in _partitions(e - first, first):
-            yield (first,) + tail
+        return ((),)
+    return tuple((first,) + tail for first in range(min(e, cap or e), 0, -1)
+                 for tail in _partitions(e - first, first))
 
 
 def _abelian_factor_lists(order: int) -> list[tuple[int, ...]]:
@@ -118,8 +132,8 @@ def _abelian_factor_lists(order: int) -> list[tuple[int, ...]]:
 
 
 def _default_entries(max_order: int, include_degree_seven: bool):
-    base = [(label, spec, spec.order())
-            for label, spec in _base_specs(max_order, include_degree_seven)]
+    base = [(spec.label(), spec, spec.order())
+            for spec in _base_specs(max_order, include_degree_seven)]
     entries = [(order, label, spec)
                for label, spec, order in base + _products(base, max_order)
                if order <= max_order]
@@ -128,42 +142,27 @@ def _default_entries(max_order: int, include_degree_seven: bool):
 
 
 def _base_specs(max_order: int, include_degree_seven: bool
-                ) -> list[tuple[str, GroupSpec]]:
-    """The catalog's families, labelled, before products of pairs."""
+                ) -> list[GroupSpec]:
+    """The catalog's families before products of pairs."""
     family_bound = min(128, max_order)
-    specs: list[tuple[str, GroupSpec]] = []
-
-    for n in range(1, family_bound + 1):
-        specs.append((f"Z{n}", cyclic(n)))
-    for n in range(4, family_bound + 1):
-        for factors in _abelian_factor_lists(n):
-            label = "x".join(f"Z{d}" for d in factors)
-            specs.append((label, direct_product([cyclic(d) for d in factors],
-                                                name=label)))
-    for order in range(6, family_bound + 1, 2):
-        if order // 2 > 2:
-            specs.append((f"D{order}", dihedral(order)))
-    order = 8
-    while order <= family_bound:
-        specs.append((f"Q{order}", generalized_quaternion(order)))
-        order *= 2
-    for p in (2, 3, 5, 7, 11):
-        n = 3
-        while p ** n <= family_bound:
-            specs.append((f"G({p},{n})", modular_pgroup(p, n)))
-            n += 1
-    m = 4
-    while 2 ** m <= family_bound:
-        specs.append((f"H({m})", semidihedral(m)))
-        m += 1
+    specs = [cyclic(n) for n in range(1, family_bound + 1)]
+    specs += [abelian(factors) for n in range(4, family_bound + 1)
+              for factors in _abelian_factor_lists(n)]
+    specs += [dihedral(order) for order in range(6, family_bound + 1, 2)]
+    # a p-power p^n <= family_bound has n < family_bound.bit_length()
+    exponents = range(family_bound.bit_length())
+    specs += [generalized_quaternion(2 ** n) for n in exponents[3:]]
+    specs += [modular_pgroup(p, n) for p in (2, 3, 5, 7, 11)
+              for n in exponents[3:] if p ** n <= family_bound]
+    specs += [semidihedral(m) for m in exponents[4:]]
     top_degree = 7 if include_degree_seven else 6
     fact = 1
     for n in range(2, top_degree + 1):
         fact *= n
         if n >= 3 and fact <= max_order:
-            specs.append((f"S{n}", symmetric(n)))
+            specs.append(symmetric(n))
         if n >= 3 and fact // 2 <= max_order:
-            specs.append((f"A{n}", alternating(n)))
+            specs.append(alternating(n))
     return specs
 
 
@@ -756,7 +755,7 @@ def _check_mu_self(az: AnalyzedGroup, result: CheckResult):
            "the graph of Z6 x S3 has diameter 3, achieved by the pair "
            "((3,e), (2,e))", "fixed")
 def _check_z6xs3(result: CheckResult):
-    spec = direct_product([cyclic(6), symmetric(3)], name="Z6xS3")
+    spec = direct_product([cyclic(6), symmetric(3)])
     g = build(spec)
     graph = build_graph(g)
     result.tested += 1

@@ -8,6 +8,7 @@ import pytest
 import noncyclic
 from noncyclic import canon, cli
 from noncyclic.cli import main
+from noncyclic.errors import UnknownCheck
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,43 @@ def test_verify_json_report(capsys, tmp_path):
     assert doc[0]["check"] == "omega_chi_s"
     assert doc[0]["pass"] is True
     assert json.loads(report.read_text()) == doc
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "cannot read catalog"),
+    (lambda path: path.mkdir(), "cannot read catalog"),
+    (lambda path: path.write_bytes(b"\xff["), "cannot read catalog"),
+    (lambda path: path.write_text('[{"spec": "Z4"}, {"spec": "Z'),
+     "cannot read catalog"),
+    (lambda path: path.write_text('{"spec": "Z4"}'), "is not a JSON list"),
+    (lambda path: path.write_text('[{"spec": "Z4"}, {"label": "Z6"}]'),
+     'item 1: needs a string "spec"'),
+    (lambda path: path.write_text('[{"spec": "Z4"}, {"spec": 6}]'),
+     'item 1: needs a string "spec"'),
+    (lambda path: path.write_text('[{"spec": "Z4"}, "Z6"]'),
+     'item 1: needs a string "spec"'),
+    (lambda path: path.write_text('[{"spec": "Z4", "label": 4}]'),
+     'item 0: "label" must be a string'),
+])
+def test_bad_catalog_file_is_a_parse_error(capsys, tmp_path, make, message):
+    path = tmp_path / "catalog.json"
+    make(path)
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+    assert code == 1 and out == ""
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "ParseError"
+    assert f"catalog {path}" in doc["message"]
+    assert message in doc["message"]
+
+
+def test_unknown_check_message_is_plain(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", "bogus",
+                             "--max-order", "8")
+    assert code == 1 and out == ""
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "UnknownCheck"
+    assert doc["message"].startswith("unknown check(s) ['bogus']; ")
+    assert issubclass(UnknownCheck, KeyError)
 
 
 def test_export_cayley_roundtrip(capsys, tmp_path):

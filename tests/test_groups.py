@@ -7,7 +7,7 @@ from array import array
 import numpy as np
 import pytest
 
-from noncyclic import groups as G
+from noncyclic import groups as G, harness
 from noncyclic.errors import (ClosureTooLarge, InvalidCayleyFile,
                               InvalidParameter, NotAGroup, ParseError)
 from noncyclic.harness import Catalog
@@ -643,6 +643,39 @@ def test_expression_language():
         G.parse_group_expr("")
     with pytest.raises(ParseError):
         G.parse_group_expr("Z4x")
+
+
+def test_labels_parse_back_to_their_specs():
+    # the label, the order and the atom read one table: every base spec of
+    # the default catalog, the named products and a Cayley file parse back
+    specs = harness._base_specs(200, False) + [
+        G.elementary_abelian(2, 3), G.elementary_abelian(3, 1),
+        G.cyclic_times_p(3, 3), G.cyclic_times_p(2, 5),
+        G.cayley_file("groups/q8.cayley")]
+    assert {s.kind for s in specs} >= {
+        "cyclic", "product", "dihedral", "quaternion", "modular",
+        "semidihedral", "symmetric", "alternating", "cayley"}
+    for spec in specs:
+        again = G.parse_group_expr(spec.label())
+        assert (again, again.label(), again.order()) == (
+            spec, spec.label(), spec.order())
+    # a permutation group's label names its degree, not its generators
+    perm = G.parse_group_expr("perm:3:(1 2),(1 2 3)")
+    assert (perm.label(), perm.order()) == ("perm:3", None)
+    assert G.build(perm).label == "perm:3"
+
+
+def test_label_and_order_outside_the_families():
+    assert G.GroupSpec("mystery", (5,)).label() == "mystery"
+    assert G.GroupSpec("mystery", (5,)).order() is None
+    perm = G.perm_group(3, [(1, 0, 2)])
+    cayley = G.cayley_file("a.cayley")
+    assert perm.order() is None and cayley.order() is None
+    for factor in (perm, cayley):
+        product = G.direct_product([G.cyclic(2), factor, G.cyclic(3)])
+        assert product.order() is None
+        assert product.label() == f"Z2x{factor.label()}xZ3"
+    assert G.direct_product([G.cyclic(2), G.symmetric(3)]).order() == 12
 
 
 def _intercalate_swap(t, rng):

@@ -48,7 +48,8 @@ def test_catalog_products_match_the_full_pair_scan():
     # colliding product label keeps
     for max_order in (30, 200, 720):
         for seven in (False, True):
-            specs = harness._base_specs(max_order, seven)
+            specs = [(spec.label(), spec)
+                     for spec in harness._base_specs(max_order, seven)]
             assert (Catalog.default(max_order, seven).entries
                     == oracles.scanned_default_entries(specs, max_order))
     entries = {e.label: e.spec for e in Catalog.default(720).entries}
