@@ -7,7 +7,8 @@ PARENT and CHANGE are the roots of two checkouts. Each one's
 ``src/noncyclic`` is imported under a name of its own, so both run in this
 process. For every K-th entry of ``Catalog.default(N)``, the entry's whole
 per-entry run (build, cyclicizer table and graph, every group and graph
-check, and the profile with its canonical form) is timed REPEATS times on
+check, and the profile that the global checks read, with its canonical
+forms where the checkout computes them per entry) is timed REPEATS times on
 each side, the sides alternating and the first side alternating from entry to
 entry. An entry's time on a side is its fastest run. Drift in the host's
 speed then hits both sides of an entry alike, which a comparison of whole
@@ -46,15 +47,14 @@ def load_harness(root: str, alias: str):
 
 def entry_runner(harness, max_order: int):
     """(entries, run) where run(entry) is the harness's per-entry run with
-    every group and graph check and a certificate."""
+    every group and graph check and the profile the global checks read."""
     checks = [name for name, check in harness.CHECKS.items()
               if check.kind in ("group", "graph")]
     entries = harness.Catalog.default(max_order).entries
 
     def run(entry):
-        outcomes, _ = harness._run_entry(entry, entry_checks=checks,
-                                         want_certificate=True,
-                                         max_order=max_order)
+        # positional: the profile flag's name differs between checkouts
+        outcomes, _ = harness._run_entry(entry, checks, True, max_order)
         return {name: (r.tested, len(r.skipped), r.counterexamples)
                 for name, r in outcomes.items()}
 

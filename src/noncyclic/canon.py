@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, isnan, nan
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class CanonicalForm:
 
     @cached_property
     def labeling(self) -> tuple:
+        if self.members is None:
+            raise InvalidParameter("a form of a bare twin quotient has no "
+                                   "labeling of the whole graph")
         labeling = [0] * self.vertex_count
         p = 0
         for qv in self.quotient_labeling:
@@ -83,6 +86,30 @@ class CanonicalForm:
     @cached_property
     def matrix(self) -> tuple:
         return relabel_rows(self.rows, self.labeling)
+
+
+class TwinQuotient(NamedTuple):
+    """What a certificate needs of an n-vertex graph: its iterated twin
+    quotient's rows and descriptors (see ``graph._iterated_contraction``).
+    It is small and picklable, so it can travel without the graph; a form
+    computed from it has no ``labeling`` or ``matrix``."""
+
+    n: int
+    rows: tuple
+    descs: tuple
+
+    @classmethod
+    def of(cls, graph_or_rows) -> "TwinQuotient":
+        qrows, descs, _ = _contraction(graph_or_rows)
+        return cls(len(_rows_of(graph_or_rows)), qrows, descs)
+
+
+def _contraction(graph_or_rows) -> tuple:
+    """The twin contraction of a graph, shared through its cache, or of
+    bare rows."""
+    if isinstance(graph_or_rows, NonCyclicGraph):
+        return graph_or_rows.twin_quotient
+    return _iterated_contraction(tuple(graph_or_rows))
 
 
 def _rows_of(graph_or_rows) -> tuple:
@@ -440,13 +467,18 @@ class _Search:
                     raise
 
 
-def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
+def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int],
+                                        TwinQuotient], *,
                    vertex_cap: int = DEFAULT_VERTEX_CAP,
                    timeout: Optional[float] = None) -> CanonicalForm:
     """Deterministic canonical form; relabelings of the same graph produce
-    the same certificate and the same canonical matrix."""
-    rows = _rows_of(graph_or_rows)
-    n = len(rows)
+    the same certificate and the same canonical matrix. A ``TwinQuotient``
+    gives the certificate its graph would, with no labeling or matrix."""
+    if isinstance(graph_or_rows, TwinQuotient):
+        rows, n = None, graph_or_rows.n
+    else:
+        rows = _rows_of(graph_or_rows)
+        n = len(rows)
     if n > vertex_cap:
         raise TooLarge(f"{n} vertices exceeds the cap of {vertex_cap}")
     if n == 0:
@@ -454,8 +486,8 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int]], *,
     deadline = _deadline(timeout)
 
     qrows, descs, members = (
-        graph_or_rows.twin_quotient if isinstance(graph_or_rows, NonCyclicGraph)
-        else _iterated_contraction(rows))
+        (graph_or_rows.rows, graph_or_rows.descs, None) if rows is None
+        else _contraction(graph_or_rows))
     k = len(qrows)
     if k == 1:
         lab_q, qmatrix, effort = [0], (0,), (1, 0, 0, 0, 0)

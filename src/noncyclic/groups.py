@@ -398,7 +398,10 @@ class GroupSpec:
         if self.kind == "product":
             return "x".join(c.label() for c in self.children)
         family = _FAMILIES.get(self.kind)
-        return self.kind if family is None else family[0].format(*self.params)
+        if family is None:
+            return self.kind
+        fmt = family[0]
+        return fmt(*self.params) if callable(fmt) else fmt.format(*self.params)
 
     def order(self) -> Optional[int]:
         """Group order when it is determined by the spec alone: by its
@@ -512,12 +515,17 @@ def perm_group(degree: int, gens: Sequence[tuple]) -> GroupSpec:
     return GroupSpec("perm", (degree, gens))
 
 
-# Each family once: spec kind -> (label format, order from the params or
-# None when only the build tells it, constructor of the expression-language
-# atom the format spells, or None when the parser reads a prefix). Each {}
-# of a format is one integer param of the atom; params past the last {}
-# (a permutation group's generators) stay out of the label. The elementary
-# abelian and K(p,n) products are named by _EA and _K.
+def _perm_expr(degree: int, gens: tuple) -> str:
+    """The expression of a permutation group, which parses back to it."""
+    return f"perm:{degree}:" + ",".join(_perm_label(g, "()") for g in gens)
+
+
+# Each family once: spec kind -> (label format, or a function of the params
+# for a permutation group, whose label is its whole expression; order from
+# the params or None when only the build tells it; constructor of the
+# expression-language atom the format spells, or None when the parser reads
+# a prefix). Each {} of a format is one integer param of the atom. The
+# elementary abelian and K(p,n) products are named by _EA and _K.
 _FAMILIES = {
     "cyclic": ("Z{}", lambda n: n, cyclic),
     "dihedral": ("D{}", lambda n: n, dihedral),
@@ -527,7 +535,7 @@ _FAMILIES = {
     "symmetric": ("S{}", factorial, symmetric),
     "alternating": ("A{}", lambda n: factorial(n) // 2, alternating),
     "cayley": ("cayley:{}", None, None),
-    "perm": ("perm:{}", None, None),
+    "perm": (_perm_expr, None, None),
 }
 _EA, _K = "EA({},{})", "K({},{})"
 
@@ -579,7 +587,7 @@ def _words(m: int, p: int, a: str, x: str,
             for j in range(p) for i in range(m)]
 
 
-def _perm_label(p: tuple) -> str:
+def _perm_label(p: tuple, identity: str = "e") -> str:
     seen = [False] * len(p)
     cycles = []
     for i in range(len(p)):
@@ -594,7 +602,7 @@ def _perm_label(p: tuple) -> str:
             seen[j] = True
             j = p[j]
         cycles.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(cycles) or "e"
+    return "".join(cycles) or identity
 
 
 def _perm_table(perms: list[tuple], gens: Sequence[tuple]) -> np.ndarray:

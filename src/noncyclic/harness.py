@@ -6,8 +6,9 @@ counterexamples (expected none), documented findings, and skip reasons.
 A check has one of four kinds. "group" and "graph" checks run once per
 catalog entry; the runner skips "graph" checks on cyclic groups, whose
 non-cyclic graph is not defined. "global" checks read the collected
-profiles (certificate classes, order spectra, recognizer flags), and
-"fixed" checks build their own groups. The runner, not the check, records
+profiles (graph-isomorphism classes, order spectra, recognizer flags),
+whose classes ``form_classes`` sets once every entry has run, and "fixed"
+checks build their own groups. The runner, not the check, records
 skips for entries it could not analyze, keeps catalog order and times each
 call.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import combinations, product
@@ -26,11 +28,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import structure
-from .canon import canonical_form, check_goormaghtigh_condition
+from .canon import (TwinQuotient, canonical_form,
+                    check_goormaghtigh_condition)
 from .cyclicizers import (CyclicizerTable, central_cosets, check_central,
                           cyclicizer_table, is_tidy, quotient_pair_matrix)
-from .errors import (Disconnected, NonCyclicError, OrderTooLarge, ParseError,
-                     Timeout, TooLarge, UnknownCheck, VerificationFailure)
+from .errors import (Disconnected, InvalidParameter, NonCyclicError,
+                     OrderTooLarge, ParseError, Timeout, TooLarge,
+                     UnknownCheck, VerificationFailure)
 from .graph import (NonCyclicGraph, _bit_matrix, _packed_rows, build_graph,
                     clique_and_chromatic, degree_kinds, diameter_info,
                     distance, independence_info, induced_rows,
@@ -50,8 +54,15 @@ MAX_REPORTED = 10
 @dataclass(frozen=True)
 class CatalogEntry:
     label: str
-    spec: GroupSpec
+    spec: Optional[GroupSpec]
     max_order: Optional[int] = None     # a larger group is not built
+
+
+@dataclass(frozen=True)
+class BadEntry(CatalogEntry):
+    """A catalog-file item whose spec names no group; every check skips it
+    with ``error``."""
+    error: str = ""
 
 
 class Catalog:
@@ -77,9 +88,12 @@ class Catalog:
     def from_file(cls, path: str,
                   max_order: Optional[int] = None) -> "Catalog":
         """The entries of a JSON list of {"spec": ..., "label": ...}
-        objects, each label a string defaulting to its spec's label. A
-        file that cannot be read or is not such a list raises ParseError
-        naming the file, and the item's index when an item is at fault."""
+        objects, each label a string defaulting to its spec's label (to the
+        spec's text when the spec is bad). A file that cannot be read or is
+        not such a list, or whose labels repeat, raises ParseError naming
+        the file, and the items' indices when items are at fault. A spec
+        that does not parse or names an invalid group is an entry whose
+        skip reason names the file, the item and the error."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -88,20 +102,31 @@ class Catalog:
         if not isinstance(data, list):
             raise ParseError(f"catalog {path} is not a JSON list")
         entries = []
+        first_item: dict[str, int] = {}
         for i, item in enumerate(data):
             if not (isinstance(item, dict)
                     and isinstance(item.get("spec"), str)):
                 raise ParseError(
                     f'catalog {path} item {i}: needs a string "spec"')
-            spec = parse_group_expr(item["spec"])
-            label = item.get("label", spec.label())
+            try:
+                spec, error = parse_group_expr(item["spec"]), None
+            except (ParseError, InvalidParameter) as exc:
+                spec = None
+                error = f"catalog {path} item {i}: {type(exc).__name__}: {exc}"
+            label = item.get("label", item["spec"] if spec is None
+                             else spec.label())
             if not isinstance(label, str):
                 raise ParseError(
                     f'catalog {path} item {i}: "label" must be a string')
-            order = spec.order()
+            if label in first_item:
+                raise ParseError(f"catalog {path} items {first_item[label]} "
+                                 f"and {i}: both are labelled {label!r}")
+            first_item[label] = i
+            order = None if spec is None else spec.order()
             if max_order is not None and order is not None and order > max_order:
                 continue
-            entries.append(CatalogEntry(label, spec))
+            entries.append(CatalogEntry(label, spec) if error is None
+                           else BadEntry(label, spec, error=error))
         return cls(entries, max_order)
 
     @classmethod
@@ -241,14 +266,16 @@ class AnalyzedGroup:
 @dataclass
 class GroupProfile:
     """Picklable cross-group summary of one analyzed catalog entry; the
-    global checks read only these. For a nilpotent group with trivial
-    cyclicizer, Cyc(G) is the product of the Cyc(P), all trivial, so each
-    Sylow graph is the subgraph induced on P minus the identity;
-    ``sylow_certificates`` holds its certificate per prime, when
-    certificates are wanted."""
+    global checks read only these, and a profile never holds the group or
+    the graph. A non-cyclic group's profile carries its graph's vertex
+    count, degree census and twin quotient. For a nilpotent group with
+    trivial cyclicizer, Cyc(G) is the product of the Cyc(P), all trivial,
+    so each Sylow graph is the subgraph induced on P minus the identity;
+    with more than one prime, ``sylow_quotients`` holds its twin quotient
+    per prime. ``form_classes`` then sets the classes."""
 
     label: str
-    spec: GroupSpec
+    spec: Optional[GroupSpec]
     order: int = 0
     cyc_size: int = 0
     pi_e: tuple = ()
@@ -262,9 +289,14 @@ class GroupProfile:
     goor: Optional[tuple] = None
     vertex_count: Optional[int] = None
     degrees_gcd: Optional[int] = None
-    certificate: Optional[bytes] = None
-    cert_error: Optional[str] = None  # why the certificate is missing
-    sylow_certificates: Optional[tuple] = None   # ((p, certificate), ...)
+    degree_census: Optional[tuple] = None
+    quotient: Optional[TwinQuotient] = None
+    sylow_quotients: Optional[tuple] = None     # ((p, TwinQuotient), ...)
+    # set by form_classes: equal values mean isomorphic graphs, and
+    # ((p, class), ...) compares the Sylow graphs prime by prime
+    graph_class: Optional[tuple] = None
+    sylow_classes: Optional[tuple] = None
+    cert_error: Optional[str] = None  # why the entry has no class
     error: Optional[str] = None
 
 
@@ -272,6 +304,9 @@ def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
     """Build the entry's group, cyclicizer table and graph; a group larger
     than the entry's ``max_order`` is not built, and its error says so."""
     az = AnalyzedGroup(entry.label, entry.spec)
+    if isinstance(entry, BadEntry):
+        az.error = entry.error
+        return az
     try:
         az.group = build(entry.spec, label=entry.label,
                          max_order=entry.max_order)
@@ -285,8 +320,10 @@ def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
     return az
 
 
-def profile_of(az: AnalyzedGroup, want_certificate: bool = True
+def profile_of(az: AnalyzedGroup, want_classes: bool = True
                ) -> GroupProfile:
+    """The entry's profile; the twin quotients the class phase reads are
+    carried only when ``want_classes``."""
     if az.error is not None:
         return GroupProfile(az.label, az.spec, error=az.error)
     g = az.group
@@ -310,25 +347,121 @@ def profile_of(az: AnalyzedGroup, want_certificate: bool = True
     if az.graph is not None:
         graph = az.graph
         prof.vertex_count = graph.n_vertices
-        prof.degrees_gcd = gcd(*(d for d, _ in degree_kinds(graph)[0]))
-        if want_certificate:
-            try:
-                cf = canonical_form(graph)
-                sylow_certs = None
-                if sylows is not None and ct.cyc_size == 1:
-                    # mem[0] is the identity, the only element off the graph
-                    sylow_certs = tuple(
-                        (p, cf.certificate if len(sylows) == 1 else
-                         canonical_form(induced_rows(graph.adjacency, [
-                             graph.position_of(x) for x in mem[1:]])
-                         ).certificate)
-                        for p, mem in sylows.items())
-            except (TooLarge, Timeout) as exc:
-                prof.cert_error = f"{type(exc).__name__}: {exc}"
-            else:
-                prof.certificate = cf.certificate
-                prof.sylow_certificates = sylow_certs
+        prof.degree_census = graph.degree_census
+        prof.degrees_gcd = gcd(*(d for d, _ in prof.degree_census))
+        if want_classes:
+            prof.quotient = TwinQuotient.of(graph)
+            if sylows is not None and ct.cyc_size == 1 and len(sylows) > 1:
+                # mem[0] is the identity, the only element off the graph
+                prof.sylow_quotients = tuple(
+                    (p, TwinQuotient.of(induced_rows(graph.adjacency, [
+                        graph.position_of(x) for x in mem[1:]])))
+                    for p, mem in sylows.items())
     return prof
+
+
+# ---------------------------------------------------------------------------
+# Graph classes
+
+
+def _structural_key(prof: GroupProfile) -> tuple:
+    """The entry's factor multiset, each cyclic factor split into its
+    prime-power parts. Entries with one key are isomorphic groups, as x is
+    commutative and associative and Z_mn = Z_m x Z_n for coprime m, n; so
+    are their graphs and their Sylow graphs. A Cayley-file factor keys on
+    the entry's label, so its entry shares its key with no other."""
+    atoms = []
+    stack = [prof.spec]
+    while stack:
+        spec = stack.pop()
+        if spec.kind == "product":
+            stack.extend(spec.children)
+        elif spec.kind == "cyclic":
+            atoms += [("cyclic", (p ** e,))
+                      for p, e in prime_factorization(spec.params[0])]
+        else:
+            atoms.append((spec.kind, (prof.label,) if spec.kind == "cayley"
+                          else spec.params))
+    return tuple(sorted(atoms))
+
+
+def _certificate_of(quotient: TwinQuotient) -> tuple:
+    """(certificate, None), or (None, why it is missing)."""
+    try:
+        return canonical_form(quotient).certificate, None
+    except (TooLarge, Timeout) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _forms_by_key(profiles, group_of: Callable, quotients_of: Callable,
+                  mapper: Callable):
+    """(key, members, certificates, why) for each structural key among the
+    ``profiles`` of each group (by ``group_of``). Members of one key are
+    alike, so a group's only key needs no form: certificates is None. A
+    group of several keys gets the certificates of its first member's
+    ``quotients_of``, mapped in order by ``mapper``, and why names the
+    first that is missing, else None."""
+    groups: dict = {}
+    for p in profiles:
+        groups.setdefault(group_of(p), {}).setdefault(
+            _structural_key(p), []).append(p)
+    todo = [m for keys in groups.values() if len(keys) > 1
+            for m in keys.values()]
+    found = iter(mapper(_certificate_of,
+                        [q for m in todo for q in quotients_of(m[0])]))
+    for keys in groups.values():
+        for key, members in keys.items():
+            if len(keys) == 1:
+                yield key, members, None, None
+                continue
+            got = [next(found) for _ in quotients_of(members[0])]
+            yield (key, members, [cert for cert, _ in got],
+                   next((why for _, why in got if why), None))
+
+
+def form_classes(profiles: list[GroupProfile], mapper: Callable = map
+                 ) -> None:
+    """Set the graph and Sylow classes of the profiles that carry a twin
+    quotient, computing canonical forms only where a class can form.
+
+    The degree census is an isomorphism invariant, so graphs of different
+    (vertex count, census) are in different classes, and entries with one
+    structural key are in one class. A bucket of one key is therefore one
+    class with no form; in a bucket of several keys each key's first entry
+    gets a form and the key's other entries share it. Sylow graphs are
+    compared only between the multi-prime members of one class, so their
+    forms are computed only in a class where such members have several
+    keys. ``mapper`` maps the forms in order; under --jobs it is the
+    process pool's. A needed form that is missing (TooLarge, Timeout)
+    leaves its key's entries with no class and sets their ``cert_error``."""
+    for _, members, certs, why in _forms_by_key(
+            [p for p in profiles if p.quotient is not None],
+            lambda p: (p.vertex_count, p.degree_census),
+            lambda p: [p.quotient], mapper):
+        for p in members:
+            if why:
+                p.cert_error = why
+            else:
+                p.graph_class = (p.vertex_count, p.degree_census,
+                                 None if certs is None else certs[0])
+    for p in profiles:
+        if (p.graph_class is not None and p.is_nilpotent and p.cyc_size == 1
+                and p.sylow_quotients is None):
+            # a p-group: its graph is its Sylow graph
+            p.sylow_classes = ((p.is_pgroup[0], p.graph_class),)
+    for key, members, certs, why in _forms_by_key(
+            [p for p in profiles
+             if p.graph_class is not None and p.sylow_quotients],
+            lambda p: p.graph_class,
+            lambda p: [q for _, q in p.sylow_quotients], mapper):
+        # key-mates' Sylow graphs are alike prime by prime
+        ids = certs or [key] * len(members[0].sylow_quotients)
+        for p in members:
+            if why:
+                p.graph_class, p.cert_error = None, why
+            else:
+                p.sylow_classes = tuple(
+                    (q, i) for (q, _), i in zip(p.sylow_quotients, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +956,11 @@ def _check_families(result: CheckResult):
 # -- global checks ----------------------------------------------------------
 
 
-def _certificate_classes(profiles) -> list[list[GroupProfile]]:
-    buckets: dict[bytes, list[GroupProfile]] = {}
+def _graph_classes(profiles) -> list[list[GroupProfile]]:
+    buckets: dict[tuple, list[GroupProfile]] = {}
     for p in profiles:
-        if p.certificate is not None:
-            buckets.setdefault(p.certificate, []).append(p)
+        if p.graph_class is not None:
+            buckets.setdefault(p.graph_class, []).append(p)
     classes = [sorted(v, key=lambda p: p.label) for v in buckets.values()]
     classes.sort(key=lambda c: (c[0].order, c[0].label))
     return classes
@@ -838,7 +971,7 @@ def _certificate_classes(profiles) -> list[list[GroupProfile]]:
            "their element-order spectrum; equal-graph pairs with different "
            "order would answer an open question and are logged", "global")
 def _check_order_spectrum(profiles, result: CheckResult):
-    for cls in _certificate_classes(profiles):
+    for cls in _graph_classes(profiles):
         result.tested += len(cls)
         for a, b in combinations(cls, 2):
             if a.order != b.order:
@@ -856,7 +989,7 @@ def _check_order_spectrum(profiles, result: CheckResult):
            "cyclicizer size divides the gcd of the other graph's vertex "
            "degrees and vertex count", "global")
 def _check_fi(profiles, result: CheckResult):
-    for cls in _certificate_classes(profiles):
+    for cls in _graph_classes(profiles):
         if len(cls) < 2:
             continue
         for a, b in combinations(cls, 2):
@@ -874,8 +1007,8 @@ def _check_fi(profiles, result: CheckResult):
            "graphs prime by prime", "global")
 def _check_transfer(profiles, result: CheckResult):
     """Compares nilpotency, then primes, then the profiles' Sylow-graph
-    certificates prime by prime; no group is rebuilt."""
-    for cls in _certificate_classes(profiles):
+    classes prime by prime; no group is rebuilt."""
+    for cls in _graph_classes(profiles):
         if len(cls) < 2:
             continue
         pairs = [p for p in cls if p.cyc_size == 1]
@@ -887,15 +1020,15 @@ def _check_transfer(profiles, result: CheckResult):
                 _ce(result, pair=(a.label, b.label),
                     nilpotent=(a.is_nilpotent, b.is_nilpotent))
                 continue
-            primes_a = [p for p, _ in a.sylow_certificates]
-            primes_b = [p for p, _ in b.sylow_certificates]
+            primes_a = [p for p, _ in a.sylow_classes]
+            primes_b = [p for p, _ in b.sylow_classes]
             if primes_a != primes_b:
                 _ce(result, pair=(a.label, b.label),
                     primes=(primes_a, primes_b))
                 continue
-            for (p, cert_a), (_, cert_b) in zip(a.sylow_certificates,
-                                                b.sylow_certificates):
-                if cert_a != cert_b:
+            for (p, class_a), (_, class_b) in zip(a.sylow_classes,
+                                                  b.sylow_classes):
+                if class_a != class_b:
                     _ce(result, pair=(a.label, b.label), prime=p,
                         reason="Sylow graphs are not isomorphic")
                     break
@@ -907,12 +1040,12 @@ def _check_transfer(profiles, result: CheckResult):
            "when the part-count and part-size equations both hold", "global")
 def _check_goor(profiles, result: CheckResult):
     members = [p for p in profiles
-               if p.goor is not None and p.certificate is not None]
+               if p.goor is not None and p.graph_class is not None]
     for a, b in combinations(members, 2):
         result.tested += 1
         (p1, m1, n1), (p2, m2, n2) = a.goor, b.goor
         c1, c2 = check_goormaghtigh_condition(p1, m1, n1, p2, m2, n2)
-        iso = a.certificate == b.certificate
+        iso = a.graph_class == b.graph_class
         if iso != (c1 and c2):
             _ce(result, pair=(a.label, b.label), condition=(c1, c2), iso=iso)
 
@@ -922,7 +1055,7 @@ def _check_goor(profiles, result: CheckResult):
            "likewise for elementary abelian P x Z_n when P is a 2-group or "
            "has rank 2", "global")
 def _check_regular_unique(profiles, result: CheckResult):
-    for cls in _certificate_classes(profiles):
+    for cls in _graph_classes(profiles):
         anchors = [p for p in cls if p.regular_family is not None]
         if not anchors:
             continue
@@ -946,7 +1079,7 @@ def _check_regular_unique(profiles, result: CheckResult):
            "order 2n with an element of order n, and for odd n forces the "
            "dihedral group itself", "global")
 def _check_dihedral_unique(profiles, result: CheckResult):
-    for cls in _certificate_classes(profiles):
+    for cls in _graph_classes(profiles):
         anchors = [p for p in cls if p.dihedral_n is not None]
         if not anchors:
             continue
@@ -968,7 +1101,7 @@ def _check_dihedral_unique(profiles, result: CheckResult):
            "class; and a self-cyclicizing element of order 2, p^(e-1) or "
            "p^(e-2) forces equal order across the class", "global")
 def _check_pgroup_recovery(profiles, result: CheckResult):
-    for cls in _certificate_classes(profiles):
+    for cls in _graph_classes(profiles):
         for a in cls:
             if a.is_pgroup is None or a.is_cyclic:
                 continue
@@ -1010,7 +1143,7 @@ def _timed(result: CheckResult, fn: Callable, *args) -> None:
 
 
 def _run_entry(entry: CatalogEntry, entry_checks: list[str],
-               want_certificate: bool, max_order: Optional[int]):
+               want_classes: bool, max_order: Optional[int]):
     if max_order is not None:
         entry = replace(entry, max_order=max_order)
     az = analyze_entry(entry)
@@ -1024,7 +1157,7 @@ def _run_entry(entry: CatalogEntry, entry_checks: list[str],
             part.skip(az.label, "cyclic")
         else:
             _timed(part, check.fn, az)
-    return outcomes, profile_of(az, want_certificate)
+    return outcomes, profile_of(az, want_classes)
 
 
 def _merge(into: CheckResult, part: CheckResult) -> None:
@@ -1035,6 +1168,19 @@ def _merge(into: CheckResult, part: CheckResult) -> None:
     into.elapsed_ms += part.elapsed_ms
 
 
+@contextmanager
+def _mapper(jobs: int):
+    """``map``, or the ``map`` of a pool of ``jobs`` processes, open until
+    the block ends; either gives results in input order."""
+    if jobs <= 1:
+        yield map
+        return
+    # the pool's modules are imported only when it is used
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield partial(pool.map, chunksize=8)
+
+
 def run_check(catalog: Catalog, name: str, jobs: int = 1) -> CheckResult:
     results = run_all(catalog, jobs=jobs, names=[name])
     return results[0]
@@ -1043,7 +1189,9 @@ def run_check(catalog: Catalog, name: str, jobs: int = 1) -> CheckResult:
 def run_all(catalog: Catalog, jobs: int = 1,
             names: Optional[list[str]] = None) -> list[CheckResult]:
     """Run the selected checks (all by default) over the catalog; results
-    merge in catalog order whatever the number of jobs."""
+    merge in catalog order whatever the number of jobs. The entries run
+    first, then ``form_classes`` (on the same pool), then the global and
+    the fixed checks."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
@@ -1055,31 +1203,29 @@ def run_all(catalog: Catalog, jobs: int = 1,
     fixed_checks = [n for n in names if CHECKS[n].kind == "fixed"]
     results = {n: CheckResult(n, CHECKS[n].statement) for n in names}
 
-    ok_profiles: list[GroupProfile] = []
+    profiles: list[GroupProfile] = []
     if entry_checks or global_checks:
         run_entry = partial(_run_entry, entry_checks=entry_checks,
-                            want_certificate=bool(global_checks),
+                            want_classes=bool(global_checks),
                             max_order=catalog.max_order)
-        if jobs > 1:
-            # the pool's modules are imported only when it is used
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                entry_runs = list(pool.map(run_entry, catalog.entries,
-                                           chunksize=8))
+        with _mapper(jobs) as mapper:
+            for outcomes, prof in mapper(run_entry, catalog.entries):
+                for name, part in outcomes.items():
+                    _merge(results[name], part)
+                profiles.append(prof)
+            if global_checks:
+                form_classes(profiles, mapper)
+    ok_profiles = []
+    for prof in profiles:
+        if prof.error is not None:
+            reason = prof.error
         else:
-            entry_runs = map(run_entry, catalog.entries)
-        for outcomes, prof in entry_runs:
-            for name, part in outcomes.items():
-                _merge(results[name], part)
-            if prof.error is not None:
-                reason = prof.error
-            else:
-                ok_profiles.append(prof)
-                if prof.cert_error is None:
-                    continue
-                reason = f"no certificate ({prof.cert_error})"
-            for name in global_checks:
-                results[name].skip(prof.label, reason)
+            ok_profiles.append(prof)
+            if prof.cert_error is None:
+                continue
+            reason = f"no certificate ({prof.cert_error})"
+        for name in global_checks:
+            results[name].skip(prof.label, reason)
     for name in global_checks:
         _timed(results[name], CHECKS[name].fn, ok_profiles)
     for name in fixed_checks:

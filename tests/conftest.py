@@ -1,7 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from noncyclic import groups as G
-from noncyclic.graph import build_graph
+from noncyclic import harness, structure
+from noncyclic.canon import canonical_form
+from noncyclic.cyclicizers import cyclicizer_table
+from noncyclic.graph import build_graph, induced_rows
 from noncyclic.harness import Catalog
 
 
@@ -23,3 +28,54 @@ def catalog_groups():
     groups, so they must not mutate them."""
     return [(e, G.build(e.spec, label=e.label))
             for e in Catalog.default(max_order=200).entries]
+
+
+@pytest.fixture(scope="session")
+def old_forms(catalog_groups):
+    """label -> (certificate, Sylow certificates) of every non-cyclic entry
+    of the default catalog, computed as profiles did before forms moved to
+    the class phase: a form for every graph and, for a nilpotent group with
+    trivial cyclicizer, for every Sylow graph (its graph, for a p-group),
+    else None for the Sylow certificates."""
+    out = {}
+    for entry, group in catalog_groups:
+        if G.is_cyclic_group(group):
+            continue
+        table = cyclicizer_table(group)
+        graph = build_graph(group, table)
+        cert = canonical_form(graph).certificate
+        sylows = structure.sylow_decomposition(group)
+        sylow_certs = None
+        if sylows is not None and table.cyc_size == 1:
+            sylow_certs = tuple(
+                (p, cert if len(sylows) == 1 else canonical_form(
+                    induced_rows(graph.adjacency, [
+                        graph.position_of(x) for x in mem[1:]])).certificate)
+                for p, mem in sylows.items())
+        out[entry.label] = cert, sylow_certs
+    return out
+
+
+@pytest.fixture(scope="session")
+def classed_sweep():
+    """One run_all(Catalog.default(200)) of every check: its profiles as
+    form_classes left them, and the canonical forms the run computed,
+    counted by input type."""
+    forms = Counter()
+    seen = []
+    real_form, real_classes = harness.canonical_form, harness.form_classes
+
+    def counted_form(graph_or_rows, **kwargs):
+        forms[type(graph_or_rows).__name__] += 1
+        return real_form(graph_or_rows, **kwargs)
+
+    def kept_classes(profiles, *args):
+        real_classes(profiles, *args)
+        seen.append(profiles)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "canonical_form", counted_form)
+        mp.setattr(harness, "form_classes", kept_classes)
+        results = harness.run_all(Catalog.default(max_order=200))
+    assert harness.all_pass(results) and len(seen) == 1
+    return seen[0], forms

@@ -364,6 +364,16 @@ def test_certificate_is_the_annotated_quotient():
                        for q in lab_q)), expr
         order = [v for q in lab_q for v in members[q]]
         assert [cf.labeling[v] for v in order] == list(range(n)), expr
+        # n and the quotient alone give the same search and certificate,
+        # but no labeling of the whole graph
+        carried = canon.TwinQuotient.of(g)
+        assert carried == canon.TwinQuotient.of(g.adjacency) == (n, qrows,
+                                                                  descs)
+        alone = canonical_form(carried)
+        assert (alone.certificate, alone.effort) == (cf.certificate,
+                                                     cf.effort), expr
+        with pytest.raises(InvalidParameter):
+            alone.labeling
 
 
 def _decode_descriptors(data, width):

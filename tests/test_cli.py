@@ -150,6 +150,12 @@ def test_verify_json_report(capsys, tmp_path):
      'item 1: needs a string "spec"'),
     (lambda path: path.write_text('[{"spec": "Z4", "label": 4}]'),
      'item 0: "label" must be a string'),
+    (lambda path: path.write_text('[{"spec": "Z4", "label": "a"}, '
+                                  '{"spec": "Z6"}, {"spec": "D8", '
+                                  '"label": "a"}]'),
+     "items 0 and 2: both are labelled 'a'"),
+    (lambda path: path.write_text('[{"spec": "Z0"}, {"spec": "Z0"}]'),
+     "items 0 and 1: both are labelled 'Z0'"),
 ])
 def test_bad_catalog_file_is_a_parse_error(capsys, tmp_path, make, message):
     path = tmp_path / "catalog.json"
@@ -160,6 +166,32 @@ def test_bad_catalog_file_is_a_parse_error(capsys, tmp_path, make, message):
     assert doc["type"] == "ParseError"
     assert f"catalog {path}" in doc["message"]
     assert message in doc["message"]
+
+
+def test_bad_catalog_items_are_skipped(capsys, tmp_path):
+    # a spec that does not parse or names no valid group is an entry that
+    # every check skips, naming the file and the item; the good items
+    # around it are still checked
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([
+        {"spec": "Z4"}, {"spec": "Z0"}, {"spec": "D8"},
+        {"spec": "Z4x", "label": "typo"}, {"spec": "Q8"}]))
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(path),
+                             "--json")
+    assert code == 0 and err == ""
+    doc = {item["check"]: item for item in json.loads(out)}
+    bad = {f"catalog {path} item 1: InvalidParameter: cyclic group order "
+           "must be >= 1": 1,
+           f"catalog {path} item 3: ParseError: unrecognized group "
+           "expression atom: ''": 1}
+    diameter = doc["diam_le_3"]
+    assert diameter["tested"] == 2                    # D8 and Q8
+    assert diameter["skipped"]["labels"] == ["Z4", "Z0", "typo"]
+    assert diameter["skipped"]["reasons"] == {"cyclic": 1, **bad}
+    spectrum = doc["iso_order_spectrum"]
+    assert spectrum["tested"] == 2 and spectrum["pass"]
+    assert spectrum["skipped"]["reasons"] == bad
+    assert doc["pgroup_cyc_nontrivial"]["tested"] == 3   # Z4, D8, Q8
 
 
 def test_unknown_check_message_is_plain(capsys):

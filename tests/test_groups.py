@@ -244,7 +244,8 @@ def test_build_constructs_one_group(monkeypatch, expr):
     G.direct_product([G.direct_product([G.cyclic(2), G.cyclic(3)]),
                       G.dihedral(8)]),
     G.direct_product([G.modular_pgroup(2, 4)]),
-    G.parse_group_expr("perm:4:(1 2 3),(1 2)(3 4)"),
+    pytest.param(G.parse_group_expr("perm:4:(1 2 3),(1 2)(3 4)"),
+                 id="perm:4"),
 ], ids=lambda spec: spec.label())
 def test_build_makes_one_table_buffer(monkeypatch, spec):
     # the group keeps the table that the outermost _table call returns (it
@@ -659,10 +660,11 @@ def test_labels_parse_back_to_their_specs():
         again = G.parse_group_expr(spec.label())
         assert (again, again.label(), again.order()) == (
             spec, spec.label(), spec.order())
-    # a permutation group's label names its degree, not its generators
-    perm = G.parse_group_expr("perm:3:(1 2),(1 2 3)")
-    assert (perm.label(), perm.order()) == ("perm:3", None)
-    assert G.build(perm).label == "perm:3"
+    # a permutation group's label is its expression, in cycle notation
+    perm = G.parse_group_expr("perm:3:(2 1),(1 2 3),()")
+    assert (perm.label(), perm.order()) == ("perm:3:(1 2),(1 2 3),()", None)
+    assert G.parse_group_expr(perm.label()) == perm
+    assert G.build(perm).label == "perm:3:(1 2),(1 2 3),()"
 
 
 def test_label_and_order_outside_the_families():

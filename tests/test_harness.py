@@ -5,6 +5,7 @@ import json
 import random
 import types
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ def test_catalog_from_file_skips_oversized_perm_and_cayley(tmp_path):
     assert res.passed
     assert res.tested == 2
     assert res.skipped[:2] == [
-        ("perm:4", "order 24 exceeds the maximum order 10"),
+        ("perm:4:(1 2),(1 2 3 4)", "order 24 exceeds the maximum order 10"),
         ("s4file", "order 24 exceeds the maximum order 10")]
     assert res.skipped[2][0] == "missing"
     assert res.skipped[2][1].startswith("build failed (ParseError: ")
@@ -348,31 +349,47 @@ def test_cyclic_maximal_families():
 
 
 def test_oversized_certificate_is_a_skip_reason(monkeypatch, small_catalog):
-    # Z2xZ6 (9 vertices) and Z2xZ10 (15 vertices) exceed the cap; without
-    # certificates they must not compare as isomorphic
+    # the 9-vertex graphs of A3xZ2xZ2 and of Z2xZ2xZ3 = Z2xZ6 share their
+    # degree census under two structural keys, so their forms are needed,
+    # and they exceed the cap; without certificates they must not compare
+    # as isomorphic. Z2xZ10 (15 vertices) is alone in its bucket: it needs
+    # no form and enters the classes.
     monkeypatch.setattr(harness, "canonical_form",
                         functools.partial(canon.canonical_form, vertex_cap=8))
-    cat = small_catalog.subset(["Z2xZ2", "Z2xZ6", "Z2xZ10", "Q8"])
+    cat = small_catalog.subset(["Z2xZ2", "Z2xZ6", "Z2xZ2xZ3", "A3xZ2xZ2",
+                                "Z2xZ10", "Q8"])
     results = {r.name: r for r in run_all(cat, names=[
         "multipartite_iso_condition", "iso_order_spectrum", "diam_le_3"])}
     goor = results["multipartite_iso_condition"]
-    assert goor.passed and goor.tested == 0
+    assert goor.passed and goor.tested == 1     # Z2xZ2 and Z2xZ10
     reason = "no certificate (TooLarge: 9 vertices exceeds the cap of 8)"
-    assert ("Z2xZ6", reason) in goor.skipped
-    assert [lab for lab, _ in goor.skipped] == ["Z2xZ6", "Z2xZ10"]
-    assert results["iso_order_spectrum"].tested == 2   # Z2xZ2 and Q8
-    assert results["diam_le_3"].tested == 4
+    assert goor.skipped == [(lab, reason) for lab in
+                            ("A3xZ2xZ2", "Z2xZ2xZ3", "Z2xZ6")]
+    assert results["iso_order_spectrum"].tested == 3   # Z2xZ2, Q8, Z2xZ10
+    assert results["diam_le_3"].tested == 6
     assert results["diam_le_3"].skipped == []
 
 
 def test_certificate_timeout_is_a_skip_reason(monkeypatch, small_catalog):
     monkeypatch.setenv("NONCYC_TIMEOUT_SECS", "0")
-    # Q8 contracts to one vertex and needs no search; Z2xZ4 times out
-    res = run_check(small_catalog.subset(["Q8", "Z2xZ4"]),
-                    "iso_order_spectrum")
-    assert res.passed and res.tested == 1
-    assert res.skipped == [("Z2xZ4", "no certificate (Timeout: canonical "
-                            "form search exceeded its time budget)")]
+    # Q8 and Z2xZ4, whose search would time out, are alone in their buckets
+    # and need no form; Z2xZ12 and Z4xZ6 share a bucket and a structural
+    # key, so they form a class with no form. D8 and G(2,3) share a bucket
+    # under two keys: their forms are needed and time out. The forms of
+    # Z2xZ6 and A3xZ2xZ2 are needed too, but their graphs contract to one
+    # vertex and need no search.
+    cat = small_catalog.subset(["Q8", "Z2xZ4", "D8", "G(2,3)", "Z2xZ6",
+                                "A3xZ2xZ2", "Z2xZ12", "Z4xZ6"])
+    spectrum, divisibility = run_all(cat, names=["iso_order_spectrum",
+                                                 "iso_cyc_divisibility"])
+    reason = ("no certificate (Timeout: canonical form search exceeded its "
+              "time budget)")
+    for res in (spectrum, divisibility):
+        assert res.passed
+        assert res.skipped == [(lab, reason) for lab in ("D8", "G(2,3)")]
+    assert spectrum.tested == 6
+    # ordered pairs within the classes {A3xZ2xZ2, Z2xZ6} and {Z2xZ12, Z4xZ6}
+    assert divisibility.tested == 4
 
 
 def test_elapsed_ms_is_rounded_once(monkeypatch, small_catalog):
@@ -397,8 +414,9 @@ def test_group_checks_alone_compute_no_certificate(monkeypatch, small_catalog):
 
 
 def test_profiles_expand_no_canonical_form(monkeypatch):
-    # profiles keep the quotient certificates alone: no canonical labeling
-    # or matrix of a whole graph is built, for the graph or a Sylow graph
+    # the certificates of the profiles' twin quotients are the quotient
+    # certificates alone: no canonical labeling or matrix of a whole graph
+    # is built, for the graph or a Sylow graph
     def no_expansion(*args, **kwargs):
         raise AssertionError("canonical form expanded")
 
@@ -410,9 +428,11 @@ def test_profiles_expand_no_canonical_form(monkeypatch):
         if az.graph is None:
             continue
         n, k = az.graph.n_vertices, len(az.graph.twin_quotient[0])
-        assert prof.certificate[:16] == (n.to_bytes(8, "big")
-                                         + k.to_bytes(8, "big"))
-        sylow_graphs += len(prof.sylow_certificates or ())
+        cert, _ = harness._certificate_of(prof.quotient)
+        assert cert[:16] == n.to_bytes(8, "big") + k.to_bytes(8, "big")
+        for _, quotient in prof.sylow_quotients or ():
+            assert harness._certificate_of(quotient)[0] is not None
+            sylow_graphs += 1
     assert sylow_graphs
 
 
@@ -424,9 +444,13 @@ def test_sylow_certificates_match_rebuilt_subgroups():
         prof = profile_of(az)
         sylows = structure.sylow_decomposition(az.group)
         if sylows is None or az.graph is None or prof.cyc_size != 1:
-            assert prof.sylow_certificates is None
+            assert prof.sylow_quotients is None
             continue
-        assert prof.sylow_certificates == tuple(
+        # a p-group's Sylow graph is its graph
+        quotients = prof.sylow_quotients or ((prof.is_pgroup[0],
+                                              prof.quotient),)
+        assert tuple((p, harness._certificate_of(q)[0])
+                     for p, q in quotients) == tuple(
             (p, oracles.rebuilt_sylow_certificate(az.group, members))
             for p, members in sylows.items())
         checked[len(sylows) > 1] += 1
@@ -437,8 +461,8 @@ def _synthetic_profile(label, nilpotent=True,
                        sylows=((2, b"cert-2"), (3, b"cert-3"))):
     return GroupProfile(label, None, order=36, cyc_size=1,
                         is_nilpotent=nilpotent,
-                        sylow_certificates=sylows if nilpotent else None,
-                        certificate=b"graph")
+                        sylow_classes=sylows if nilpotent else None,
+                        graph_class=("graph",))
 
 
 def test_nilpotent_transfer_reports_each_mismatch():
@@ -517,7 +541,8 @@ def test_run_entry_contracts_a_non_nilpotent_graph_once(contractions):
     entry_checks = [n for n, c in CHECKS.items()
                     if c.kind in ("group", "graph")]
     outcomes, profile = harness._run_entry(entry, entry_checks, True, None)
-    assert not profile.is_nilpotent and profile.certificate is not None
+    assert not profile.is_nilpotent
+    assert harness._certificate_of(profile.quotient)[0] is not None
     assert outcomes["diam_le_3"].tested == 1
     assert contractions == [profile.vertex_count]
 
@@ -562,4 +587,78 @@ def test_one_perm_closure_per_entry_under_max_order(monkeypatch, tmp_path):
                     "diam_le_3")
     assert calls == [4, 4, 3]
     assert res.passed and res.tested == 3
-    assert res.skipped == [("perm:4", "order 24 exceeds the maximum order 10")]
+    assert res.skipped == [("perm:4:(1 2),(1 2 3 4)",
+                            "order 24 exceeds the maximum order 10")]
+
+
+def test_key_mates_share_their_certificates(old_forms):
+    # the rule that lets a key's entries share one form: every repeat of a
+    # structural key in the default catalog has the graph and Sylow
+    # certificates of the key's first entry
+    first = {}
+    pairs = 0
+    for entry in Catalog.default(max_order=200).entries:
+        if entry.label not in old_forms:
+            continue
+        key = harness._structural_key(GroupProfile(entry.label, entry.spec))
+        if key in first:
+            assert old_forms[entry.label] == old_forms[first[key]], (
+                entry.label, first[key])
+            pairs += 1
+        else:
+            first[key] = entry.label
+    assert pairs == 362
+
+
+def _partition_of(values):
+    classes = {}
+    for label, value in values:
+        classes.setdefault(value, set()).add(label)
+    return sorted(map(sorted, classes.values()))
+
+
+def test_classes_are_the_certificate_partition(old_forms, classed_sweep):
+    profiles, _ = classed_sweep
+    graphs = [p for p in profiles if p.graph_class is not None]
+    assert len(graphs) == len(old_forms) == 1454
+    assert not any(p.cert_error for p in profiles)
+    partition = _partition_of((p.label, p.graph_class) for p in graphs)
+    assert partition == _partition_of(
+        (label, cert) for label, (cert, _) in old_forms.items())
+    assert len(partition) == 705
+    buckets = Counter((p.vertex_count, p.degree_census) for p in graphs)
+    assert sum(n == 1 for n in buckets.values()) == 321
+    # within a class, Sylow classes agree exactly when Sylow certificates do
+    by_class = {}
+    for p in graphs:
+        assert (p.sylow_classes is None) == (old_forms[p.label][1] is None)
+        if p.sylow_classes is not None:
+            by_class.setdefault(p.graph_class, []).append(p)
+    compared = 0
+    for members in by_class.values():
+        for a, b in combinations(members, 2):
+            compared += 1
+            assert ((a.sylow_classes == b.sylow_classes)
+                    == (old_forms[a.label][1] == old_forms[b.label][1]))
+    assert compared > 100
+
+
+def test_sweep_computes_only_the_needed_forms(classed_sweep):
+    # 699 graph and 52 Sylow forms from the carried quotients, and the 15
+    # that cyclic_maximal_families computes from its own graphs, where
+    # profiles used to compute 1454 + 144
+    _, forms = classed_sweep
+    assert forms == {"TwinQuotient": 751, "NonCyclicGraph": 15}
+
+
+def test_unlabelled_perm_entries_of_one_degree(tmp_path):
+    # each is labelled with its expression, so two of one degree do not
+    # collide; both are S3, under two structural keys
+    cat_file = tmp_path / "catalog.json"
+    cat_file.write_text(json.dumps([{"spec": "perm:3:(1 2),(1 2 3)"},
+                                    {"spec": "perm:3:(1 2 3),(2 3)"}]))
+    cat = Catalog.from_file(str(cat_file))
+    assert [e.label for e in cat.entries] == ["perm:3:(1 2),(1 2 3)",
+                                              "perm:3:(1 2 3),(2 3)"]
+    res = run_check(cat, "iso_cyc_divisibility")
+    assert res.passed and res.tested == 2 and res.skipped == []
