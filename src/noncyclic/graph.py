@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 from typing import Optional, Sequence
 
@@ -54,8 +54,16 @@ def _packed_rows(packed: np.ndarray) -> tuple:
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
     """Rows of the subgraph induced on the vertices idx, with idx[i]
     renamed to i."""
-    # two takes gather several times faster than one np.ix_ index
-    return _bit_rows(_bit_matrix(rows).take(idx, 0).take(idx, 1))
+    # unpack only the kept rows; a take gathers faster than an np.ix_ index
+    return _bit_rows(_bit_matrix([rows[i] for i in idx], len(rows))
+                     .take(idx, 1))
+
+
+@cache
+def _descriptor(tag, size, inner):
+    """The twin-class descriptor (tag, size, inner), one object per value:
+    profiles keep every quotient, and distinct values are few."""
+    return tag, size, inner
 
 
 def _merge_classes(keys, qrows, descs, members, tag):
@@ -74,7 +82,8 @@ def _merge_classes(keys, qrows, descs, members, tag):
     # subgraph is the quotient
     new_rows = induced_rows(qrows, [cls[0] for cls in classes])
     new_descs = tuple(descs[cls[0]] if len(cls) == 1
-                      else (tag, len(cls), descs[cls[0]]) for cls in classes)
+                      else _descriptor(tag, len(cls), descs[cls[0]])
+                      for cls in classes)
     new_members = tuple(members[cls[0]] if len(cls) == 1
                         else tuple(u for v in cls for u in members[v])
                         for cls in classes)

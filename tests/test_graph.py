@@ -349,6 +349,19 @@ def test_graph_invariants_match_oracles_on_catalog(catalog_graphs):
             list(range(g.n_vertices))
 
 
+def test_equal_twin_descriptors_are_one_object(catalog_graphs):
+    # the profiles keep every quotient until the global checks have run
+    seen = {}
+    for group, _, g in catalog_graphs:
+        for desc in g.twin_quotient[1]:
+            while True:
+                assert seen.setdefault(desc, desc) is desc, group.label
+                if desc[0] == "v":
+                    break
+                desc = desc[2]
+    assert len(seen) > 400
+
+
 def test_sylow_subgraph_contraction_matches_oracle(catalog_graphs):
     seen = 0
     for group, table, g in catalog_graphs:
