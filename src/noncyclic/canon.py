@@ -24,10 +24,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .cyclicizers import _bit_matrix, _bit_rows
 from .errors import (InvalidParameter, Timeout, TooLarge,
                      VerificationFailure)
-from .graph import (NonCyclicGraph, _bit_matrix, _bit_rows,
-                    _iterated_contraction, induced_rows)
+from .graph import NonCyclicGraph, _iterated_contraction, induced_rows
 from .groups import _is_prime
 
 DEFAULT_VERTEX_CAP = 2048

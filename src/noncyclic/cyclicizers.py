@@ -9,12 +9,40 @@ all element cyclicizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property, reduce
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptySet, VerificationFailure
 from .groups import Group, Subgroup, maximal_generators, prime_factorization
+
+
+def _bit_matrix(rows: Sequence[int], n: Optional[int] = None) -> np.ndarray:
+    """Boolean len(rows) x n matrix with entry [i, j] = bit j of rows[i]; n
+    defaults to len(rows)."""
+    n = len(rows) if n is None else n
+    width = (n + 7) // 8
+    packed = np.frombuffer(
+        b"".join([row.to_bytes(width, "little") for row in rows]),
+        dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _bit_rows(matrix: np.ndarray) -> tuple:
+    """Int bit rows of a boolean matrix; the inverse of _bit_matrix."""
+    return _packed_rows(np.packbits(matrix, axis=1, bitorder="little"))
+
+
+def _packed_rows(packed: np.ndarray) -> tuple:
+    """Int bit rows of a matrix packed little-endian along axis 1."""
+    # slices of one bytes object are cheaper than a view per numpy row
+    data, width = packed.tobytes(), packed.shape[1]
+    if not width:
+        return (0,) * len(packed)
+    return tuple([int.from_bytes(data[i:i + width], "little")
+                  for i in range(0, len(data), width)])
 
 
 def bits_to_indices(bits: int) -> list[int]:
@@ -61,6 +89,19 @@ class CyclicizerTable:
     def cyc_of(self, x: int) -> tuple:
         return tuple(bits_to_indices(self.rows[x]))
 
+    @cached_property
+    def distinct(self) -> tuple:
+        """Each distinct cyclicizer once: (rows, row_of), read-only, where
+        the boolean rows hold the distinct Cyc(x) by least x and Cyc(x) is
+        rows[row_of[x]]. The generators of one cyclic subgroup share a row,
+        so there are mostly far fewer rows than elements."""
+        index: dict[int, int] = {}
+        row_of = np.array([index.setdefault(bits, len(index))
+                           for bits in self.rows])
+        rows = _bit_matrix(list(index), len(self.rows))
+        rows.flags.writeable = row_of.flags.writeable = False
+        return rows, row_of
+
     def to_json_dict(self) -> dict:
         return {
             "order": len(self.rows),
@@ -80,9 +121,7 @@ def cyclicizer_table(group: Group) -> CyclicizerTable:
     if group._cyc_table is not None:
         return group._cyc_table
     rows = group.pair_rows
-    inter = (1 << group.order) - 1
-    for r in rows:
-        inter &= r
+    inter = reduce(int.__and__, rows)
     maximal = sorted((MaximalCyclic(g, group.generated_cyclic_bits(g))
                       for g in maximal_generators(group)),
                      key=lambda mc: (-mc.size, mc.generator))
@@ -102,10 +141,7 @@ def cyclicizer_of_set(group: Group, xs: Iterable[int]) -> tuple:
     if not xs:
         raise EmptySet("cyclicizer of the empty set is undefined")
     rows = group.pair_rows
-    inter = (1 << group.order) - 1
-    for x in xs:
-        inter &= rows[x]
-    return tuple(bits_to_indices(inter))
+    return tuple(bits_to_indices(reduce(int.__and__, [rows[x] for x in xs])))
 
 
 def maximal_cyclic_subgroups(group: Group) -> list[Subgroup]:
@@ -125,18 +161,18 @@ class TidinessResult:
 
 
 def is_tidy(group: Group) -> TidinessResult:
-    """A group is tidy when every cyclicizer is a subgroup."""
-    rows = group.pair_rows
-    n = group.order
-    flat = group._flat
-    for x in range(n):
-        bits = rows[x]
-        members = bits_to_indices(bits)
-        for a in members:
-            base = a * n
-            for b in members:
-                if not (bits >> flat[base + b]) & 1:
-                    return TidinessResult(False, x, (a, b))
+    """A group is tidy when every cyclicizer is a subgroup. Each distinct
+    cyclicizer D is tested once, at its least x, on all its products: the
+    first (a, b) in D x D with a*b outside D is the violating pair."""
+    rows, row_of = cyclicizer_table(group).distinct
+    t = group.np_table()
+    firsts = np.unique(row_of, return_index=True)[1].tolist()
+    # row 0 is Cyc(e) = G, a subgroup: gathering its n^2 products is waste
+    for r, x in enumerate(firsts[1:], 1):
+        d = np.flatnonzero(rows[r])
+        outside = np.argwhere(~rows[r][t[np.ix_(d, d)]])
+        if outside.size:
+            return TidinessResult(False, x, tuple(d[outside[0]].tolist()))
     return TidinessResult(True, None, None)
 
 

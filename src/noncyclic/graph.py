@@ -18,37 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclicizers import (CyclicizerTable, bits_to_indices, cyclicizer_table,
-                          prime_graph)
+from .cyclicizers import (CyclicizerTable, _bit_matrix, _bit_rows,
+                          bits_to_indices, cyclicizer_table, prime_graph)
 from .errors import Disconnected, GroupIsCyclic, VerificationFailure
 from .groups import Group, _row_blocks, is_cyclic_group
-
-
-def _bit_matrix(rows: Sequence[int], n: Optional[int] = None) -> np.ndarray:
-    """Boolean len(rows) x n matrix with entry [i, j] = bit j of rows[i]; n
-    defaults to len(rows)."""
-    n = len(rows) if n is None else n
-    width = (n + 7) // 8
-    packed = np.frombuffer(
-        b"".join([row.to_bytes(width, "little") for row in rows]),
-        dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n,
-                         bitorder="little").view(bool)
-
-
-def _bit_rows(matrix: np.ndarray) -> tuple:
-    """Int bit rows of a boolean matrix; the inverse of _bit_matrix."""
-    return _packed_rows(np.packbits(matrix, axis=1, bitorder="little"))
-
-
-def _packed_rows(packed: np.ndarray) -> tuple:
-    """Int bit rows of a matrix packed little-endian along axis 1."""
-    # slices of one bytes object are cheaper than a view per numpy row
-    data, width = packed.tobytes(), packed.shape[1]
-    if not width:
-        return (0,) * len(packed)
-    return tuple([int.from_bytes(data[i:i + width], "little")
-                  for i in range(0, len(data), width)])
 
 
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
@@ -162,15 +135,17 @@ def build_graph(group: Group,
         raise GroupIsCyclic(f"{group.label} is cyclic")
     if ctable is None:
         ctable = cyclicizer_table(group)
-    # the complement of the cyclicizer matrix on the non-Cyc(G) rows and
-    # columns, a block of rows at a time, so that no n x n matrix is made
-    n = group.order
-    vertices = np.flatnonzero(~_bit_matrix((ctable.cyc_bits,), n)[0])
-    rows = [ctable.rows[v] for v in vertices.tolist()]
-    adjacency = ()
-    for b in _row_blocks(len(rows), n):
-        adjacency += _bit_rows(~_bit_matrix(rows[b], n).take(vertices, 1))
-    return NonCyclicGraph(group, tuple(vertices.tolist()), adjacency)
+    # vertices with one cyclicizer are false twins, so only the distinct
+    # rows are complemented, a block of rows at a time, and each vertex gets
+    # its row's one object; the rows meet in Cyc(G)
+    rows, row_of = ctable.distinct
+    vertices = np.flatnonzero(~rows.all(axis=0))
+    comp = ()
+    for b in _row_blocks(len(rows), group.order):
+        comp += _bit_rows(~rows[b].take(vertices, 1))
+    return NonCyclicGraph(group, tuple(vertices.tolist()),
+                          tuple(map(comp.__getitem__,
+                                    row_of[vertices].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,15 @@ import numpy as np
 from . import structure
 from .canon import (TwinQuotient, canonical_form,
                     check_goormaghtigh_condition)
-from .cyclicizers import (CyclicizerTable, central_cosets, check_central,
-                          cyclicizer_table, is_tidy, quotient_pair_matrix)
+from .cyclicizers import (CyclicizerTable, _packed_rows, central_cosets,
+                          check_central, cyclicizer_table, is_tidy,
+                          quotient_pair_matrix)
 from .errors import (Disconnected, InvalidParameter, NonCyclicError,
                      OrderTooLarge, ParseError, Timeout, TooLarge,
                      UnknownCheck, VerificationFailure)
-from .graph import (NonCyclicGraph, _bit_matrix, _packed_rows, build_graph,
-                    clique_and_chromatic, degree_kinds, diameter_info,
-                    distance, independence_info, induced_rows,
-                    omega_bound_info)
+from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
+                    degree_kinds, diameter_info, distance, independence_info,
+                    induced_rows, omega_bound_info)
 from .groups import (Group, GroupSpec, abelian, alternating, build, center,
                      cyclic, dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
@@ -246,18 +246,6 @@ class AnalyzedGroup:
         return center(self.group).members
 
     @cached_property
-    def cyc_matrix(self) -> tuple:
-        """The cyclicizer bit matrix with each distinct row once: (rows,
-        row_of), where the boolean rows hold the distinct Cyc(x) by least
-        x and Cyc(x) is rows[row_of[x]]. The generators of one cyclic
-        subgroup share a row, so there are mostly far fewer rows than
-        elements."""
-        index: dict[int, int] = {}
-        row_of = np.array([index.setdefault(bits, len(index))
-                           for bits in self.ctable.rows])
-        return _bit_matrix(list(index), self.group.order), row_of
-
-    @cached_property
     def cyc_cosets(self) -> np.ndarray:
         """The cosets of Cyc(G), one per row (``central_cosets``)."""
         return central_cosets(self.group, self.ctable.cyc_members())
@@ -279,7 +267,6 @@ class GroupProfile:
     order: int = 0
     cyc_size: int = 0
     pi_e: tuple = ()
-    is_cyclic: bool = False
     is_nilpotent: bool = False
     is_pgroup: Optional[tuple] = None       # (p, e)
     is_gen_quaternion: bool = False
@@ -335,7 +322,6 @@ def profile_of(az: AnalyzedGroup, want_classes: bool = True
         order=g.order,
         cyc_size=ct.cyc_size,
         pi_e=pi_e(g),
-        is_cyclic=az.is_cyclic,
         is_nilpotent=sylows is not None,
         is_pgroup=structure.pgroup_parameters(g),
         is_gen_quaternion=structure.is_generalized_quaternion(g),
@@ -541,7 +527,7 @@ def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
     result.tested += 1
     if ct.cyc_size == 1:
         return
-    rows, row_of = az.cyc_matrix
+    rows, row_of = az.ctable.distinct
     cosets = az.cyc_cosets   # the rows partition G
     inside = rows[:, cosets.T]   # [r, k, c]: is cosets[c, k] in row r
     leaks = inside.any(axis=1) & ~inside.all(axis=1)
@@ -570,7 +556,7 @@ def _check_core_cyclic(az: AnalyzedGroup, result: CheckResult):
     ascending order, as the failures are reported for the least x."""
     g, n = az.group, az.group.order
     result.tested += 1
-    rows, row_of = az.cyc_matrix
+    rows, row_of = az.ctable.distinct
     cores = _cyc_cores(rows, row_of)
     # a cyclic subgroup equal to a core is generated by one of its members
     cyclic = {bits for _, bits in g.cyclic_subgroups}
@@ -586,9 +572,10 @@ def _check_core_cyclic(az: AnalyzedGroup, result: CheckResult):
 
 
 def _cyc_cores(rows: np.ndarray, row_of: np.ndarray) -> np.ndarray:
-    """D & AND(Cyc(w) for w in D) for each distinct row D of ``cyc_matrix``,
-    packed little-endian along axis 1. All come from one gather of the
-    packed rows, cut into one segment per D by ``bitwise_and.reduceat``."""
+    """D & AND(Cyc(w) for w in D) for each distinct row D of
+    ``CyclicizerTable.distinct``, packed little-endian along axis 1. All
+    come from one gather of the packed rows, cut into one segment per D by
+    ``bitwise_and.reduceat``."""
     of_d, members = np.nonzero(rows)
     # the packed rows, then an all-true row that closes the gather: the
     # start of an empty trailing D indexes it and every earlier segment
@@ -627,7 +614,7 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
     identity coset's column is the matrix's only all-true column. Each N is
     first checked exactly to be a central subgroup."""
     g, ct = az.group, az.ctable
-    rows, row_of = az.cyc_matrix
+    rows, row_of = az.ctable.distinct
     result.tested += 1
     if ct.cyc_size > 1:
         check_central(g, ct.cyc_members())
@@ -1103,7 +1090,7 @@ def _check_dihedral_unique(profiles, result: CheckResult):
 def _check_pgroup_recovery(profiles, result: CheckResult):
     for cls in _graph_classes(profiles):
         for a in cls:
-            if a.is_pgroup is None or a.is_cyclic:
+            if a.is_pgroup is None:
                 continue
             p, e = a.is_pgroup
             if e < 3:

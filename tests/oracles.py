@@ -15,9 +15,10 @@ from operator import itemgetter
 import numpy as np
 
 from noncyclic.canon import _Backjump, _codegree_split, _Search, canonical_form
+from noncyclic.cyclicizers import _bit_matrix, _bit_rows
 from noncyclic.errors import InvalidCayleyFile, ParseError
 from noncyclic.graph import build_graph
-from noncyclic.groups import Group, Subgroup, direct_product
+from noncyclic.groups import Group, Subgroup, _row_blocks, direct_product
 from noncyclic.harness import CatalogEntry, _ce
 
 
@@ -200,6 +201,31 @@ def naive_pair_cyclic(group, x, y):
 def naive_cyclicizer(group, x):
     return sorted(y for y in range(group.order)
                   if naive_pair_cyclic(group, x, y))
+
+
+def per_vertex_adjacency(group, ctable):
+    """(vertices, adjacency) of the non-cyclic graph with every vertex's
+    cyclicizer row complemented on its own, a block of rows at a time."""
+    n = group.order
+    vertices = np.flatnonzero(~_bit_matrix((ctable.cyc_bits,), n)[0])
+    rows = [ctable.rows[v] for v in vertices.tolist()]
+    adjacency = ()
+    for b in _row_blocks(len(rows), n):
+        adjacency += _bit_rows(~_bit_matrix(rows[b], n).take(vertices, 1))
+    return tuple(vertices.tolist()), adjacency
+
+
+def loop_is_tidy(group):
+    """(is_tidy, witness, violating_pair) by testing every product a*b of
+    members of Cyc(x), for every x in ascending order."""
+    rows, t = group.pair_rows, group.np_table().tolist()
+    for x in range(group.order):
+        members = [y for y in range(group.order) if (rows[x] >> y) & 1]
+        for a in members:
+            for b in members:
+                if not (rows[x] >> t[a][b]) & 1:
+                    return False, x, (a, b)
+    return True, None, None
 
 
 def naive_maximal_cyclic(group):

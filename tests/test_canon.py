@@ -11,8 +11,9 @@ from noncyclic import groups as G
 from noncyclic.canon import (are_isomorphic, canonical_form,
                              check_goormaghtigh_condition, induced_rows,
                              relabel_rows)
+from noncyclic.cyclicizers import _bit_rows
 from noncyclic.errors import InvalidParameter, Timeout, TooLarge
-from noncyclic.graph import _bit_rows, build_graph
+from noncyclic.graph import build_graph
 
 import oracles
 

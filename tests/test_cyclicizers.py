@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from noncyclic import groups as G
-from noncyclic.cyclicizers import (central_cosets, cyclicizer,
-                                   cyclicizer_of_set, cyclicizer_table,
-                                   is_tidy, maximal_cyclic_subgroups,
-                                   prime_graph, quotient_by_central,
+from noncyclic.cyclicizers import (_bit_matrix, _bit_rows, central_cosets,
+                                   cyclicizer, cyclicizer_of_set,
+                                   cyclicizer_table, is_tidy,
+                                   maximal_cyclic_subgroups, prime_graph,
+                                   quotient_by_central,
                                    quotient_by_cyclicizer,
                                    quotient_pair_matrix)
 from noncyclic.errors import EmptySet, VerificationFailure
-from noncyclic.graph import _bit_matrix, _bit_rows
-from noncyclic.harness import Catalog
+from noncyclic.harness import HOMOCYCLIC_REQUIRED, Catalog
 
 import oracles
 
@@ -125,6 +125,37 @@ def test_tidiness():
     assert (bits >> a) & 1 and (bits >> b) & 1
     assert not (bits >> h.mult(a, b)) & 1
     assert not is_tidy(build("Z4xZ4")).is_tidy
+
+
+def test_tidiness_matches_element_loop():
+    """is_tidy, testing each distinct cyclicizer once, returns what the
+    loop over every element and every product of its cyclicizer returns."""
+    groups = [G.build(e.spec) for e in Catalog.default(max_order=64).entries]
+    groups += [G.build(G.direct_product([G.cyclic(p ** m)] * n))
+               for p, m, n in HOMOCYCLIC_REQUIRED]
+    groups += [build("S5"), build("S6")]
+    untidy = 0
+    for g in groups:
+        res = is_tidy(g)
+        assert (res.is_tidy, res.witness, res.violating_pair) == \
+            oracles.loop_is_tidy(g), g.label
+        untidy += not res.is_tidy
+    assert untidy > 50 and len(groups) - untidy > 50
+
+
+def test_distinct_rows_partition_the_cyclicizers(catalog_groups):
+    """Row row_of[x] of the distinct matrix is Cyc(x), no row repeats, and
+    the rows come in order of their least element."""
+    for entry, g in catalog_groups:
+        table = cyclicizer_table(g)
+        rows, row_of = table.distinct
+        assert _bit_rows(rows[row_of]) == table.rows, entry.label
+        assert len(np.unique(rows, axis=0)) == len(rows), entry.label
+        ids, firsts = np.unique(row_of, return_index=True)
+        assert np.array_equal(ids, np.arange(len(rows))), entry.label
+        assert (np.diff(firsts) > 0).all(), entry.label
+        assert not (rows.flags.writeable or row_of.flags.writeable)
+        assert table.distinct is table.distinct
 
 
 def test_prime_graph():

@@ -349,6 +349,25 @@ def test_graph_invariants_match_oracles_on_catalog(catalog_graphs):
             list(range(g.n_vertices))
 
 
+def test_adjacency_matches_per_vertex_complement(catalog_graphs):
+    """The graph built from the distinct cyclicizer rows equals the one
+    that complements every vertex's row on its own."""
+    assert len(catalog_graphs) == 1454
+    for group, table, g in catalog_graphs:
+        assert (g.vertices, g.adjacency) == \
+            oracles.per_vertex_adjacency(group, table), group.label
+
+
+def test_vertices_with_one_cyclicizer_share_one_row(catalog_graphs):
+    shared = 0
+    for group, table, g in catalog_graphs:
+        first = {}
+        for v, row in zip(g.vertices, g.adjacency):
+            assert first.setdefault(table.rows[v], row) is row, group.label
+        shared += g.n_vertices - len(first)
+    assert shared > 100000
+
+
 def test_equal_twin_descriptors_are_one_object(catalog_graphs):
     # the profiles keep every quotient until the global checks have run
     seen = {}

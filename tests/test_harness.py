@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from noncyclic import canon, graph, groups, harness, structure
+from noncyclic import canon, cyclicizers, graph, groups, harness, structure
 from noncyclic.errors import UnknownCheck
 from noncyclic.harness import (CHECKS, Catalog, CheckResult, GroupProfile,
                                all_pass, analyze_entry, profile_of,
@@ -239,7 +239,7 @@ def test_cyc_cores_with_empty_rows():
         if case % 2:
             rows[-1] = False
         row_of = rng.integers(0, k, size=n)
-        ints = graph._packed_rows(np.packbits(rows, axis=1,
+        ints = cyclicizers._packed_rows(np.packbits(rows, axis=1,
                                               bitorder="little"))
         want = []
         for d_bits in ints:
@@ -247,7 +247,7 @@ def test_cyc_cores_with_empty_rows():
             for w in oracles.rows_to_sets([d_bits])[0]:
                 core &= ints[row_of[w]]
             want.append(core)
-        got = graph._packed_rows(harness._cyc_cores(rows, row_of))
+        got = cyclicizers._packed_rows(harness._cyc_cores(rows, row_of))
         assert list(got) == want, case
         empty_last += k > 1 and not rows[-1].any() and rows[-2].sum() > 1
     assert empty_last > 50
@@ -255,7 +255,7 @@ def test_cyc_cores_with_empty_rows():
 
 def test_quotient_check_builds_no_group(monkeypatch):
     """quotient_cyc_trivial reads the quotients' cyclicizers off the
-    entry's cyclicizer matrix: it constructs no Group."""
+    entry's `CyclicizerTable.distinct`: it constructs no Group."""
     entries = [analyze_entry(e) for e in Catalog.default(max_order=64).entries]
     built = []
     init = groups.Group.__init__
