@@ -9,14 +9,14 @@ that keeps this digest keeps every group's data.
 
 ``graphs`` skips the cyclic groups and takes the ``repr()`` of the graph's
 twin quotient (quotient rows, descriptors and members), its
-``CliqueChromatic``, its ``IndependenceInfo`` and its degree census
-(``degree_kinds``). A change to the graph layer that keeps this digest
-keeps every one of these values.
+``DiameterInfo``, its ``CliqueChromatic``, its ``IndependenceInfo`` and its
+degree census (``degree_kinds``). A change to the graph layer that keeps
+this digest keeps every one of these values.
 
     PYTHONPATH=src python scripts/data_digest.py groups --max-order 720 \\
         --expect 691c40c9d89a71616565424d3321697ddd37a7c64dea045755b442cfc685a4f3
     PYTHONPATH=src python scripts/data_digest.py graphs --max-order 720 \\
-        --expect 7bf99ec4c73af931cc55019cfd20ac23298d2fd2ce6437c6bec1a744df7fee6d
+        --expect 68589e9b6b2fdde6d180895446671c54248a48f7d9ae7e519ca5b7a1096c3945
 
 prints the digest and the number of groups or graphs hashed, and with
 ``--expect`` exits non-zero when the digest differs.
@@ -28,7 +28,7 @@ import sys
 
 from noncyclic.cyclicizers import cyclicizer_table
 from noncyclic.graph import (build_graph, clique_and_chromatic, degree_kinds,
-                             independence_info)
+                             diameter_info, independence_info)
 from noncyclic.groups import build, is_cyclic_group
 from noncyclic.harness import Catalog
 
@@ -48,7 +48,8 @@ def graph_parts(g) -> list:
     ctable = cyclicizer_table(g)
     graph = build_graph(g, ctable)
     return [repr(part).encode() for part in (
-        graph.twin_quotient, clique_and_chromatic(graph, ctable),
+        graph.twin_quotient, diameter_info(graph),
+        clique_and_chromatic(graph, ctable),
         independence_info(graph, ctable), degree_kinds(graph))]
 
 

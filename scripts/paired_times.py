@@ -18,13 +18,17 @@ alike; results that differ between the sides stop the run. Per mode:
 Prints one JSON object with, per measure, each side's median, quartiles and
 sum, the quartiles of the per-trial ratios CHANGE / PARENT (below 1: the
 change is faster; null if no parent value is above 0) and the number of
-trials the change won. It supplements ``perfbench/``, replacing no gate.
+trials the change won. In ``entries`` mode each side also reports its tail:
+the nearest-rank quantile of the entry times that ``perfbench/run.py``
+reports as ``latency_tail_ms`` (p99 of 1827 entries), with the ratio of
+the tails. It supplements ``perfbench/``, replacing no gate.
 """
 
 import argparse
 import gc
 import importlib.util
 import json
+import math
 import statistics
 import sys
 import time
@@ -32,6 +36,10 @@ from pathlib import Path
 
 REPEATS = 3
 SIDES = ("parent", "change")
+# perfbench/run.py's tail rule: the highest of these quantiles with at least
+# TAIL_BEYOND values above its nearest-rank position, else the median
+TAIL_QUANTILES = (0.99, 0.95, 0.9, 0.8, 0.75, 0.5)
+TAIL_BEYOND = 10
 
 
 def load_harness(root: str, alias: str):
@@ -97,6 +105,15 @@ def canon_mode(harness, args):
     return args.rounds, trial
 
 
+def tail(values: list) -> tuple:
+    """(quantile, nearest-rank value) of the tail ``perfbench/run.py``
+    reports for this many values."""
+    n = len(values)
+    q = next((q for q in TAIL_QUANTILES
+              if n - math.ceil(q * n) >= TAIL_BEYOND), 0.5)
+    return q, round(sorted(values)[math.ceil(q * n) - 1], 4)
+
+
 def quartiles(values: list):
     """Quartiles of values (one value is its own quartiles); None for none."""
     qs = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
@@ -143,6 +160,12 @@ def main(argv=None) -> None:
         summary[m].update(
             ratio_quartiles=quartiles([c / p for p, c in pairs if p]),
             change_won=sum(c < p for p, c in pairs))
+        if args.mode == "entries":
+            for s, v in zip(SIDES, zip(*pairs)):
+                q, summary[m][s]["tail"] = tail(v)
+            summary[m]["tail_quantile"] = q
+            summary[m]["tail_ratio"] = round(
+                summary[m]["change"]["tail"] / summary[m]["parent"]["tail"], 4)
     print(json.dumps(summary))
 
 

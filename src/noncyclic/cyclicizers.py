@@ -37,10 +37,15 @@ def _bit_rows(matrix: np.ndarray) -> tuple:
 
 def _packed_rows(packed: np.ndarray) -> tuple:
     """Int bit rows of a matrix packed little-endian along axis 1."""
+    width = packed.shape[1]
+    if width <= 16:
+        # up to two machine words a row, which numpy makes ints of
+        words = np.zeros((len(packed), 16), dtype=np.uint8)
+        words[:, :width] = packed
+        low, high = words.view("<u8").T.tolist()
+        return tuple([a | b << 64 for a, b in zip(low, high)])
     # slices of one bytes object are cheaper than a view per numpy row
-    data, width = packed.tobytes(), packed.shape[1]
-    if not width:
-        return (0,) * len(packed)
+    data = packed.tobytes()
     return tuple([int.from_bytes(data[i:i + width], "little")
                   for i in range(0, len(data), width)])
 
@@ -52,6 +57,17 @@ def bits_to_indices(bits: int) -> list[int]:
         out.append(b.bit_length() - 1)
         bits ^= b
     return out
+
+
+def distinct_rows(bit_rows: Sequence[int]) -> tuple:
+    """(rows, row_of), read-only: boolean rows of the distinct bit_rows by
+    least index, and bit_rows[x] is rows[row_of[x]]."""
+    index: dict[int, int] = {}
+    row_of = np.array([index.setdefault(bits, len(index))
+                       for bits in bit_rows])
+    rows = _bit_matrix(list(index), len(bit_rows))
+    rows.flags.writeable = row_of.flags.writeable = False
+    return rows, row_of
 
 
 @dataclass(frozen=True)
@@ -91,16 +107,9 @@ class CyclicizerTable:
 
     @cached_property
     def distinct(self) -> tuple:
-        """Each distinct cyclicizer once: (rows, row_of), read-only, where
-        the boolean rows hold the distinct Cyc(x) by least x and Cyc(x) is
-        rows[row_of[x]]. The generators of one cyclic subgroup share a row,
-        so there are mostly far fewer rows than elements."""
-        index: dict[int, int] = {}
-        row_of = np.array([index.setdefault(bits, len(index))
-                           for bits in self.rows])
-        rows = _bit_matrix(list(index), len(self.rows))
-        rows.flags.writeable = row_of.flags.writeable = False
-        return rows, row_of
+        """Each distinct Cyc(x) once (``distinct_rows``); the generators of
+        one cyclic subgroup share a row."""
+        return distinct_rows(self.rows)
 
     def to_json_dict(self) -> dict:
         return {

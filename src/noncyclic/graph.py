@@ -1,10 +1,12 @@
 """The non-cyclic graph of a finite group and its invariants.
 
-Vertices are the elements outside the group cyclicizer; two vertices are
-joined when they do not generate a cyclic subgroup. Adjacency is stored as
-packed bit rows over vertex positions so that BFS, degree censuses and
-complement scans run on machine words. Each graph contracts its twin classes
-once (``twin_quotient``); canonical forms and eccentricities share it.
+Vertices are the elements outside the group cyclicizer; x and y are joined
+when y is not in Cyc(x), so vertices with one cyclicizer are false twins and
+the graph is the blow-up of its quotient Q, one vertex per distinct
+non-central cyclicizer, kept as packed bit rows. Invariants read Q; the
+whole graph's rows are expanded only when asked for. Each graph contracts
+its twin classes once, from Q (``twin_quotient``); canonical forms and
+eccentricities share it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cyclicizers import (CyclicizerTable, _bit_matrix, _bit_rows,
-                          bits_to_indices, cyclicizer_table, prime_graph)
+                          bits_to_indices, cyclicizer_table, distinct_rows,
+                          prime_graph)
 from .errors import Disconnected, GroupIsCyclic, VerificationFailure
-from .groups import Group, _row_blocks, is_cyclic_group
+from .groups import Group, is_cyclic_group
+
+_LONE = ("v",)      # the descriptor of a lone vertex, one object
 
 
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
@@ -63,10 +68,12 @@ def _merge_classes(keys, qrows, descs, members, tag):
     return new_rows, new_descs, new_members
 
 
-def _iterated_contraction(rows):
+def _iterated_contraction(rows, start: Optional[tuple] = None):
     """Alternately contract classes of false twins (equal neighborhoods,
     mutually non-adjacent) and true twins (equal closed neighborhoods,
-    mutually adjacent) carrying equal nested type descriptors.
+    mutually adjacent) carrying equal nested type descriptors, from lone
+    vertices or from ``start``: the (descriptors, members) of a quotient
+    ``rows`` whose false twins are merged (a graph's Q).
 
     Returns tuples of quotient rows, descriptors and original members per
     quotient vertex. A descriptor is ("v",) for a lone vertex, else (tag,
@@ -77,30 +84,48 @@ def _iterated_contraction(rows):
     its descriptor alone, so expansion in any fixed member order yields a
     labeling-invariant matrix.
     """
-    qrows = tuple(rows)
-    descs = (("v",),) * len(rows)
-    members = tuple((v,) for v in range(len(rows)))
+    state = (tuple(rows),) + (start or ((_LONE,) * len(rows),
+                                        tuple((v,) for v in range(len(rows)))))
+    false_round = start is None
     while True:
-        merged = _merge_classes(zip(qrows, descs), qrows, descs, members, "I")
+        qrows, descs, members = state
+        merged = false_round and _merge_classes(zip(qrows, descs), qrows,
+                                                descs, members, "I")
+        if not merged:
+            closed = [r | 1 << v for v, r in enumerate(qrows)]
+            merged = _merge_classes(zip(closed, descs), qrows, descs,
+                                    members, "C")
         if merged is None:
-            closed = enumerate(zip(qrows, descs))
-            merged = _merge_classes(((r | 1 << v, d) for v, (r, d) in closed),
-                                    qrows, descs, members, "C")
-        if merged is None:
-            return qrows, descs, members
-        qrows, descs, members = merged
+            return state
+        state, false_round = merged, True
 
 
 @dataclass(frozen=True)
 class NonCyclicGraph:
+    """The blow-up of Q, whose vertices ascend by least member and whose
+    members are mutually non-adjacent."""
     group: Group
     vertices: tuple      # group element indices, ascending
-    adjacency: tuple     # bitset rows over vertex positions
+    class_of: tuple      # vertex position -> Q vertex
+    qrows: tuple         # bitset rows over Q vertices
+    members: tuple       # Q vertex -> its vertex positions, ascending
+    class_degrees: tuple  # Q vertex -> its members' degree
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Bitset rows over vertex positions, one object per Q vertex; only
+        ``to_dot``, ``distance`` and whole-graph canonical forms expand it."""
+        rows = _bit_rows(_bit_matrix(self.qrows).take(self.class_of, 1))
+        return tuple(map(rows.__getitem__, self.class_of))
 
     @cached_property
     def twin_quotient(self) -> tuple:
-        """The iterated twin contraction of the adjacency, computed once."""
-        return _iterated_contraction(self.adjacency)
+        """The iterated twin contraction, from Q, computed once."""
+        sizes = list(map(len, self.members))
+        desc_of = {m: _descriptor("I", m, _LONE) for m in set(sizes)}
+        desc_of[1] = _LONE
+        return _iterated_contraction(
+            self.qrows, (tuple(map(desc_of.__getitem__, sizes)), self.members))
 
     @cached_property
     def positions(self) -> dict:
@@ -110,15 +135,15 @@ class NonCyclicGraph:
     @cached_property
     def degree_census(self) -> tuple:
         """Sorted (degree, count) pairs."""
-        return tuple(sorted(Counter(
-            row.bit_count() for row in self.adjacency).items()))
+        return tuple(sorted(Counter(map(self.class_degrees.__getitem__,
+                                        self.class_of)).items()))
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
     def degree(self, pos: int) -> int:
-        return self.adjacency[pos].bit_count()
+        return self.class_degrees[self.class_of[pos]]
 
     def vertex_label(self, pos: int) -> str:
         return self.group.labels[self.vertices[pos]]
@@ -128,6 +153,29 @@ class NonCyclicGraph:
         return self.positions[element]
 
 
+def _graph_on(group: Group, rows: np.ndarray, row_of: np.ndarray,
+              elements: Optional[np.ndarray] = None) -> NonCyclicGraph:
+    """The graph of ``group``, or of its subgroup on ascending ``elements``,
+    from its distinct cyclicizers (``distinct_rows``): row 0 is the central
+    row, the others Q's vertices."""
+    local = np.flatnonzero(row_of)
+    class_of = (row_of[local] - 1).tolist()
+    members = [[] for _ in range(len(rows) - 1)]
+    for p, c in enumerate(class_of):
+        members[c].append(p)
+    # Q_ij: y not in Cyc(x), for x in class i and any y in class j
+    some = np.empty(len(rows), dtype=np.intp)
+    some[row_of] = np.arange(len(row_of))
+    qmatrix = rows[1:].take(some[1:], 1)
+    qrows = _bit_rows(np.logical_not(qmatrix, out=qmatrix))
+    # x is joined to every vertex outside Cyc(x), which holds the centre
+    degrees = len(row_of) - rows[1:].view(np.uint8).sum(axis=1)
+    vertices = local if elements is None else elements[local]
+    return NonCyclicGraph(group, tuple(vertices.tolist()), tuple(class_of),
+                          qrows, tuple(map(tuple, members)),
+                          tuple(degrees.tolist()))
+
+
 def build_graph(group: Group,
                 ctable: Optional[CyclicizerTable] = None) -> NonCyclicGraph:
     """Build the non-cyclic graph; raises GroupIsCyclic when undefined."""
@@ -135,17 +183,17 @@ def build_graph(group: Group,
         raise GroupIsCyclic(f"{group.label} is cyclic")
     if ctable is None:
         ctable = cyclicizer_table(group)
-    # vertices with one cyclicizer are false twins, so only the distinct
-    # rows are complemented, a block of rows at a time, and each vertex gets
-    # its row's one object; the rows meet in Cyc(G)
+    return _graph_on(group, *ctable.distinct)
+
+
+def subgroup_graph(group: Group, ctable: CyclicizerTable,
+                   members: Sequence[int]) -> NonCyclicGraph:
+    """The graph of the subgroup H with ascending ``members``, identity
+    first: Cyc_H(x) = Cyc(x) & H."""
     rows, row_of = ctable.distinct
-    vertices = np.flatnonzero(~rows.all(axis=0))
-    comp = ()
-    for b in _row_blocks(len(rows), group.order):
-        comp += _bit_rows(~rows[b].take(vertices, 1))
-    return NonCyclicGraph(group, tuple(vertices.tolist()),
-                          tuple(map(comp.__getitem__,
-                                    row_of[vertices].tolist())))
+    mem = np.asarray(members)
+    sub = _bit_rows(rows[row_of[mem]].take(mem, 1))
+    return _graph_on(group, *distinct_rows(sub), mem)
 
 
 # ---------------------------------------------------------------------------
@@ -185,38 +233,56 @@ class DiameterInfo:
 
 
 def diameter_info(graph: NonCyclicGraph) -> DiameterInfo:
-    """Eccentricities by BFS on the twin quotient; asserts connectivity (a
+    """Eccentricities on the twin quotient; asserts connectivity (a
     disconnected non-cyclic graph would contradict the connectivity theorem
     and raises Disconnected).
 
     Twin deletion is isometric, so a vertex's eccentricity is the larger of
     its class's in the quotient and the largest distance inside its class:
     a class of a connected graph is a module whose non-adjacent members
-    have a common neighbour. One BFS on the graph from the least vertex of
-    maximum eccentricity checks connectivity and finds the witness.
+    have a common neighbour. A search from the least vertex s of maximum
+    eccentricity, on Q, checks connectivity and finds the witness: s's
+    class mates are at distance 2, any other vertex at its class's distance.
     """
     qrows, descs, members = graph.twin_quotient
+    apart = Disconnected(f"graph of {graph.group.label} is not connected")
+    # all balls grow at once, ball <- ball | ball.A, by numpy's own boolean
+    # product (no BLAS), which stops a sum at its first true term: so the
+    # steps start from the radius-1 balls
+    adj = _bit_matrix(qrows)
+    ball = adj | np.eye(len(qrows), dtype=bool)
+    ecc_q = np.full(len(qrows), min(len(qrows) - 1, 1))
+    while not (full := ball.all(axis=1)).all():
+        grown = ball | ball @ adj
+        if np.array_equal(grown, ball):
+            raise apart
+        ecc_q += ~full
+        ball = grown
     ecc = [0] * graph.n_vertices
-    for q, desc in enumerate(descs):
-        e = max(d for d, _ in _bfs_levels(qrows, q))
+    for e, desc, mem in zip(ecc_q.tolist(), descs, members):
         while desc[0] != "v":    # 2 once false twins merged, else 1
             e = max(e, 2 if desc[0] == "I" else 1)
             desc = desc[2]
-        for v in members[q]:
+        for v in mem:
             ecc[v] = e
     diam = max(ecc)
     s = ecc.index(diam)
+    qrows, c = graph.qrows, graph.class_of[s]
     reached = 0
-    for dist, frontier in _bfs_levels(graph.adjacency, s):
+    for dist, frontier in _bfs_levels(qrows, c):
         reached |= frontier
-    if reached != (1 << graph.n_vertices) - 1:
-        raise Disconnected(f"graph of {graph.group.label} is not connected")
+    mate = next((v for v in graph.members[c] if v != s), None)
+    if reached != (1 << len(qrows)) - 1 or (mate is not None
+                                            and not qrows[c]):
+        raise apart
+    # the least vertex at maximum distance from s
+    far = graph.members[(frontier & -frontier).bit_length() - 1][0]
+    if mate is not None and dist <= 2:
+        far, dist = (min(far, mate) if dist == 2 else mate), 2
     if dist != diam:
         raise VerificationFailure(
-            "twin-quotient eccentricity disagrees with BFS on the graph")
-    # witness: the least vertex at maximum distance from s
-    return DiameterInfo(diam, (s, (frontier & -frontier).bit_length() - 1),
-                        tuple(ecc))
+            "twin-quotient eccentricity disagrees with the search on Q")
+    return DiameterInfo(diam, (s, far), tuple(ecc))
 
 
 def distance(graph: NonCyclicGraph, pos_a: int, pos_b: int) -> int:
@@ -253,10 +319,13 @@ def clique_and_chromatic(graph: NonCyclicGraph,
         raise VerificationFailure(
             "maximal cyclic generator sits in the group cyclicizer")
     clique = tuple(graph.positions[m.generator] for m in maximal)
-    adj = graph.adjacency
-    mask = sum(1 << a for a in set(clique))
-    # a repeated generator misses an edge too: no vertex is its own neighbour
-    if mask.bit_count() < s or any(mask & ~adj[a] != 1 << a for a in clique):
+    qrows, class_of = graph.qrows, graph.class_of
+    qclique = [class_of[a] for a in clique]
+    mask = sum(1 << c for c in set(qclique))
+    # a repeated generator, or two in one class, misses an edge too: no
+    # vertex is its own neighbour or its false twin's
+    if mask.bit_count() < s or any(mask & ~qrows[c] != 1 << c
+                                   for c in qclique):
         raise VerificationFailure("clique witness has a missing edge")
     # colour i: the members of the i-th maximal cyclic subgroup not coloured
     # before, in group elements, then in vertex positions
@@ -267,37 +336,43 @@ def clique_and_chromatic(graph: NonCyclicGraph,
         uncoloured &= ~m.bits
     if uncoloured:
         raise VerificationFailure("vertex lies in no maximal cyclic subgroup")
-    at = _bit_matrix(classes, graph.group.order).take(graph.vertices, 1)
-    classes = _bit_rows(at)
-    coloring = tuple(at.argmax(axis=0).tolist())
-    if any(adj[p] & classes[c] for p, c in enumerate(coloring)):
+    colour = _bit_matrix(classes, graph.group.order).argmax(axis=0).tolist()
+    coloring = tuple(map(colour.__getitem__, graph.vertices))
+    # proper iff no two joined Q vertices have members of one colour
+    pairs = set(zip(class_of, coloring))
+    on = [0] * s      # the Q vertices with a member of each colour
+    for c, i in pairs:
+        on[i] |= 1 << c
+    if any(qrows[c] & on[i] for c, i in pairs):
         raise VerificationFailure("coloring is not proper")
     return CliqueChromatic(s, clique, s, coloring)
 
 
-def _max_clique_bits(rows: Sequence[int], nv: int):
-    """Exact maximum clique by branch and bound on bitsets."""
-    best_size = 0
+def _max_clique_bits(rows: Sequence[int], weights: Sequence[int]):
+    """Exact maximum-weight clique by branch and bound on bitsets."""
+    best_weight = 0
     best_set = 0
 
-    def expand(cand: int, cur_set: int, cur_size: int):
-        nonlocal best_size, best_set
+    def expand(cand: int, cur_set: int, cur_weight: int):
+        nonlocal best_weight, best_set
         while cand:
-            if cur_size + cand.bit_count() <= best_size:
+            if cur_weight + sum(weights[v] for v in bits_to_indices(cand)) \
+                    <= best_weight:
                 return
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
             new_set = cur_set | b
+            new_weight = cur_weight + weights[v]
             new_cand = cand & rows[v]
-            if cur_size + 1 > best_size:
-                best_size = cur_size + 1
+            if new_weight > best_weight:
+                best_weight = new_weight
                 best_set = new_set
             if new_cand:
-                expand(new_cand, new_set, cur_size + 1)
+                expand(new_cand, new_set, new_weight)
 
-    expand((1 << nv) - 1, 0, 0)
-    return best_size, best_set
+    expand((1 << len(rows)) - 1, 0, 0)
+    return best_weight, best_set
 
 
 @dataclass(frozen=True)
@@ -326,28 +401,31 @@ def independence_info(graph: NonCyclicGraph,
         ctable = cyclicizer_table(group)
     e = max(group.elem_orders)
     formula = e - ctable.cyc_size
-    gen = min(x for x in range(group.order) if group.elem_orders[x] == e)
+    gen = group.elem_orders.index(e)
     members = group.generated_cyclic_bits(gen) & ~ctable.cyc_bits
     witness = tuple(graph.positions[v] for v in bits_to_indices(members))
     if len(witness) != formula:
         raise VerificationFailure(
             "independent-set witness does not meet the closed form; the "
             "group cyclicizer escaped a maximum-order cyclic subgroup")
-    adj = graph.adjacency
-    mask = sum(1 << a for a in witness)
-    if any(adj[a] & mask for a in witness):
+    qrows = graph.qrows
+    qwitness = {graph.class_of[a] for a in witness}
+    mask = sum(1 << c for c in qwitness)
+    if any(qrows[c] & mask for c in qwitness):
         raise VerificationFailure("independence witness has an edge")
     brute = None
-    nv = graph.n_vertices
-    if nv <= _BRUTE_CAP:
-        full = (1 << nv) - 1
-        comp = [(~adj[i]) & full & ~(1 << i) for i in range(nv)]
-        brute, bset = _max_clique_bits(comp, nv)
+    if graph.n_vertices <= _BRUTE_CAP:
+        # false twins are not joined: Q's largest independent set weighted
+        # by class size
+        full = (1 << len(qrows)) - 1
+        comp = [~row & full & ~(1 << c) for c, row in enumerate(qrows)]
+        brute, bset = _max_clique_bits(comp, [len(m) for m in graph.members])
         if brute < formula:
             raise VerificationFailure(
                 "exact independence number fell below the closed form")
         if brute > formula:
-            witness = tuple(bits_to_indices(bset))
+            witness = tuple(sorted(p for c in bits_to_indices(bset)
+                                   for p in graph.members[c]))
     alpha = max(formula, brute if brute is not None else formula)
     return IndependenceInfo(alpha, formula, brute, witness,
                             brute is not None and brute != formula)
@@ -362,18 +440,13 @@ def degree_kinds(graph: NonCyclicGraph):
 def multipartite_profile(graph: NonCyclicGraph) -> Optional[list[int]]:
     """Sorted part sizes when the graph is complete multipartite, else None.
 
-    The graph is complete multipartite iff, for every distinct row r, the
-    vertices whose row is r are exactly the non-neighbours ``full & ~r``
-    (they then form one part).
+    The parts of a complete multipartite graph are its false-twin classes,
+    Q's vertices, so it is complete multipartite iff Q is complete.
     """
-    rows = graph.adjacency
-    full = (1 << len(rows)) - 1
-    parts: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        parts[row] = parts.get(row, 0) | (1 << v)
-    if any(members != full & ~row for row, members in parts.items()):
+    full = (1 << len(graph.qrows)) - 1
+    if any(row != full & ~(1 << c) for c, row in enumerate(graph.qrows)):
         return None
-    return sorted(members.bit_count() for members in parts.values())
+    return sorted(len(m) for m in graph.members)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .errors import (Disconnected, InvalidParameter, NonCyclicError,
                      UnknownCheck, VerificationFailure)
 from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
                     degree_kinds, diameter_info, distance, independence_info,
-                    induced_rows, omega_bound_info)
+                    omega_bound_info, subgroup_graph)
 from .groups import (Group, GroupSpec, abelian, alternating, build, center,
                      cyclic, dihedral, direct_product, generalized_quaternion,
                      is_cyclic_group, modular_pgroup, mu, parse_group_expr,
@@ -338,10 +338,8 @@ def profile_of(az: AnalyzedGroup, want_classes: bool = True
         if want_classes:
             prof.quotient = TwinQuotient.of(graph)
             if sylows is not None and ct.cyc_size == 1 and len(sylows) > 1:
-                # mem[0] is the identity, the only element off the graph
                 prof.sylow_quotients = tuple(
-                    (p, TwinQuotient.of(induced_rows(graph.adjacency, [
-                        graph.position_of(x) for x in mem[1:]])))
+                    (p, TwinQuotient.of(subgroup_graph(g, ct, mem)))
                     for p, mem in sylows.items())
     return prof
 

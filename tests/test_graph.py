@@ -14,7 +14,8 @@ from noncyclic.graph import (InvariantReport, NonCyclicGraph,
                              clique_and_chromatic, degree_kinds,
                              diameter_info, distance, independence_info,
                              induced_rows, invariant_report,
-                             multipartite_profile, omega_bound_info, to_dot)
+                             multipartite_profile, omega_bound_info,
+                             subgroup_graph, to_dot)
 
 import oracles
 
@@ -22,6 +23,22 @@ import oracles
 def graph_of(expr):
     g = G.build(G.parse_group_expr(expr))
     return build_graph(g)
+
+
+def graph_on_rows(group, vertices, rows):
+    """The NonCyclicGraph whose adjacency is ``rows``: vertices with one row
+    are one quotient vertex, by least member."""
+    classes = {}
+    for v, row in enumerate(rows):
+        classes.setdefault(row, []).append(v)
+    members = tuple(map(tuple, classes.values()))
+    class_of = [0] * len(rows)
+    for c, mem in enumerate(members):
+        for v in mem:
+            class_of[v] = c
+    return NonCyclicGraph(group, vertices, tuple(class_of),
+                          induced_rows(rows, [m[0] for m in members]), members,
+                          tuple(rows[m[0]].bit_count() for m in members))
 
 
 def test_cyclic_group_has_no_graph():
@@ -92,7 +109,7 @@ def test_diameter_against_bfs_oracle(oracle_graphs):
 def test_disconnected_graph_raises():
     group = G.build(G.parse_group_expr("S3"))
     # two disjoint edges
-    g = NonCyclicGraph(group, (1, 2, 3, 4), (0b0010, 0b0001, 0b1000, 0b0100))
+    g = graph_on_rows(group, (1, 2, 3, 4), (0b0010, 0b0001, 0b1000, 0b0100))
     assert oracles.bfs_diameter(g.adjacency) is None
     with pytest.raises(Disconnected, match="is not connected"):
         diameter_info(g)
@@ -105,7 +122,7 @@ def _graph_from_edges(n, edges):
     for a, b in edges:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    return NonCyclicGraph(group, tuple(range(n)), tuple(rows))
+    return graph_on_rows(group, tuple(range(n)), tuple(rows))
 
 
 I2 = ("I", 2, ("v",))
@@ -311,7 +328,7 @@ def test_independence_witness_with_an_edge_is_rejected():
     rows = list(h.adjacency)
     rows[a] |= 1 << b
     rows[b] |= 1 << a
-    doctored = NonCyclicGraph(h.group, h.vertices, tuple(rows))
+    doctored = graph_on_rows(h.group, h.vertices, tuple(rows))
     with pytest.raises(VerificationFailure,
                        match="^independence witness has an edge$"):
         independence_info(doctored)
@@ -392,6 +409,10 @@ def test_sylow_subgraph_contraction_matches_oracle(catalog_graphs):
                                 [g.position_of(x) for x in mem[1:]])
             assert _iterated_contraction(rows) == \
                 oracles.sorted_twin_contraction(rows), group.label
+            # the Sylow graph built from Cyc(x) & P is that subgraph
+            sub = subgroup_graph(group, table, mem)
+            assert sub.vertices == mem[1:], group.label
+            assert sub.twin_quotient == _iterated_contraction(rows)
             seen += 1
     assert seen > 100
 

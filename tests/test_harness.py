@@ -513,9 +513,10 @@ def contractions(monkeypatch):
     real = graph._iterated_contraction
     calls = []
 
-    def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counting(rows, start=None):
+        # the vertex count of the graph contracted, from its Q or bare rows
+        calls.append(sum(map(len, start[1])) if start else len(rows))
+        return real(rows, start)
 
     monkeypatch.setattr(graph, "_iterated_contraction", counting)
     monkeypatch.setattr(canon, "_iterated_contraction", counting)
@@ -662,3 +663,114 @@ def test_unlabelled_perm_entries_of_one_degree(tmp_path):
                                               "perm:3:(1 2 3),(2 3)"]
     res = run_check(cat, "iso_cyc_divisibility")
     assert res.passed and res.tested == 2 and res.skipped == []
+
+
+def _prebuilt(monkeypatch, built):
+    """Make the harness take each non-Cayley entry's group from ``built``,
+    by label, instead of building it."""
+    real = harness.build
+
+    def build(spec, label=None, max_order=None):
+        if spec.kind == "cayley":
+            return real(spec, label=label, max_order=max_order)
+        return built[label]
+
+    monkeypatch.setattr(harness, "build", build)
+
+
+ENTRY_CHECKS = [n for n, c in CHECKS.items() if c.kind in ("group", "graph")]
+
+
+def test_per_entry_path_never_expands_the_graph(catalog_groups, monkeypatch):
+    # the per-entry checks, the profiles and the reports read the graph's
+    # quotient by cyclicizer; only to_dot, distance and whole-graph forms
+    # expand its rows
+    def expanded(self):
+        raise AssertionError(f"{self.group.label}: adjacency expanded")
+
+    monkeypatch.setattr(graph.NonCyclicGraph, "adjacency", property(expanded))
+    _prebuilt(monkeypatch, {e.label: g for e, g in catalog_groups})
+    graphs = 0
+    for entry, group in catalog_groups[::8]:
+        outcomes, profile = harness._run_entry(entry, ENTRY_CHECKS, True, None)
+        assert all(r.passed for r in outcomes.values()), entry.label
+        graphs += profile.quotient is not None
+    assert graphs > 150
+    for expr in ("S6", "G(2,3)xZ2xZ2xZ2xZ3xZ3"):
+        report = graph.invariant_report(groups.build(
+            groups.parse_group_expr(expr)))
+        assert report.diameter == 2 and report.is_connected
+
+
+def _relabelled(group, rng):
+    """``group`` with element x renamed perm[x], for a random permutation
+    perm that fixes the identity; each label moves with its element."""
+    perm = np.arange(group.order)
+    rng.shuffle(perm[1:])
+    t = group.np_table()
+    table = np.empty_like(t)
+    table[np.ix_(perm, perm)] = perm[t]
+    labels = [None] * group.order
+    for x, label in zip(perm.tolist(), group.labels):
+        labels[x] = label
+    return groups.Group(table, labels=labels, label=group.label,
+                        validate=False)
+
+
+def _entry_run(entry):
+    """_run_entry's checks (tested, skips, counterexamples, findings) and
+    its profile."""
+    outcomes, profile = harness._run_entry(entry, ENTRY_CHECKS, True, None)
+    return {n: (r.tested, r.skipped, r.counterexamples, r.findings)
+            for n, r in outcomes.items()}, profile
+
+
+def test_pipeline_is_relabelling_invariant(catalog_groups, old_forms,
+                                           tmp_path, monkeypatch):
+    # the power walk, the cyclicizer table, its distinct rows, the graph,
+    # its contraction and every check see a second labelling of one group;
+    # no report field names a position, so reports compare equal
+    wanted = {"S5", "Z2xA5"}   # Z2xA5 is A5 x Z2
+    chosen = [(e, g) for i, (e, g) in enumerate(catalog_groups)
+              if (i % 4 == 0 or e.label in wanted)
+              and not groups.is_cyclic_group(g)]
+    s6 = groups.build(groups.parse_group_expr("S6"), label="S6")
+    chosen.append((harness.CatalogEntry("S6", groups.parse_group_expr("S6")),
+                   s6))
+    assert len(chosen) > 350
+    built = {e.label: g for e, g in chosen}
+    _prebuilt(monkeypatch, built)
+    rng = np.random.default_rng(31)
+    path = tmp_path / "relabelled.cayley"
+    for i, (entry, group) in enumerate(chosen):
+        moved = _relabelled(group, rng)
+        g = graph.build_graph(moved)
+        assert graph.invariant_report(moved, graph=g) == \
+            graph.invariant_report(group), entry.label
+        # a witness names least positions of one labelling: it need only
+        # be valid in the other
+        info = graph.diameter_info(g)
+        assert graph.distance(g, *info.witness) == info.diameter
+        # every other group reaches the checks through a Cayley file,
+        # which the loader validates; the others as built
+        if i % 2 == 0:
+            groups.to_cayley_file(moved, str(path))
+            fed = harness.CatalogEntry(entry.label, groups.cayley_file(path))
+        else:
+            fed, built[entry.label] = entry, moved
+        got, profile = _entry_run(fed)
+        built[entry.label] = group
+        want, want_profile = _entry_run(entry)
+        assert got == want, entry.label
+        assert profile.quotient.n == want_profile.quotient.n
+        assert sorted(map(repr, profile.quotient.descs)) == \
+            sorted(map(repr, want_profile.quotient.descs)), entry.label
+        # certificates, but for S6, whose search is the deepest (the CI
+        # step comparing S6 with a permutation presentation pins its own)
+        if entry.label in old_forms:
+            cert, sylow_certs = old_forms[entry.label]
+            assert harness._certificate_of(profile.quotient)[0] == cert
+            if profile.sylow_quotients:
+                assert tuple((p, harness._certificate_of(q)[0])
+                             for p, q in profile.sylow_quotients) == \
+                    sylow_certs, entry.label

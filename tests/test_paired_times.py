@@ -1,6 +1,7 @@
 """scripts/paired_times.py run as a command, with this checkout as both
 PARENT and CHANGE."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -48,11 +49,31 @@ def test_each_mode_reports_its_trials(mode, options, trials, measures):
         q1, q2, q3 = report["ratio_quartiles"]
         assert 0 < q1 <= q2 <= q3
         assert 0 <= report["change_won"] <= trials
+    if mode == "entries":
+        # fewer than 20 trials leave under 10 beyond p75: the tail is the
+        # nearest-rank median
+        report = summary["entry_ms"]
+        assert report["tail_quantile"] == 0.5
+        for side in ("parent", "change"):
+            q1, _, q3 = report[side]["quartiles"]
+            assert q1 <= report[side]["tail"] <= q3
+        assert report["tail_ratio"] == round(
+            report["change"]["tail"] / report["parent"]["tail"], 4)
     if mode == "canon":
         # both sides make the same forms
         assert summary["forms"]["parent"] == summary["forms"]["change"]
         assert summary["forms"]["ratio_quartiles"] == [1.0] * 3
         assert summary["forms"]["change_won"] == 0
+
+
+def test_tail_is_the_benchmarks_quantile():
+    spec = importlib.util.spec_from_file_location("paired_times", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the sweep's 1827 entries: p99, with 18 beyond it
+    assert module.tail(list(range(1827, 0, -1))) == (0.99, 1809)
+    assert module.tail(list(range(200))) == (0.95, 189)
+    assert module.tail([2.0]) == (0.5, 2.0)
 
 
 def test_canon_ratio_is_null_without_forms():
