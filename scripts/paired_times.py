@@ -28,18 +28,15 @@ import argparse
 import gc
 import importlib.util
 import json
-import math
 import statistics
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 REPEATS = 3
 SIDES = ("parent", "change")
-# perfbench/run.py's tail rule: the highest of these quantiles with at least
-# TAIL_BEYOND values above its nearest-rank position, else the median
-TAIL_QUANTILES = (0.99, 0.95, 0.9, 0.8, 0.75, 0.5)
-TAIL_BEYOND = 10
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def load_harness(root: str, alias: str):
@@ -105,13 +102,24 @@ def canon_mode(harness, args):
     return args.rounds, trial
 
 
+@cache
+def load_benchmark_run():
+    """This checkout's ``perfbench/run.py``, whose tail rule ``entries``
+    mode reports; it imports ``program`` from its own directory."""
+    sys.path.insert(0, str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
 def tail(values: list) -> tuple:
     """(quantile, nearest-rank value) of the tail ``perfbench/run.py``
     reports for this many values."""
-    n = len(values)
-    q = next((q for q in TAIL_QUANTILES
-              if n - math.ceil(q * n) >= TAIL_BEYOND), 0.5)
-    return q, round(sorted(values)[math.ceil(q * n) - 1], 4)
+    run = load_benchmark_run()
+    q = run.tail_quantile(len(values))
+    return q, round(run.nearest_rank(sorted(values), q), 4)
 
 
 def quartiles(values: list):

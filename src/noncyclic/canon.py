@@ -100,17 +100,16 @@ class TwinQuotient(NamedTuple):
 
     @classmethod
     def of(cls, graph_or_rows) -> "TwinQuotient":
-        n, (qrows, descs, _) = _contraction(graph_or_rows)
-        return cls(n, qrows, descs)
+        qrows, descs, members = _contraction(graph_or_rows)
+        return cls(sum(map(len, members)), qrows, descs)
 
 
 def _contraction(graph_or_rows) -> tuple:
-    """(vertex count, twin contraction) of a graph, the contraction shared
-    through its cache, or of bare rows."""
+    """The twin contraction of a graph, shared through its cache, or of
+    bare rows."""
     if isinstance(graph_or_rows, NonCyclicGraph):
-        return graph_or_rows.n_vertices, graph_or_rows.twin_quotient
-    rows = tuple(graph_or_rows)
-    return len(rows), _iterated_contraction(rows)
+        return graph_or_rows.twin_quotient
+    return _iterated_contraction(tuple(graph_or_rows))
 
 
 def _rows_of(graph_or_rows) -> tuple:
@@ -488,7 +487,7 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int],
 
     qrows, descs, members = (
         (graph_or_rows.rows, graph_or_rows.descs, None) if rows is None
-        else _contraction(graph_or_rows)[1])
+        else _contraction(graph_or_rows))
     k = len(qrows)
     if k == 1:
         lab_q, qmatrix, effort = [0], (0,), (1, 0, 0, 0, 0)

@@ -37,15 +37,10 @@ def _bit_rows(matrix: np.ndarray) -> tuple:
 
 def _packed_rows(packed: np.ndarray) -> tuple:
     """Int bit rows of a matrix packed little-endian along axis 1."""
-    width = packed.shape[1]
-    if width <= 16:
-        # up to two machine words a row, which numpy makes ints of
-        words = np.zeros((len(packed), 16), dtype=np.uint8)
-        words[:, :width] = packed
-        low, high = words.view("<u8").T.tolist()
-        return tuple([a | b << 64 for a, b in zip(low, high)])
     # slices of one bytes object are cheaper than a view per numpy row
-    data = packed.tobytes()
+    data, width = packed.tobytes(), packed.shape[1]
+    if not width:
+        return (0,) * len(packed)
     return tuple([int.from_bytes(data[i:i + width], "little")
                   for i in range(0, len(data), width)])
 

@@ -1,12 +1,10 @@
 """The non-cyclic graph of a finite group and its invariants.
 
-Vertices are the elements outside the group cyclicizer; x and y are joined
-when y is not in Cyc(x), so vertices with one cyclicizer are false twins and
-the graph is the blow-up of its quotient Q, one vertex per distinct
-non-central cyclicizer, kept as packed bit rows. Invariants read Q; the
-whole graph's rows are expanded only when asked for. Each graph contracts
-its twin classes once, from Q (``twin_quotient``); canonical forms and
-eccentricities share it.
+Vertices are the elements outside the group cyclicizer; x ~ y when y is not
+in Cyc(x), so vertices with one cyclicizer are false twins and the graph is
+the blow-up of a quotient Q, one vertex per non-central Cyc(x), held as bit
+rows. Invariants read Q; each graph contracts its twin classes once, from Q
+(``twin_quotient``), for canonical forms and eccentricities.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from .cyclicizers import (CyclicizerTable, _bit_matrix, _bit_rows,
                           prime_graph)
 from .errors import Disconnected, GroupIsCyclic, VerificationFailure
 from .groups import Group, is_cyclic_group
-
-_LONE = ("v",)      # the descriptor of a lone vertex, one object
 
 
 def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
@@ -68,12 +64,11 @@ def _merge_classes(keys, qrows, descs, members, tag):
     return new_rows, new_descs, new_members
 
 
-def _iterated_contraction(rows, start: Optional[tuple] = None):
+def _iterated_contraction(rows, members: Optional[tuple] = None):
     """Alternately contract classes of false twins (equal neighborhoods,
     mutually non-adjacent) and true twins (equal closed neighborhoods,
     mutually adjacent) carrying equal nested type descriptors, from lone
-    vertices or from ``start``: the (descriptors, members) of a quotient
-    ``rows`` whose false twins are merged (a graph's Q).
+    vertices or, for a graph's Q, from its false-twin classes ``members``.
 
     Returns tuples of quotient rows, descriptors and original members per
     quotient vertex. A descriptor is ("v",) for a lone vertex, else (tag,
@@ -84,11 +79,12 @@ def _iterated_contraction(rows, start: Optional[tuple] = None):
     its descriptor alone, so expansion in any fixed member order yields a
     labeling-invariant matrix.
     """
-    state = (tuple(rows),) + (start or ((_LONE,) * len(rows),
-                                        tuple((v,) for v in range(len(rows)))))
-    false_round = start is None
+    false_round = members is None
+    qrows = tuple(rows)
+    members = members or tuple((v,) for v in range(len(rows)))
+    descs = tuple(_descriptor("I", len(m), ("v",)) if len(m) > 1 else ("v",)
+                  for m in members)
     while True:
-        qrows, descs, members = state
         merged = false_round and _merge_classes(zip(qrows, descs), qrows,
                                                 descs, members, "I")
         if not merged:
@@ -96,14 +92,13 @@ def _iterated_contraction(rows, start: Optional[tuple] = None):
             merged = _merge_classes(zip(closed, descs), qrows, descs,
                                     members, "C")
         if merged is None:
-            return state
-        state, false_round = merged, True
+            return qrows, descs, members
+        (qrows, descs, members), false_round = merged, True
 
 
 @dataclass(frozen=True)
 class NonCyclicGraph:
-    """The blow-up of Q, whose vertices ascend by least member and whose
-    members are mutually non-adjacent."""
+    """The blow-up of Q, whose vertices ascend by least member."""
     group: Group
     vertices: tuple      # group element indices, ascending
     class_of: tuple      # vertex position -> Q vertex
@@ -121,11 +116,7 @@ class NonCyclicGraph:
     @cached_property
     def twin_quotient(self) -> tuple:
         """The iterated twin contraction, from Q, computed once."""
-        sizes = list(map(len, self.members))
-        desc_of = {m: _descriptor("I", m, _LONE) for m in set(sizes)}
-        desc_of[1] = _LONE
-        return _iterated_contraction(
-            self.qrows, (tuple(map(desc_of.__getitem__, sizes)), self.members))
+        return _iterated_contraction(self.qrows, self.members)
 
     @cached_property
     def positions(self) -> dict:
@@ -148,27 +139,19 @@ class NonCyclicGraph:
     def vertex_label(self, pos: int) -> str:
         return self.group.labels[self.vertices[pos]]
 
-    def position_of(self, element: int) -> int:
-        """Position of a vertex; KeyError when ``element`` is none."""
-        return self.positions[element]
-
 
 def _graph_on(group: Group, rows: np.ndarray, row_of: np.ndarray,
               elements: Optional[np.ndarray] = None) -> NonCyclicGraph:
     """The graph of ``group``, or of its subgroup on ascending ``elements``,
-    from its distinct cyclicizers (``distinct_rows``): row 0 is the central
-    row, the others Q's vertices."""
+    from its distinct cyclicizers (``distinct_rows``); row 0 is central."""
     local = np.flatnonzero(row_of)
     class_of = (row_of[local] - 1).tolist()
     members = [[] for _ in range(len(rows) - 1)]
     for p, c in enumerate(class_of):
         members[c].append(p)
-    # Q_ij: y not in Cyc(x), for x in class i and any y in class j
-    some = np.empty(len(rows), dtype=np.intp)
-    some[row_of] = np.arange(len(row_of))
-    qmatrix = rows[1:].take(some[1:], 1)
-    qrows = _bit_rows(np.logical_not(qmatrix, out=qmatrix))
-    # x is joined to every vertex outside Cyc(x), which holds the centre
+    # Q_ij: y not in Cyc(x), for any x in class i and y in class j; x is
+    # joined to every vertex outside Cyc(x), which holds the centre
+    qrows = _bit_rows(~rows[1:].take(local[[m[0] for m in members]], 1))
     degrees = len(row_of) - rows[1:].view(np.uint8).sum(axis=1)
     vertices = local if elements is None else elements[local]
     return NonCyclicGraph(group, tuple(vertices.tolist()), tuple(class_of),
@@ -188,11 +171,10 @@ def build_graph(group: Group,
 
 def subgroup_graph(group: Group, ctable: CyclicizerTable,
                    members: Sequence[int]) -> NonCyclicGraph:
-    """The graph of the subgroup H with ascending ``members``, identity
-    first: Cyc_H(x) = Cyc(x) & H."""
+    """The graph of the subgroup H on ascending ``members``, identity first."""
     rows, row_of = ctable.distinct
     mem = np.asarray(members)
-    sub = _bit_rows(rows[row_of[mem]].take(mem, 1))
+    sub = _bit_rows(rows[row_of[mem]].take(mem, 1))    # Cyc_H(x) = Cyc(x) & H
     return _graph_on(group, *distinct_rows(sub), mem)
 
 
@@ -202,24 +184,16 @@ def subgroup_graph(group: Group, ctable: CyclicizerTable,
 
 def _bfs_levels(adj: Sequence[int], start: int):
     """Yield (distance, frontier bitset); stops when no new vertices."""
-    visited = 1 << start
-    frontier = visited
+    visited = frontier = 1 << start
     dist = 0
-    yield dist, frontier
-    while True:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= adj[b.bit_length() - 1]
-            f ^= b
-        nxt &= ~visited
-        if not nxt:
-            return
-        visited |= nxt
-        frontier = nxt
-        dist += 1
+    while frontier:
         yield dist, frontier
+        nxt = 0
+        for v in bits_to_indices(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~visited
+        visited |= frontier
+        dist += 1
 
 
 @dataclass(frozen=True)
@@ -248,16 +222,15 @@ def diameter_info(graph: NonCyclicGraph) -> DiameterInfo:
     apart = Disconnected(f"graph of {graph.group.label} is not connected")
     # all balls grow at once, ball <- ball | ball.A, by numpy's own boolean
     # product (no BLAS), which stops a sum at its first true term: so the
-    # steps start from the radius-1 balls
+    # steps start from the radius-1 balls; no eccentricity reaches k
     adj = _bit_matrix(qrows)
     ball = adj | np.eye(len(qrows), dtype=bool)
     ecc_q = np.full(len(qrows), min(len(qrows) - 1, 1))
     while not (full := ball.all(axis=1)).all():
-        grown = ball | ball @ adj
-        if np.array_equal(grown, ball):
-            raise apart
         ecc_q += ~full
-        ball = grown
+        if ecc_q.max() >= len(qrows):
+            raise apart
+        ball |= ball @ adj
     ecc = [0] * graph.n_vertices
     for e, desc, mem in zip(ecc_q.tolist(), descs, members):
         while desc[0] != "v":    # 2 once false twins merged, else 1
@@ -271,14 +244,13 @@ def diameter_info(graph: NonCyclicGraph) -> DiameterInfo:
     reached = 0
     for dist, frontier in _bfs_levels(qrows, c):
         reached |= frontier
-    mate = next((v for v in graph.members[c] if v != s), None)
-    if reached != (1 << len(qrows)) - 1 or (mate is not None
-                                            and not qrows[c]):
+    mate = graph.members[c][1:2]
+    if reached != (1 << len(qrows)) - 1 or mate and not dist:
         raise apart
     # the least vertex at maximum distance from s
     far = graph.members[(frontier & -frontier).bit_length() - 1][0]
-    if mate is not None and dist <= 2:
-        far, dist = (min(far, mate) if dist == 2 else mate), 2
+    if mate and dist <= 2:
+        far, dist = min(far, mate[0]) if dist == 2 else mate[0], 2
     if dist != diam:
         raise VerificationFailure(
             "twin-quotient eccentricity disagrees with the search on Q")
@@ -320,12 +292,10 @@ def clique_and_chromatic(graph: NonCyclicGraph,
             "maximal cyclic generator sits in the group cyclicizer")
     clique = tuple(graph.positions[m.generator] for m in maximal)
     qrows, class_of = graph.qrows, graph.class_of
-    qclique = [class_of[a] for a in clique]
-    mask = sum(1 << c for c in set(qclique))
-    # a repeated generator, or two in one class, misses an edge too: no
-    # vertex is its own neighbour or its false twin's
-    if mask.bit_count() < s or any(mask & ~qrows[c] != 1 << c
-                                   for c in qclique):
+    at = [class_of[a] for a in clique]      # the clique's Q vertices
+    mask = sum(1 << c for c in set(at))
+    # a repeated generator, or two in one class, misses an edge too
+    if mask.bit_count() < s or any(mask & ~qrows[c] != 1 << c for c in at):
         raise VerificationFailure("clique witness has a missing edge")
     # colour i: the members of the i-th maximal cyclic subgroup not coloured
     # before, in group elements, then in vertex positions
@@ -338,41 +308,38 @@ def clique_and_chromatic(graph: NonCyclicGraph,
         raise VerificationFailure("vertex lies in no maximal cyclic subgroup")
     colour = _bit_matrix(classes, graph.group.order).argmax(axis=0).tolist()
     coloring = tuple(map(colour.__getitem__, graph.vertices))
-    # proper iff no two joined Q vertices have members of one colour
-    pairs = set(zip(class_of, coloring))
-    on = [0] * s      # the Q vertices with a member of each colour
-    for c, i in pairs:
+    on = [0] * s      # the Q vertices of each colour, which Q must not join
+    for c, i in set(zip(class_of, coloring)):
         on[i] |= 1 << c
-    if any(qrows[c] & on[i] for c, i in pairs):
+    if any(qrows[c] & m for m in on for c in bits_to_indices(m)):
         raise VerificationFailure("coloring is not proper")
     return CliqueChromatic(s, clique, s, coloring)
 
 
 def _max_clique_bits(rows: Sequence[int], weights: Sequence[int]):
     """Exact maximum-weight clique by branch and bound on bitsets."""
-    best_weight = 0
+    best = 0
     best_set = 0
 
-    def expand(cand: int, cur_set: int, cur_weight: int):
-        nonlocal best_weight, best_set
+    def expand(cand: int, cur_set: int, cur: int):
+        nonlocal best, best_set
         while cand:
-            if cur_weight + sum(weights[v] for v in bits_to_indices(cand)) \
-                    <= best_weight:
+            if cur + sum(weights[v] for v in bits_to_indices(cand)) <= best:
                 return
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
             new_set = cur_set | b
-            new_weight = cur_weight + weights[v]
+            new = cur + weights[v]
             new_cand = cand & rows[v]
-            if new_weight > best_weight:
-                best_weight = new_weight
+            if new > best:
+                best = new
                 best_set = new_set
             if new_cand:
-                expand(new_cand, new_set, new_weight)
+                expand(new_cand, new_set, new)
 
     expand((1 << len(rows)) - 1, 0, 0)
-    return best_weight, best_set
+    return best, best_set
 
 
 @dataclass(frozen=True)
@@ -401,24 +368,22 @@ def independence_info(graph: NonCyclicGraph,
         ctable = cyclicizer_table(group)
     e = max(group.elem_orders)
     formula = e - ctable.cyc_size
-    gen = group.elem_orders.index(e)
+    gen = min(x for x in range(group.order) if group.elem_orders[x] == e)
     members = group.generated_cyclic_bits(gen) & ~ctable.cyc_bits
     witness = tuple(graph.positions[v] for v in bits_to_indices(members))
     if len(witness) != formula:
         raise VerificationFailure(
             "independent-set witness does not meet the closed form; the "
             "group cyclicizer escaped a maximum-order cyclic subgroup")
-    qrows = graph.qrows
     qwitness = {graph.class_of[a] for a in witness}
     mask = sum(1 << c for c in qwitness)
-    if any(qrows[c] & mask for c in qwitness):
+    if any(graph.qrows[c] & mask for c in qwitness):
         raise VerificationFailure("independence witness has an edge")
     brute = None
     if graph.n_vertices <= _BRUTE_CAP:
-        # false twins are not joined: Q's largest independent set weighted
-        # by class size
-        full = (1 << len(qrows)) - 1
-        comp = [~row & full & ~(1 << c) for c, row in enumerate(qrows)]
+        # false twins are not joined: weight Q's vertices by class size
+        full = (1 << len(graph.qrows)) - 1
+        comp = [~row & full & ~(1 << c) for c, row in enumerate(graph.qrows)]
         brute, bset = _max_clique_bits(comp, [len(m) for m in graph.members])
         if brute < formula:
             raise VerificationFailure(

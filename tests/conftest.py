@@ -50,7 +50,7 @@ def old_forms(catalog_groups):
             sylow_certs = tuple(
                 (p, cert if len(sylows) == 1 else canonical_form(
                     induced_rows(graph.adjacency, [
-                        graph.position_of(x) for x in mem[1:]])).certificate)
+                        graph.positions[x] for x in mem[1:]])).certificate)
                 for p, mem in sylows.items())
         out[entry.label] = cert, sylow_certs
     return out

@@ -362,7 +362,7 @@ def test_graph_invariants_match_oracles_on_catalog(catalog_graphs):
         assert not info.mismatch and info.alpha == info.formula_value
         assert info.witness == witness, group.label
         assert degree_kinds(g)[0] == oracles.recounted_degrees(g.adjacency)
-        assert [g.position_of(v) for v in g.vertices] == \
+        assert [g.positions[v] for v in g.vertices] == \
             list(range(g.n_vertices))
 
 
@@ -406,7 +406,7 @@ def test_sylow_subgraph_contraction_matches_oracle(catalog_graphs):
             continue
         for mem in sylows.values():
             rows = induced_rows(g.adjacency,
-                                [g.position_of(x) for x in mem[1:]])
+                                [g.positions[x] for x in mem[1:]])
             assert _iterated_contraction(rows) == \
                 oracles.sorted_twin_contraction(rows), group.label
             # the Sylow graph built from Cyc(x) & P is that subgraph

@@ -513,10 +513,10 @@ def contractions(monkeypatch):
     real = graph._iterated_contraction
     calls = []
 
-    def counting(rows, start=None):
+    def counting(rows, members=None):
         # the vertex count of the graph contracted, from its Q or bare rows
-        calls.append(sum(map(len, start[1])) if start else len(rows))
-        return real(rows, start)
+        calls.append(sum(map(len, members)) if members else len(rows))
+        return real(rows, members)
 
     monkeypatch.setattr(graph, "_iterated_contraction", counting)
     monkeypatch.setattr(canon, "_iterated_contraction", counting)
