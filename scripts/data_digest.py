@@ -8,8 +8,8 @@ subgroups and the <x> bitsets of all x. A change to how groups are built
 that keeps this digest keeps every group's data.
 
 ``graphs`` skips the cyclic groups and takes the ``repr()`` of the graph's
-twin quotient (quotient rows, descriptors and members), its
-``DiameterInfo``, its ``CliqueChromatic``, its ``IndependenceInfo`` and its
+twin quotient (``canon.twin_contraction`` of the graph: quotient rows,
+descriptors and members), its ``DiameterInfo``, its ``CliqueChromatic``, its ``IndependenceInfo`` and its
 degree census (``degree_kinds``). A change to the graph layer that keeps
 this digest keeps every one of these values.
 
@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import sys
 
+from noncyclic.canon import twin_contraction
 from noncyclic.cyclicizers import cyclicizer_table
 from noncyclic.graph import (build_graph, clique_and_chromatic, degree_kinds,
                              diameter_info, independence_info)
@@ -48,7 +49,7 @@ def graph_parts(g) -> list:
     ctable = cyclicizer_table(g)
     graph = build_graph(g, ctable)
     return [repr(part).encode() for part in (
-        graph.twin_quotient, diameter_info(graph),
+        twin_contraction(graph), diameter_info(graph),
         clique_and_chromatic(graph, ctable),
         independence_info(graph, ctable), degree_kinds(graph))]
 

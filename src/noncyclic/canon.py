@@ -2,12 +2,14 @@
 
 Two graphs are isomorphic iff their certificates are equal. The pipeline
 alternately contracts false-twin classes (equal neighborhoods) and
-true-twin classes (equal closed neighborhoods) and canonicalizes the
+true-twin classes (equal closed neighborhoods) from a graph's quotient Q
+or from bare rows, here alone (``twin_contraction``), and canonicalizes the
 type-annotated quotient by individualization-refinement with
 node-invariant, orbit and backjump pruning, the orbits fed by automorphisms
 found at leaves and guessed beside the first path. The certificate is the
 canonical annotated quotient; a form expands back to the whole graph's
-labeling and canonical matrix only when asked.
+labeling and canonical matrix only when asked, and only that matrix and the
+bijection check expand a graph's ``adjacency``.
 Non-cyclic graphs collapse hard under the contraction: the complete
 multipartite ones, the dominant case, reduce to a handful of vertices.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd, isnan, nan
 from typing import NamedTuple, Optional, Sequence, Union
@@ -27,12 +29,103 @@ import numpy as np
 from .cyclicizers import _bit_matrix, _bit_rows
 from .errors import (InvalidParameter, Timeout, TooLarge,
                      VerificationFailure)
-from .graph import NonCyclicGraph, _iterated_contraction, induced_rows
+from .graph import NonCyclicGraph
 from .groups import _is_prime
 
 DEFAULT_VERTEX_CAP = 2048
 DEFAULT_TIMEOUT_SECS = 30.0
 TIMEOUT_ENV_VAR = "NONCYC_TIMEOUT_SECS"
+
+
+def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
+    """Rows of the subgraph induced on the vertices idx, with idx[i]
+    renamed to i."""
+    # unpack only the kept rows; a take gathers faster than an np.ix_ index
+    return _bit_rows(_bit_matrix([rows[i] for i in idx], len(rows))
+                     .take(idx, 1))
+
+
+def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple:
+    """Rows of the graph with vertex v renamed to perm[v]."""
+    return induced_rows(rows, np.argsort(perm))
+
+
+def _rows_of(graph_or_rows) -> tuple:
+    """The whole graph's bit rows; a graph expands its ``adjacency``."""
+    if isinstance(graph_or_rows, NonCyclicGraph):
+        return graph_or_rows.adjacency
+    return tuple(graph_or_rows)
+
+
+def _vertex_count(graph_or_rows) -> int:
+    if isinstance(graph_or_rows, NonCyclicGraph):
+        return graph_or_rows.n_vertices
+    return len(graph_or_rows)
+
+
+@cache
+def _descriptor(tag, size, inner):
+    """The twin-class descriptor (tag, size, inner), one object per value:
+    profiles keep every quotient, and distinct values are few."""
+    return tag, size, inner
+
+
+def _merge_classes(keys, qrows, descs, members, tag):
+    """One contraction round over the vertices' ``keys``, in vertex order;
+    the merged arrays, or None when every class is a singleton. Quotient
+    vertices ascend by least member, which their members list first, so the
+    classes, in order of first appearance, ascend by least member and list
+    their vertices in member order: the merged vertices keep the invariant."""
+    classes: dict = {}
+    for v, key in enumerate(keys):
+        classes.setdefault(key, []).append(v)
+    if len(classes) == len(qrows):
+        return None
+    classes = list(classes.values())
+    # twins share their neighborhoods, so the representatives' induced
+    # subgraph is the quotient
+    new_rows = induced_rows(qrows, [cls[0] for cls in classes])
+    new_descs = tuple(descs[cls[0]] if len(cls) == 1
+                      else _descriptor(tag, len(cls), descs[cls[0]])
+                      for cls in classes)
+    new_members = tuple(members[cls[0]] if len(cls) == 1
+                        else tuple(u for v in cls for u in members[v])
+                        for cls in classes)
+    return new_rows, new_descs, new_members
+
+
+def twin_contraction(graph_or_rows) -> tuple:
+    """Alternately contract classes of false twins (equal neighborhoods,
+    mutually non-adjacent) and true twins (equal closed neighborhoods,
+    mutually adjacent) carrying equal nested type descriptors, from the
+    lone vertices of bare rows or, for a ``NonCyclicGraph``, from Q, whose
+    vertices are its false-twin classes, so its first round is true twins.
+
+    Returns tuples of quotient rows, descriptors and original members per
+    quotient vertex. A descriptor is ("v",) for a lone vertex, else (tag,
+    class size, member descriptor) with tag "I" or "C" for false or true.
+
+    Interchanging two members of a class is an automorphism, and the
+    member-order adjacency pattern of a contracted vertex is a function of
+    its descriptor alone, so expansion in any fixed member order yields a
+    labeling-invariant matrix.
+    """
+    false_round = not isinstance(graph_or_rows, NonCyclicGraph)
+    qrows = tuple(graph_or_rows) if false_round else graph_or_rows.qrows
+    members = (tuple((v,) for v in range(len(qrows))) if false_round
+               else graph_or_rows.members)
+    descs = tuple(_descriptor("I", len(m), ("v",)) if len(m) > 1 else ("v",)
+                  for m in members)
+    while True:
+        merged = false_round and _merge_classes(zip(qrows, descs), qrows,
+                                                descs, members, "I")
+        if not merged:
+            closed = [r | 1 << v for v, r in enumerate(qrows)]
+            merged = _merge_classes(zip(closed, descs), qrows, descs,
+                                    members, "C")
+        if merged is None:
+            return qrows, descs, members
+        (qrows, descs, members), false_round = merged, True
 
 
 @dataclass(frozen=True)
@@ -57,7 +150,7 @@ class CanonicalForm:
     # those found at leaves and those guessed and verified at first-path
     # siblings; a guess settles its node without a leaf or a backjump
     effort: tuple = field(compare=False)
-    rows: tuple = field(compare=False, repr=False)      # the input graph
+    source: object = field(compare=False, repr=False)   # graph or rows
     # canonical position -> quotient vertex, and each quotient vertex's
     # members in expansion order
     quotient_labeling: tuple = field(compare=False, repr=False)
@@ -75,24 +168,20 @@ class CanonicalForm:
         if self.members is None:
             raise InvalidParameter("a form of a bare twin quotient has no "
                                    "labeling of the whole graph")
-        labeling = [0] * self.vertex_count
-        p = 0
-        for qv in self.quotient_labeling:
-            for v in self.members[qv]:
-                labeling[v] = p
-                p += 1
-        return tuple(labeling)
+        # the inverse of the expansion order
+        return tuple(np.argsort([v for qv in self.quotient_labeling
+                                 for v in self.members[qv]]).tolist())
 
     @cached_property
     def matrix(self) -> tuple:
-        return relabel_rows(self.rows, self.labeling)
+        return relabel_rows(_rows_of(self.source), self.labeling)
 
 
 class TwinQuotient(NamedTuple):
     """What a certificate needs of an n-vertex graph: its iterated twin
-    quotient's rows and descriptors (see ``graph._iterated_contraction``).
-    It is small and picklable, so it can travel without the graph; a form
-    computed from it has no ``labeling`` or ``matrix``."""
+    quotient's rows and descriptors (see ``twin_contraction``). It is small
+    and picklable, so it can travel without the graph; a form computed from
+    it has no ``labeling`` or ``matrix``."""
 
     n: int
     rows: tuple
@@ -100,27 +189,8 @@ class TwinQuotient(NamedTuple):
 
     @classmethod
     def of(cls, graph_or_rows) -> "TwinQuotient":
-        qrows, descs, members = _contraction(graph_or_rows)
+        qrows, descs, members = twin_contraction(graph_or_rows)
         return cls(sum(map(len, members)), qrows, descs)
-
-
-def _contraction(graph_or_rows) -> tuple:
-    """The twin contraction of a graph, shared through its cache, or of
-    bare rows."""
-    if isinstance(graph_or_rows, NonCyclicGraph):
-        return graph_or_rows.twin_quotient
-    return _iterated_contraction(tuple(graph_or_rows))
-
-
-def _rows_of(graph_or_rows) -> tuple:
-    if isinstance(graph_or_rows, NonCyclicGraph):
-        return graph_or_rows.adjacency
-    return tuple(graph_or_rows)
-
-
-def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple:
-    """Rows of the graph with vertex v renamed to perm[v]."""
-    return induced_rows(rows, np.argsort(perm))
 
 
 def _deadline(timeout: Optional[float]) -> float:
@@ -475,10 +545,11 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int],
     the same certificate and the same canonical matrix. A ``TwinQuotient``
     gives the certificate its graph would, with no labeling or matrix."""
     if isinstance(graph_or_rows, TwinQuotient):
-        rows, n = None, graph_or_rows.n
+        source, n = None, graph_or_rows.n
     else:
-        rows = _rows_of(graph_or_rows)
-        n = len(rows)
+        source = (graph_or_rows if isinstance(graph_or_rows, NonCyclicGraph)
+                  else tuple(graph_or_rows))
+        n = _vertex_count(source)
     if n > vertex_cap:
         raise TooLarge(f"{n} vertices exceeds the cap of {vertex_cap}")
     if n == 0:
@@ -486,8 +557,8 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int],
     deadline = _deadline(timeout)
 
     qrows, descs, members = (
-        (graph_or_rows.rows, graph_or_rows.descs, None) if rows is None
-        else _contraction(graph_or_rows))
+        (graph_or_rows.rows, graph_or_rows.descs, None) if source is None
+        else twin_contraction(source))
     k = len(qrows)
     if k == 1:
         lab_q, qmatrix, effort = [0], (0,), (1, 0, 0, 0, 0)
@@ -503,7 +574,7 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int],
     cert = b"".join([n.to_bytes(8, "big"), k.to_bytes(8, "big"),
                      *(row.to_bytes(row_bytes, "big") for row in qmatrix),
                      *(_descriptor_bytes(descs[qv], width) for qv in lab_q)])
-    return CanonicalForm(n, cert, effort, rows, tuple(lab_q), members)
+    return CanonicalForm(n, cert, effort, source, tuple(lab_q), members)
 
 
 def _descriptor_bytes(desc: tuple, width: int) -> bytes:
@@ -537,12 +608,9 @@ def bijection_from_forms(g1: Union[NonCyclicGraph, Sequence[int]],
     cf1 and cf2."""
     if cf1.certificate != cf2.certificate:
         return None
-    rows1, rows2 = _rows_of(g1), _rows_of(g2)
-    inv2 = [0] * len(rows2)
-    for v, p in enumerate(cf2.labeling):
-        inv2[p] = v
-    mapping = [inv2[cf1.labeling[v]] for v in range(len(rows1))]
-    _verify_bijection(rows1, rows2, mapping)
+    # g1's v -> canonical position -> g2's vertex there
+    mapping = np.argsort(cf2.labeling)[list(cf1.labeling)].tolist()
+    _verify_bijection(_rows_of(g1), _rows_of(g2), mapping)
     return list(enumerate(mapping))
 
 
@@ -553,7 +621,7 @@ def are_isomorphic(g1: Union[NonCyclicGraph, Sequence[int]],
                    ) -> Optional[list[tuple[int, int]]]:
     """None when the graphs differ; otherwise a verified vertex bijection
     as (position in g1, position in g2) pairs."""
-    if len(_rows_of(g1)) != len(_rows_of(g2)):
+    if _vertex_count(g1) != _vertex_count(g2):
         return None
     cf1 = canonical_form(g1, vertex_cap=vertex_cap, timeout=timeout)
     cf2 = canonical_form(g2, vertex_cap=vertex_cap, timeout=timeout)

@@ -3,8 +3,9 @@
 Vertices are the elements outside the group cyclicizer; x ~ y when y is not
 in Cyc(x), so vertices with one cyclicizer are false twins and the graph is
 the blow-up of a quotient Q, one vertex per non-central Cyc(x), held as bit
-rows. Invariants read Q; each graph contracts its twin classes once, from Q
-(``twin_quotient``), for canonical forms and eccentricities.
+rows. Invariants, eccentricities and distances read Q alone; twin
+contraction belongs to ``canon``. Only ``to_dot`` and a canonical form's
+matrix and bijection check expand the whole graph's ``adjacency``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence
 
@@ -21,79 +22,9 @@ import numpy as np
 from .cyclicizers import (CyclicizerTable, _bit_matrix, _bit_rows,
                           bits_to_indices, cyclicizer_table, distinct_rows,
                           prime_graph)
-from .errors import Disconnected, GroupIsCyclic, VerificationFailure
+from .errors import (Disconnected, GroupIsCyclic, InvalidParameter,
+                     VerificationFailure)
 from .groups import Group, is_cyclic_group
-
-
-def induced_rows(rows: Sequence[int], idx: Sequence[int]) -> tuple:
-    """Rows of the subgraph induced on the vertices idx, with idx[i]
-    renamed to i."""
-    # unpack only the kept rows; a take gathers faster than an np.ix_ index
-    return _bit_rows(_bit_matrix([rows[i] for i in idx], len(rows))
-                     .take(idx, 1))
-
-
-@cache
-def _descriptor(tag, size, inner):
-    """The twin-class descriptor (tag, size, inner), one object per value:
-    profiles keep every quotient, and distinct values are few."""
-    return tag, size, inner
-
-
-def _merge_classes(keys, qrows, descs, members, tag):
-    """One contraction round over the vertices' ``keys``, in vertex order;
-    the merged arrays, or None when every class is a singleton. Quotient
-    vertices ascend by least member, which their members list first, so the
-    classes, in order of first appearance, ascend by least member and list
-    their vertices in member order: the merged vertices keep the invariant."""
-    classes: dict = {}
-    for v, key in enumerate(keys):
-        classes.setdefault(key, []).append(v)
-    if len(classes) == len(qrows):
-        return None
-    classes = list(classes.values())
-    # twins share their neighborhoods, so the representatives' induced
-    # subgraph is the quotient
-    new_rows = induced_rows(qrows, [cls[0] for cls in classes])
-    new_descs = tuple(descs[cls[0]] if len(cls) == 1
-                      else _descriptor(tag, len(cls), descs[cls[0]])
-                      for cls in classes)
-    new_members = tuple(members[cls[0]] if len(cls) == 1
-                        else tuple(u for v in cls for u in members[v])
-                        for cls in classes)
-    return new_rows, new_descs, new_members
-
-
-def _iterated_contraction(rows, members: Optional[tuple] = None):
-    """Alternately contract classes of false twins (equal neighborhoods,
-    mutually non-adjacent) and true twins (equal closed neighborhoods,
-    mutually adjacent) carrying equal nested type descriptors, from lone
-    vertices or, for a graph's Q, from its false-twin classes ``members``.
-
-    Returns tuples of quotient rows, descriptors and original members per
-    quotient vertex. A descriptor is ("v",) for a lone vertex, else (tag,
-    class size, member descriptor) with tag "I" or "C" for false or true.
-
-    Interchanging two members of a class is an automorphism, and the
-    member-order adjacency pattern of a contracted vertex is a function of
-    its descriptor alone, so expansion in any fixed member order yields a
-    labeling-invariant matrix.
-    """
-    false_round = members is None
-    qrows = tuple(rows)
-    members = members or tuple((v,) for v in range(len(rows)))
-    descs = tuple(_descriptor("I", len(m), ("v",)) if len(m) > 1 else ("v",)
-                  for m in members)
-    while True:
-        merged = false_round and _merge_classes(zip(qrows, descs), qrows,
-                                                descs, members, "I")
-        if not merged:
-            closed = [r | 1 << v for v, r in enumerate(qrows)]
-            merged = _merge_classes(zip(closed, descs), qrows, descs,
-                                    members, "C")
-        if merged is None:
-            return qrows, descs, members
-        (qrows, descs, members), false_round = merged, True
 
 
 @dataclass(frozen=True)
@@ -109,14 +40,10 @@ class NonCyclicGraph:
     @cached_property
     def adjacency(self) -> tuple:
         """Bitset rows over vertex positions, one object per Q vertex; only
-        ``to_dot``, ``distance`` and whole-graph canonical forms expand it."""
+        ``to_dot`` and a canonical form's matrix and bijection check expand
+        it."""
         rows = _bit_rows(_bit_matrix(self.qrows).take(self.class_of, 1))
         return tuple(map(rows.__getitem__, self.class_of))
-
-    @cached_property
-    def twin_quotient(self) -> tuple:
-        """The iterated twin contraction, from Q, computed once."""
-        return _iterated_contraction(self.qrows, self.members)
 
     @cached_property
     def positions(self) -> dict:
@@ -207,60 +134,68 @@ class DiameterInfo:
 
 
 def diameter_info(graph: NonCyclicGraph) -> DiameterInfo:
-    """Eccentricities on the twin quotient; asserts connectivity (a
-    disconnected non-cyclic graph would contradict the connectivity theorem
-    and raises Disconnected).
+    """Eccentricities on Q; asserts connectivity (a disconnected non-cyclic
+    graph would contradict the connectivity theorem and raises
+    Disconnected).
 
-    Twin deletion is isometric, so a vertex's eccentricity is the larger of
-    its class's in the quotient and the largest distance inside its class:
-    a class of a connected graph is a module whose non-adjacent members
-    have a common neighbour. A search from the least vertex s of maximum
-    eccentricity, on Q, checks connectivity and finds the witness: s's
-    class mates are at distance 2, any other vertex at its class's distance.
+    Q is the graph on one member per class, and a member's distance to any
+    other class is its class's distance in Q, so a vertex's eccentricity is
+    its class's in Q, raised to 2 when it has class mates: they are not
+    joined, and in a connected graph they share a neighbour. A search from
+    the least vertex s of maximum eccentricity, on Q, checks connectivity
+    and finds the witness.
     """
-    qrows, descs, members = graph.twin_quotient
+    qrows, members = graph.qrows, graph.members
+    k = len(qrows)
     apart = Disconnected(f"graph of {graph.group.label} is not connected")
     # all balls grow at once, ball <- ball | ball.A, by numpy's own boolean
     # product (no BLAS), which stops a sum at its first true term: so the
     # steps start from the radius-1 balls; no eccentricity reaches k
     adj = _bit_matrix(qrows)
-    ball = adj | np.eye(len(qrows), dtype=bool)
-    ecc_q = np.full(len(qrows), min(len(qrows) - 1, 1))
+    ball = adj | np.eye(k, dtype=bool)
+    ecc_q = np.full(k, min(k - 1, 1))
     while not (full := ball.all(axis=1)).all():
         ecc_q += ~full
-        if ecc_q.max() >= len(qrows):
+        if ecc_q.max() >= k:
             raise apart
         ball |= ball @ adj
-    ecc = [0] * graph.n_vertices
-    for e, desc, mem in zip(ecc_q.tolist(), descs, members):
-        while desc[0] != "v":    # 2 once false twins merged, else 1
-            e = max(e, 2 if desc[0] == "I" else 1)
-            desc = desc[2]
-        for v in mem:
-            ecc[v] = e
+    ecc_q = [max(e, 2) if len(m) > 1 else e
+             for e, m in zip(ecc_q.tolist(), members)]
+    ecc = tuple(map(ecc_q.__getitem__, graph.class_of))
     diam = max(ecc)
     s = ecc.index(diam)
-    qrows, c = graph.qrows, graph.class_of[s]
+    c = graph.class_of[s]
     reached = 0
     for dist, frontier in _bfs_levels(qrows, c):
         reached |= frontier
-    mate = graph.members[c][1:2]
-    if reached != (1 << len(qrows)) - 1 or mate and not dist:
+    mate = members[c][1:2]
+    if reached != (1 << k) - 1 or mate and not dist:
         raise apart
     # the least vertex at maximum distance from s
-    far = graph.members[(frontier & -frontier).bit_length() - 1][0]
+    far = members[(frontier & -frontier).bit_length() - 1][0]
     if mate and dist <= 2:
         far, dist = min(far, mate[0]) if dist == 2 else mate[0], 2
     if dist != diam:
         raise VerificationFailure(
-            "twin-quotient eccentricity disagrees with the search on Q")
-    return DiameterInfo(diam, (s, far), tuple(ecc))
+            "eccentricity on Q disagrees with the search on Q")
+    return DiameterInfo(diam, (s, far), ecc)
 
 
 def distance(graph: NonCyclicGraph, pos_a: int, pos_b: int) -> int:
-    for d, frontier in _bfs_levels(graph.adjacency, pos_a):
-        if (frontier >> pos_b) & 1:
-            return d
+    """The distance between two vertex positions, read on Q: class mates
+    are at distance 2, any other pair at its classes' distance in Q."""
+    if not (0 <= pos_a < graph.n_vertices and 0 <= pos_b < graph.n_vertices):
+        raise InvalidParameter(
+            f"vertex position out of range: {(pos_a, pos_b)}")
+    a, b = graph.class_of[pos_a], graph.class_of[pos_b]
+    if a != b:
+        for d, frontier in _bfs_levels(graph.qrows, a):
+            if (frontier >> b) & 1:
+                return d
+    elif pos_a == pos_b:
+        return 0
+    elif graph.qrows[a]:    # class mates are not joined, but share neighbours
+        return 2
     raise Disconnected(f"no path between positions {pos_a} and {pos_b}")
 
 

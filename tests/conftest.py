@@ -4,9 +4,9 @@ import pytest
 
 from noncyclic import groups as G
 from noncyclic import harness, structure
-from noncyclic.canon import canonical_form
+from noncyclic.canon import canonical_form, induced_rows
 from noncyclic.cyclicizers import cyclicizer_table
-from noncyclic.graph import build_graph, induced_rows
+from noncyclic.graph import build_graph
 from noncyclic.harness import Catalog
 
 

@@ -470,6 +470,17 @@ def bfs_levels(rows, start):
         dist += 1
 
 
+def bfs_distances(rows, start):
+    """Each vertex's distance from start by a BFS on the whole graph's
+    rows, None for a vertex not reached."""
+    out = [None] * len(rows)
+    for dist, frontier in bfs_levels(rows, start):
+        for v in range(len(rows)):
+            if (frontier >> v) & 1:
+                out[v] = dist
+    return out
+
+
 def bfs_diameter(rows):
     """(diameter, witness, eccentricities) by BFS from every vertex, or
     None when the graph is disconnected. The witness is the

@@ -10,7 +10,7 @@ from noncyclic import canon
 from noncyclic import groups as G
 from noncyclic.canon import (are_isomorphic, canonical_form,
                              check_goormaghtigh_condition, induced_rows,
-                             relabel_rows)
+                             relabel_rows, twin_contraction)
 from noncyclic.cyclicizers import _bit_rows
 from noncyclic.errors import InvalidParameter, Timeout, TooLarge
 from noncyclic.graph import build_graph
@@ -130,7 +130,7 @@ def test_effort_is_the_search_counters(monkeypatch):
     for expr in (("EA(2,2)", "Z2xZ4", "S4", "Z6xS3") + TAIL_EXPRS
                  + REJECTED_GUESS_EXPRS):
         g = graph_of(expr)
-        k = len(g.twin_quotient[0])
+        k = len(twin_contraction(g)[0])
         monkeypatch.setattr(canon, "_Search", new)
         cf = canonical_form(g)
         searches.clear()
@@ -267,7 +267,7 @@ def test_guessed_automorphisms_pin_the_effort(monkeypatch):
 
 def test_triangle_census_keys_match_bit_loop(oracle_graphs):
     for g in oracle_graphs + [graph_of(e) for e in TAIL_EXPRS]:
-        qrows, descs, _ = g.twin_quotient
+        qrows, descs, _ = twin_contraction(g)
         if len(qrows) > 1:
             search = canon._Search(qrows, descs, float("inf"))
             assert search.keys == list(
@@ -351,7 +351,7 @@ def test_certificate_is_the_annotated_quotient():
     # order; the lazy labeling lists each quotient vertex's members in turn
     for expr in ("Q8", "Z6xS3", "Z2xZ2xZ2xZ2xZ3xZ3"):
         g = graph_of(expr)
-        qrows, descs, members = g.twin_quotient
+        qrows, descs, members = twin_contraction(g)
         n, k = g.n_vertices, len(qrows)
         cf = canonical_form(g)
         lab_q = cf.quotient_labeling

@@ -6,16 +6,16 @@ from dataclasses import replace
 import pytest
 
 from noncyclic import groups as G
-from noncyclic import structure
+from noncyclic import canon, structure
+from noncyclic.canon import induced_rows, twin_contraction
 from noncyclic.cyclicizers import MaximalCyclic, cyclicizer_table
-from noncyclic.errors import Disconnected, GroupIsCyclic, VerificationFailure
-from noncyclic.graph import (InvariantReport, NonCyclicGraph,
-                             _iterated_contraction, build_graph,
+from noncyclic.errors import (Disconnected, GroupIsCyclic, InvalidParameter,
+                              VerificationFailure)
+from noncyclic.graph import (InvariantReport, NonCyclicGraph, build_graph,
                              clique_and_chromatic, degree_kinds,
                              diameter_info, distance, independence_info,
-                             induced_rows, invariant_report,
-                             multipartite_profile, omega_bound_info,
-                             subgroup_graph, to_dot)
+                             invariant_report, multipartite_profile,
+                             omega_bound_info, subgroup_graph, to_dot)
 
 import oracles
 
@@ -115,6 +115,48 @@ def test_disconnected_graph_raises():
         diameter_info(g)
 
 
+def test_distance_matches_bfs_on_small_catalog_graphs(catalog_graphs):
+    # every ordered pair, self-pairs and class mates included
+    pairs = mates = 0
+    for group, _, g in catalog_graphs:
+        if g.n_vertices > 24:
+            continue
+        for a in range(g.n_vertices):
+            want = oracles.bfs_distances(g.adjacency, a)
+            got = [distance(g, a, b) for b in range(g.n_vertices)]
+            assert got == want, (group.label, a)
+            mates += sum(c == g.class_of[a] for c in g.class_of) - 1
+        pairs += g.n_vertices ** 2
+    assert pairs > 10000 and mates > 1000
+
+
+def test_distance_rejects_positions_out_of_range():
+    g = graph_of("S4")
+    n = g.n_vertices
+    for a, b in ((0, n), (n, 0), (-1, 0), (0, -1), (-n, 1)):
+        with pytest.raises(InvalidParameter, match="out of range"):
+            distance(g, a, b)
+    assert distance(g, n - 1, 0) == \
+        oracles.bfs_distances(g.adjacency, n - 1)[0]
+
+
+def test_diameter_and_distance_read_q_alone(monkeypatch):
+    def expanded(*args):
+        raise AssertionError("expanded or contracted")
+
+    monkeypatch.setattr(canon, "twin_contraction", expanded)
+    monkeypatch.setattr(NonCyclicGraph, "adjacency", property(expanded))
+    for expr in ("S4", "Z6xS3", "G(2,3)xZ2xZ2xZ2xZ3xZ3"):
+        g = graph_of(expr)
+        info = diameter_info(g)
+        s, far = info.witness
+        assert distance(g, s, far) == info.diameter, expr
+        assert max(distance(g, s, b) for b in range(g.n_vertices)) == \
+            info.eccentricities[s] == info.diameter, expr
+        mates = max(g.members, key=len)
+        assert len(mates) > 1 and distance(g, *mates[:2]) == 2, expr
+
+
 def _graph_from_edges(n, edges):
     # the group only supplies labels
     group = G.build(G.parse_group_expr("S4"))
@@ -128,7 +170,8 @@ def _graph_from_edges(n, edges):
 I2 = ("I", 2, ("v",))
 C2 = ("C", 2, ("v",))
 # name: (vertex count, edges, quotient size, descriptor of vertex 0's class);
-# each graph hits one branch of the within-class distance rule
+# each graph hits one case of the rule: Q's eccentricity, raised to 2 for
+# class mates
 QUOTIENT_CASES = {
     # C4 = K(2,2) plus an apex: false twins nested in a true-twin class,
     # whose inner distance 2 beats its quotient eccentricity 1
@@ -146,8 +189,10 @@ QUOTIENT_CASES = {
     # a path has no twins, so nothing contracts
     "P4": (4, [(0, 1), (1, 2), (2, 3)], 4, ("v",)),
     "single vertex": (1, [], 1, ("v",)),
-    # an isolated vertex plus an edge: the quotient BFS alone cannot tell
+    # an isolated vertex plus an edge: disconnected
     "isolated vertex and an edge": (3, [(1, 2)], 2, ("v",)),
+    # Q is one vertex with two members
+    "two isolated vertices": (2, [], 1, I2),
 }
 
 
@@ -155,7 +200,7 @@ QUOTIENT_CASES = {
 def test_quotient_diameter_matches_bfs_oracle(name):
     n, edges, k, desc0 = QUOTIENT_CASES[name]
     g = _graph_from_edges(n, edges)
-    qrows, descs, members = g.twin_quotient
+    qrows, descs, members = twin_contraction(g)
     assert len(qrows) == k
     assert [d for d, m in zip(descs, members) if 0 in m] == [desc0]
     want = oracles.bfs_diameter(g.adjacency)
@@ -170,7 +215,7 @@ def test_quotient_diameter_matches_bfs_oracle(name):
 def test_quotient_diameter_on_worst_contracting_large_group():
     g = graph_of("G(2,3)xZ2xZ2xZ2xZ3xZ3")
     assert g.n_vertices == 575
-    assert len(g.twin_quotient[0]) == 279
+    assert len(twin_contraction(g)[0]) == 279
     info = diameter_info(g)
     assert (info.diameter, info.witness, info.eccentricities) == \
         oracles.bfs_diameter(g.adjacency)
@@ -349,7 +394,7 @@ def catalog_graphs(catalog_groups):
 def test_graph_invariants_match_oracles_on_catalog(catalog_graphs):
     assert len(catalog_graphs) == 1454
     for group, table, g in catalog_graphs:
-        assert g.twin_quotient == oracles.sorted_twin_contraction(
+        assert twin_contraction(g) == oracles.sorted_twin_contraction(
             g.adjacency), group.label
         cc = clique_and_chromatic(g, table)
         assert cc.omega == cc.chi == len(table.maximal)
@@ -389,7 +434,7 @@ def test_equal_twin_descriptors_are_one_object(catalog_graphs):
     # the profiles keep every quotient until the global checks have run
     seen = {}
     for group, _, g in catalog_graphs:
-        for desc in g.twin_quotient[1]:
+        for desc in twin_contraction(g)[1]:
             while True:
                 assert seen.setdefault(desc, desc) is desc, group.label
                 if desc[0] == "v":
@@ -407,12 +452,12 @@ def test_sylow_subgraph_contraction_matches_oracle(catalog_graphs):
         for mem in sylows.values():
             rows = induced_rows(g.adjacency,
                                 [g.positions[x] for x in mem[1:]])
-            assert _iterated_contraction(rows) == \
+            assert twin_contraction(rows) == \
                 oracles.sorted_twin_contraction(rows), group.label
             # the Sylow graph built from Cyc(x) & P is that subgraph
             sub = subgroup_graph(group, table, mem)
             assert sub.vertices == mem[1:], group.label
-            assert sub.twin_quotient == _iterated_contraction(rows)
+            assert twin_contraction(sub) == twin_contraction(rows)
             seen += 1
     assert seen > 100
 
@@ -462,7 +507,7 @@ def test_planted_twin_contraction_matches_oracle():
     nested = Counter()
     for seed in range(200):
         rows = planted_twin_graph(seed)
-        got = _iterated_contraction(rows)
+        got = twin_contraction(rows)
         assert got == oracles.sorted_twin_contraction(rows), seed
         for desc in got[1]:
             while desc[0] != "v" and desc[2][0] != "v":

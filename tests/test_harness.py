@@ -427,7 +427,8 @@ def test_profiles_expand_no_canonical_form(monkeypatch):
         prof = profile_of(az)
         if az.graph is None:
             continue
-        n, k = az.graph.n_vertices, len(az.graph.twin_quotient[0])
+        n = az.graph.n_vertices
+        k = len(canon.twin_contraction(az.graph)[0])
         cert, _ = harness._certificate_of(prof.quotient)
         assert cert[:16] == n.to_bytes(8, "big") + k.to_bytes(8, "big")
         for _, quotient in prof.sylow_quotients or ():
@@ -510,31 +511,33 @@ def test_transfer_reads_profiles_only(monkeypatch, small_catalog):
 @pytest.fixture
 def contractions(monkeypatch):
     """Record every twin contraction, from graph objects or bare rows."""
-    real = graph._iterated_contraction
+    real = canon.twin_contraction
     calls = []
 
-    def counting(rows, members=None):
-        # the vertex count of the graph contracted, from its Q or bare rows
-        calls.append(sum(map(len, members)) if members else len(rows))
-        return real(rows, members)
+    def counting(graph_or_rows):
+        # the vertex count of the graph contracted
+        calls.append(canon._vertex_count(graph_or_rows))
+        return real(graph_or_rows)
 
-    monkeypatch.setattr(graph, "_iterated_contraction", counting)
-    monkeypatch.setattr(canon, "_iterated_contraction", counting)
+    monkeypatch.setattr(canon, "twin_contraction", counting)
     return calls
 
 
-def test_diameter_and_canonical_form_share_one_contraction(contractions):
+def test_diameter_contracts_nothing_and_a_form_contracts_once(contractions):
     g = graph.build_graph(groups.build(groups.parse_group_expr("S4")))
     graph.diameter_info(g)
+    assert contractions == []
     canon.canonical_form(g)
     assert contractions == [g.n_vertices]
 
 
-def test_are_isomorphic_reuses_the_graphs_contraction(contractions):
+def test_are_isomorphic_contracts_each_graph_once(contractions):
     g = graph.build_graph(groups.build(groups.parse_group_expr("S4")))
+    h = graph.build_graph(groups.build(groups.parse_group_expr(
+        "perm:4:(1 2),(1 2 3 4)")))
     graph.diameter_info(g)
-    assert canon.are_isomorphic(g, g) is not None
-    assert contractions == [g.n_vertices]
+    assert canon.are_isomorphic(g, h) is not None
+    assert contractions == [g.n_vertices, h.n_vertices]
 
 
 def test_run_entry_contracts_a_non_nilpotent_graph_once(contractions):
@@ -683,8 +686,8 @@ ENTRY_CHECKS = [n for n, c in CHECKS.items() if c.kind in ("group", "graph")]
 
 def test_per_entry_path_never_expands_the_graph(catalog_groups, monkeypatch):
     # the per-entry checks, the profiles and the reports read the graph's
-    # quotient by cyclicizer; only to_dot, distance and whole-graph forms
-    # expand its rows
+    # quotient by cyclicizer; only to_dot and a whole-graph form's matrix
+    # and bijection check expand its rows
     def expanded(self):
         raise AssertionError(f"{self.group.label}: adjacency expanded")
 
@@ -700,6 +703,26 @@ def test_per_entry_path_never_expands_the_graph(catalog_groups, monkeypatch):
         report = graph.invariant_report(groups.build(
             groups.parse_group_expr(expr)))
         assert report.diameter == 2 and report.is_connected
+
+
+def test_whole_graph_forms_expand_only_when_asked(monkeypatch):
+    # a form keeps its graph and expands it for the matrix alone; the
+    # certificates and the family check read the contraction of Q
+    g = graph.build_graph(groups.build(groups.parse_group_expr("S4")))
+    want = canon.canonical_form(g.adjacency)
+
+    def expanded(self):
+        raise AssertionError(f"{self.group.label}: adjacency expanded")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(graph.NonCyclicGraph, "adjacency", property(expanded))
+        cf = canon.canonical_form(g)
+        assert cf.certificate == want.certificate
+        assert canon.are_isomorphic(g, graph.build_graph(groups.build(
+            groups.parse_group_expr("D8")))) is None
+        res = run_check(Catalog([], None), "cyclic_maximal_families")
+        assert res.passed and res.tested > 0
+    assert cf.matrix == want.matrix
 
 
 def _relabelled(group, rng):
