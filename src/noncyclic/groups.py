@@ -13,7 +13,7 @@ import stat
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice, product as iter_product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -60,9 +60,9 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
 
 
 # Bytes each temporary of a row-blocked array pass may take: the Cayley-file
-# parser's int64 rows, the validator's and the writer's. At 256 KiB they
-# stay small beside an order-720 table (2 MB), and a table of order up to
-# 256 is one validation block.
+# parser's rows (8 bytes an entry), the validator's and the writer's. At 256
+# KiB they stay small beside an order-720 table (2 MB), and a table of order
+# up to 256 is one validation block.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -97,64 +97,81 @@ def _as_table(table, keep: bool = False) -> np.ndarray:
 def _validate_structure(t: np.ndarray) -> None:
     """Raise NotAGroup unless ``t`` is the table of a group with identity 0.
 
-    Associativity is exact at every order (Light's test): the elements g
+    A group's table is certified without sorting. After the identity check,
+    associativity is exact at every order (Light's test): the elements g
     with (x*g)*y == x*(g*y) for all x, y are closed under multiplication,
     so it suffices to test each g not yet reached from the identity by right
-    multiplication with the generators that passed. A group needs at most
-    log2(n) of them, each an O(n^2) comparison. A failure names its triple,
-    the first in (x, y) order for the first failing g.
+    multiplication with the generators that passed, at O(n^2) each; each at
+    least doubles a group's reached set, so at most floor(log2 n) are tested.
+    Then every row must hold 0: an associative table with identity in which
+    each element has a right inverse is a group.
 
-    Every pass runs over blocks of rows (of columns for the column Latin
-    check), so the extra memory beside the table is O(block * n), with the
-    block sized by ``_BLOCK_BYTES``. The passes write into three block-sized
-    scratch arrays made once: fresh block temporaries near the allocator's
-    mmap threshold are mapped and faulted in anew each time, which made
-    validating S7 half as slow again.
+    A table failing any of these is first sorted to check it is a Latin
+    square. In a Latin table the passed generators lie in the middle
+    nucleus, a group whose subgroups' cosets partition the table, so only a
+    mismatch can fail it, naming the first triple in (x, y) order for the
+    first failing g. The passes run over row (or column) blocks sized by
+    ``_BLOCK_BYTES``, in three scratch arrays made once, as fresh ones would
+    be faulted in anew: the memory beside the table is O(block * n).
     """
     n = t.shape[0]
     idx = np.arange(n, dtype=t.dtype)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise NotAGroup("index 0 is not a two-sided identity")
     blocks = list(_row_blocks(n, n * t.itemsize))
-    size = (blocks[0].stop - blocks[0].start) * n
-    one, two = np.empty(size, dtype=t.dtype), np.empty(size, dtype=t.dtype)
-    bad = np.empty(size, dtype=bool)
+    bufs = tuple(np.empty((blocks[0].stop, n), dtype)
+                 for dtype in (t.dtype, t.dtype, bool))
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens, error = [], None
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        if (len(gens) == n.bit_length() - 1
+                or (error := _light_failure(t, g, blocks, bufs))):
+            break
+        gens.append(g)
+        _close(t, reached, gens)
+    else:
+        if all(np.equal(t[b], 0, out=bufs[2][:b.stop - b.start])
+               .any(axis=1).all() for b in blocks):
+            return
+    _check_latin(t, blocks, bufs)
+    raise error
 
-    def scratch(buf, rows, cols):
-        return buf[:rows * cols].reshape(rows, cols)
 
+def _light_failure(t: np.ndarray, g: int, blocks: list, bufs: tuple
+                   ) -> Optional[NotAGroup]:
+    """The error naming the first (x, y) with (x*g)*y != x*(g*y), or None."""
+    one, two, bad = bufs
+    for b in blocks:
+        # entries are in range: mode="clip" only spares take a buffered copy
+        k = b.stop - b.start
+        lhs = np.take(t, t[b, g], axis=0, out=one[:k], mode="clip")
+        rhs = np.take(t[b], t[g], axis=1, out=two[:k], mode="clip")
+        diff = np.not_equal(lhs, rhs, out=bad[:k])
+        if diff.any():
+            x, y = (int(v) for v in np.argwhere(diff)[0] + (b.start, 0))
+            return NotAGroup(f"associativity fails at ({x},{g},{y})",
+                             triple=(x, g, y))
+    return None
+
+
+def _check_latin(t: np.ndarray, blocks: list, bufs: tuple) -> None:
+    """Raise NotAGroup unless each row and column of ``t`` sorts to 0..n-1."""
+    n = t.shape[0]
+    idx = np.arange(n, dtype=t.dtype)
+    one, two = (buf.reshape(-1) for buf in bufs[:2])
     for b in blocks:
         k = b.stop - b.start
-        rows, cols = scratch(one, k, n), scratch(two, n, k)
+        rows, cols = one[:k * n].reshape(k, n), two[:k * n].reshape(n, k)
         rows[...] = t[b]
         cols[...] = t[:, b]
         rows.sort(axis=1)
         cols.sort(axis=0)
-        if (np.not_equal(rows, idx, out=scratch(bad, k, n)).any()
-                or np.not_equal(cols, idx[:, None], out=scratch(bad, n, k)).any()):
+        if (np.subtract(rows, idx, out=rows).any()
+                or np.subtract(cols, idx[:, None], out=cols).any()):
             raise NotAGroup("table is not a Latin square")
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    gens = []
-    for g in range(1, n):
-        if reached[g]:
-            continue
-        for b in blocks:
-            # (x*g)*y versus x*(g*y) for the x in block b; the entries are in
-            # range, so mode="clip" only spares take a buffered copy
-            k = b.stop - b.start
-            lhs = np.take(t, t[b, g], axis=0, out=scratch(one, k, n),
-                          mode="clip")
-            rhs = np.take(t[b], t[g], axis=1, out=scratch(two, k, n),
-                          mode="clip")
-            diff = np.not_equal(lhs, rhs, out=scratch(bad, k, n))
-            if diff.any():
-                x, y = (int(v) for v in np.argwhere(diff)[0])
-                x += b.start
-                raise NotAGroup(f"associativity fails at ({x},{g},{y})",
-                                triple=(x, g, y))
-        gens.append(g)
-        _close(t, reached, gens)
 
 
 def _close(t: np.ndarray, reached: np.ndarray, gens: Sequence[int]) -> None:
@@ -163,9 +180,9 @@ def _close(t: np.ndarray, reached: np.ndarray, gens: Sequence[int]) -> None:
     in a finite group the monoid a set generates is the subgroup."""
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        nxt = np.unique(t[np.ix_(frontier, gens)])
-        frontier = nxt[~reached[nxt]]
-        reached[frontier] = True
+        before = reached.copy()
+        reached[t[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(reached > before)
 
 
 class Group:
@@ -677,8 +694,9 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
     its Group, and the element labels of the group ``spec`` describes.
     Metacyclic presentations are validated by ``_check_presentation`` and
     Cayley files by ``_read_cayley_file``; cyclic, permutation and product
-    tables are groups by construction. A permutation closure larger than
-    ``max_order`` raises OrderTooLarge before its table is built."""
+    tables are groups by construction. A permutation closure, or a product
+    of factor tables, larger than ``max_order`` raises OrderTooLarge before
+    its table is built."""
     k, p = spec.kind, spec.params
     if k == "cyclic":
         n = p[0]
@@ -704,7 +722,9 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
         return (_perm_table(perms, gens),
                 [_perm_label(x) for x in perms])
     if k == "product":
-        return _product_table([_table(c) for c in spec.children])
+        factors = [_table(c, max_order) for c in spec.children]
+        _check_order(prod(len(labels) for _, labels in factors), max_order)
+        return _product_table(factors)
     if k == "cayley":
         return _read_cayley_file(p[0])
     raise InvalidParameter(f"unknown spec kind {k!r}")
@@ -874,8 +894,8 @@ def _parse_rows(lines: list[str], out: np.ndarray) -> bool:
     """Parse ``lines`` into the rows ``out`` of an n-column table; False
     unless each line is a row of n integers in 0..n-1."""
     try:
-        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
+        rows = np.loadtxt(lines, dtype=np.intc, ndmin=2, comments=None)
+    except (ValueError, OverflowError):
         return False
     if rows.shape != out.shape or rows.min() < 0 or rows.max() >= out.shape[1]:
         return False
@@ -946,6 +966,18 @@ def _parse_perm_gens(degree: int, text: str) -> tuple:
 
 
 def _parse_atom(text: str) -> GroupSpec:
+    if text.startswith("perm:"):
+        head, _, gen_text = text[len("perm:"):].partition(":")
+        try:
+            degree = int(head)
+        except ValueError as exc:
+            raise ParseError(f"perm: needs a degree, got {head!r}") from exc
+        if not gen_text:
+            raise ParseError("perm: needs generators")
+        return perm_group(degree, _parse_perm_gens(degree, gen_text))
+    if text.startswith("cayley:"):
+        raise ParseError("a cayley: file cannot be a product factor, as its "
+                         f"path may hold x: {text!r}")
     for pattern, make in _ATOM_PATTERNS:
         m = pattern.match(text)
         if m:
@@ -963,20 +995,8 @@ def parse_group_expr(text: str) -> GroupSpec:
         if not path:
             raise ParseError("cayley: needs a path")
         return cayley_file(path)
-    if text.startswith("perm:"):
-        rest = text[len("perm:"):]
-        head, _, gen_text = rest.partition(":")
-        try:
-            degree = int(head)
-        except ValueError as exc:
-            raise ParseError(f"perm: needs a degree, got {head!r}") from exc
-        if not gen_text:
-            raise ParseError("perm: needs generators")
-        return perm_group(degree, _parse_perm_gens(degree, gen_text))
-    # split on x at parenthesis depth 0
-    parts = []
-    depth = 0
-    cur = []
+    # split on x at parenthesis depth 0; a perm: atom holds none there
+    parts, cur, depth = [], [], 0
     for ch in text:
         if ch == "(":
             depth += 1

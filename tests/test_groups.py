@@ -104,7 +104,7 @@ def test_modular_presentation_relation():
     assert conj == power  # a^4
 
 
-def test_subgroup_generated():
+def test_subgroup_generated(catalog_groups):
     h = build("Z2xZ4")
     assert G.subgroup_generated(h, set()).members == (0,)
     whole = G.subgroup_generated(h, {h.labels.index("(0,1)"),
@@ -120,6 +120,15 @@ def test_subgroup_generated():
                      list(range(1, g.order, 3))):
             assert list(G.subgroup_generated(g, gens).members) \
                 == oracles.closure(g, gens), (expr, gens)
+    # and on three seeded random generator sets of each small catalog group
+    rng = random.Random(0xC105)
+    for entry, g in catalog_groups:
+        if g.order > 48:
+            continue
+        for _ in range(3):
+            gens = rng.sample(range(g.order), min(g.order, rng.randint(1, 3)))
+            assert list(G.subgroup_generated(g, gens).members) \
+                == oracles.closure(g, gens), (entry.label, gens)
 
 
 def _check_cyclic_data(g):
@@ -435,10 +444,16 @@ def test_cayley_file_body_rejections(tmp_path, body):
 
 
 def test_entries_are_range_checked_before_narrowing(tmp_path):
+    # each file is long enough to be read streamed, whose rows parse as
+    # intc: 2^31 - 1 is the largest entry that fits, 2^31 the least that
+    # does not, and 2^32 + 1 would narrow to 1; each gets the whole-body error
     wide = tmp_path / "wide.cayley"
-    wide.write_text("2\n0 4294967297\n1 0\n")   # 2^32 + 1 narrows to 1
-    with pytest.raises(NotAGroup):
-        G.from_cayley_file(str(wide))
+    for entry in (2 ** 31 - 1, 2 ** 31, 2 ** 32 + 1, -2 ** 31 - 1):
+        wide.write_text(f"2\n0 {entry}\n1 0\n")
+        assert os.path.getsize(wide) >= 2 * (2 * 2 - 1)
+        for load in (oracles.whole_file_cayley_load, G.from_cayley_file):
+            with pytest.raises(NotAGroup, match="table entries out of range"):
+                load(str(wide))
     with pytest.raises(NotAGroup):
         G.Group([[0, 1.5], [1.5, 0]])             # truncates to Z2
     with pytest.raises(NotAGroup):
@@ -478,6 +493,8 @@ def _cayley_corpus(tmp_path):
                              30: rows[30].replace(" 9 ", " nine ")},
         "range": {33: rows[33].replace(" 9 ", " -1 ")},
         "non_latin": {20: rows[20].replace(" 9 ", " 8 ")},
+        "int32_max": {25: rows[25].replace(" 9 ", f" {2 ** 31 - 1} ")},
+        "int32_over": {25: rows[25].replace(" 9 ", f" {2 ** 31} ")},
         "extra_row": {39: rows[39] + "\n" + rows[0]},
         "all_short": {i: r.rsplit(" ", 1)[0] for i, r in enumerate(rows)},
     }
@@ -677,6 +694,14 @@ def test_label_and_order_outside_the_families():
         product = G.direct_product([G.cyclic(2), factor, G.cyclic(3)])
         assert product.order() is None
         assert product.label() == f"Z2x{factor.label()}xZ3"
+    # a perm: factor parses back; a cayley: path may hold x, so a cayley:
+    # factor is refused by name
+    product = G.direct_product([G.cyclic(2), perm, G.cyclic(3)])
+    assert G.parse_group_expr(product.label()) == product
+    assert G.build(product).order == 12
+    with pytest.raises(ParseError, match="cayley: file cannot be a product"):
+        G.parse_group_expr(f"Z2x{cayley.label()}")
+    assert G.parse_group_expr("cayley:x.cayley") == G.cayley_file("x.cayley")
     assert G.direct_product([G.cyclic(2), G.symmetric(3)]).order() == 12
 
 
@@ -743,13 +768,30 @@ def test_large_perturbed_table_is_rejected():
 
 
 def _assert_same_failure(t):
+    """Check that ``t`` fails validation as the unblocked reference says;
+    return the message, or None for a group. Only validation runs, as the
+    power walk of a Group would not end on a table wrongly accepted."""
     expected = oracles.unblocked_validation_failure(t)
     try:
-        G.Group(t)
+        G._validate_structure(G._as_table(t))
     except NotAGroup as exc:
         assert (str(exc), exc.triple) == expected
-    else:
-        assert expected is None
+        return str(exc)
+    assert expected is None
+    return None
+
+
+def _associative_non_latin_tables():
+    """Associative tables with identity 0 that are not Latin squares, so
+    that Light's test passes every generator it tries: the max-semilattices
+    on 2..40 elements and the multiplicative monoids mod 2..40, with 0 and 1
+    swapped so that 1 is index 0."""
+    tables = [np.maximum.outer(np.arange(n), np.arange(n)).tolist()
+              for n in range(2, 41)]
+    for m in range(2, 41):
+        swap = [1, 0, *range(2, m)]
+        tables.append([[swap[a * b % m] for b in swap] for a in swap])
+    return tables
 
 
 @pytest.mark.parametrize("budget", [1, 100, 1000])
@@ -757,8 +799,9 @@ def test_blocked_validation_matches_unblocked_reference(monkeypatch, budget):
     monkeypatch.setattr(G, "_BLOCK_BYTES", budget)
     rng = random.Random(0xB10C)
     kinds = set()
-    for entry in Catalog.default(max_order=40).entries:
-        base = G.build(entry.spec).np_table().tolist()
+    bases = [G.build(entry.spec).np_table().tolist()
+             for entry in Catalog.default(max_order=40).entries]
+    for base in bases:
         if len(base) < 4:
             continue
         for _ in range(3):
@@ -775,6 +818,47 @@ def test_blocked_validation_matches_unblocked_reference(monkeypatch, budget):
             _assert_same_failure(t)
             kinds.add(kind)
     assert kinds == {0, 1, 2}
+    for t in _associative_non_latin_tables():
+        _assert_same_failure(t)
+    # one entry overwritten, anywhere: in the identity row or column, with
+    # the entry it held, or making a table that is no Latin square
+    rng = random.Random(0x0E17)
+    outcomes = set()
+    for base in bases:
+        n = len(base)
+        for _ in range(2):
+            t = [row[:] for row in base]
+            r, c = rng.randrange(n), rng.randrange(n)
+            t[r][c] = rng.randrange(n)
+            outcomes.add(_assert_same_failure(t))
+    assert outcomes == {None, "index 0 is not a two-sided identity",
+                        "table is not a Latin square"}
+
+
+def test_groups_validate_without_the_latin_sort(monkeypatch, catalog_groups):
+    def refuse(*args):
+        raise AssertionError("a group's table was sorted")
+
+    monkeypatch.setattr(G, "_check_latin", refuse)
+    groups = [g for _, g in catalog_groups if g.order <= 60]
+    for g in groups + [build("S5"), build("S6")]:
+        g.validate_full()
+
+
+def test_non_latin_tables_stop_after_log2_n_generators(monkeypatch):
+    tried = []
+    real = G._light_failure
+
+    def counted(t, g, *args):
+        tried.append(g)
+        return real(t, g, *args)
+
+    monkeypatch.setattr(G, "_light_failure", counted)
+    # every g passes Light's test and reaches one new element; a group of
+    # order 64 needs at most 6 generators, each doubling the reached set
+    with pytest.raises(NotAGroup, match="^table is not a Latin square$"):
+        G.Group(np.maximum.outer(np.arange(64), np.arange(64)))
+    assert len(tried) <= 6, tried
 
 
 def test_blocked_validation_failures_past_the_first_block(monkeypatch):

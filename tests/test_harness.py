@@ -298,6 +298,7 @@ def test_catalog_from_file_skips_oversized_perm_and_cayley(tmp_path):
         {"label": "v4", "spec": "perm:4:(1 2)(3 4),(1 3)(2 4)"},
         {"spec": "Z2xZ2"},
         {"label": "missing", "spec": f"cayley:{tmp_path / 'missing'}"},
+        {"spec": "Z2xperm:3:(1 2),(1 2 3)"},
     ]))
     res = run_check(Catalog.from_file(str(cat_file), max_order=10),
                     "diam_le_3")
@@ -308,7 +309,10 @@ def test_catalog_from_file_skips_oversized_perm_and_cayley(tmp_path):
         ("s4file", "order 24 exceeds the maximum order 10")]
     assert res.skipped[2][0] == "missing"
     assert res.skipped[2][1].startswith("build failed (ParseError: ")
-    assert run_check(Catalog.from_file(str(cat_file)), "diam_le_3").tested == 4
+    # a product's order is known once its factors' tables are
+    assert res.skipped[3] == ("Z2xperm:3:(1 2),(1 2 3)",
+                              "order 12 exceeds the maximum order 10")
+    assert run_check(Catalog.from_file(str(cat_file)), "diam_le_3").tested == 5
 
 
 def test_jobs_parallel_matches_serial(small_catalog):
