@@ -87,11 +87,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_order < 1:
+        print("noncyc verify: error: --max-order must be at least 1",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.catalog:
         catalog = Catalog.from_file(args.catalog, max_order=args.max_order)
     else:
-        catalog = Catalog.default(max_order=args.max_order,
-                                  include_degree_seven=args.degree_seven)
+        catalog = Catalog.default(max_order=args.max_order)
     names = [args.check] if args.check else None
     results = run_all(catalog, jobs=args.jobs, names=names)
     if args.report:
@@ -156,9 +159,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="FILE",
                    help="also write the JSON report to a file")
     p.add_argument("--timing", action="store_true")
-    p.add_argument("--degree-seven", action="store_true",
-                   help="include the degree-7 symmetric and alternating "
-                        "groups in the default catalog")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("export-cayley", help="write the Cayley-table file")

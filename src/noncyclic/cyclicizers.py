@@ -15,7 +15,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySet, VerificationFailure
-from .groups import Group, Subgroup, maximal_generators, prime_factorization
+from .groups import (Group, Subgroup, _escape, center, maximal_generators,
+                     prime_factorization)
 
 
 def _bit_matrix(rows: Sequence[int], n: Optional[int] = None) -> np.ndarray:
@@ -166,17 +167,15 @@ class TidinessResult:
 
 def is_tidy(group: Group) -> TidinessResult:
     """A group is tidy when every cyclicizer is a subgroup. Each distinct
-    cyclicizer D is tested once, at its least x, on all its products: the
-    first (a, b) in D x D with a*b outside D is the violating pair."""
+    cyclicizer D is tested once, at its least x: the violating pair is the
+    first (a, b) in D x D with a*b outside D (``_escape``)."""
     rows, row_of = cyclicizer_table(group).distinct
     t = group.np_table()
     firsts = np.unique(row_of, return_index=True)[1].tolist()
-    # row 0 is Cyc(e) = G, a subgroup: gathering its n^2 products is waste
-    for r, x in enumerate(firsts[1:], 1):
-        d = np.flatnonzero(rows[r])
-        outside = np.argwhere(~rows[r][t[np.ix_(d, d)]])
-        if outside.size:
-            return TidinessResult(False, x, tuple(d[outside[0]].tolist()))
+    for r, x in enumerate(firsts):
+        pair = _escape(t, np.flatnonzero(rows[r]))
+        if pair is not None:
+            return TidinessResult(False, x, pair)
     return TidinessResult(True, None, None)
 
 
@@ -239,20 +238,14 @@ def central_cosets(group: Group, members) -> np.ndarray:
 
 def check_central(group: Group, members: Iterable[int]) -> None:
     """Raise VerificationFailure unless the sorted ``members`` are a central
-    subgroup: they hold the identity, are closed under multiplication and
-    commute with each of ``maximal_generators``, which generate G."""
+    subgroup: they hold the identity, are closed under multiplication
+    (``_escape``) and lie in ``center(group)``."""
     members = list(members)
     if 0 not in members:
         raise VerificationFailure("central subgroup must contain the identity")
-    t = group.np_table()
-    inside = np.zeros(group.order, dtype=bool)
-    inside[members] = True
-    rows = t[members]
-    # all of G is closed; any other set is tested on every product
-    if not inside.all() and not inside[rows[:, members]].all():
+    if _escape(group.np_table(), members) is not None:
         raise VerificationFailure("members are not a subgroup")
-    gens = maximal_generators(group)
-    if not (rows[:, gens] == t[gens][:, members].T).all():
+    if not set(members).issubset(center(group).members):
         raise VerificationFailure("subgroup is not central")
 
 

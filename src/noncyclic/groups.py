@@ -185,6 +185,22 @@ def _close(t: np.ndarray, reached: np.ndarray, gens: Sequence[int]) -> None:
         frontier = np.flatnonzero(reached > before)
 
 
+def _escape(table: np.ndarray, members) -> Optional[tuple[int, int]]:
+    """The first (a, b) of members x members, in row-major order, whose
+    product lies outside ``members``, or None when they are closed under
+    multiplication. All of G is closed, so its products are not gathered."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[members] = True
+    if inside.all():
+        return None
+    m = np.asarray(members, dtype=np.intp)
+    closed = inside[table[np.ix_(m, m)]]
+    if closed.all():
+        return None
+    a, b = np.argwhere(~closed)[0]
+    return int(m[a]), int(m[b])
+
+
 class Group:
     """A finite group: Cayley table, labels, element orders, inverses and
     cyclic subgroups, the last as (smallest generator, member bitset) by
@@ -694,9 +710,11 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
     its Group, and the element labels of the group ``spec`` describes.
     Metacyclic presentations are validated by ``_check_presentation`` and
     Cayley files by ``_read_cayley_file``; cyclic, permutation and product
-    tables are groups by construction. A permutation closure, or a product
-    of factor tables, larger than ``max_order`` raises OrderTooLarge before
-    its table is built."""
+    tables are groups by construction. This is the one order gate: a group
+    over ``max_order`` raises OrderTooLarge before its table is built, by
+    the spec's order, else a Cayley file's first line, the permutation
+    closure or, its factors checked first, the product of their orders."""
+    _check_order(spec.order(), max_order)
     k, p = spec.kind, spec.params
     if k == "cyclic":
         n = p[0]
@@ -726,7 +744,7 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
         _check_order(prod(len(labels) for _, labels in factors), max_order)
         return _product_table(factors)
     if k == "cayley":
-        return _read_cayley_file(p[0])
+        return _read_cayley_file(p[0], max_order)
     raise InvalidParameter(f"unknown spec kind {k!r}")
 
 
@@ -735,40 +753,22 @@ def build(spec: GroupSpec, *, label: Optional[str] = None,
     """Build the group described by ``spec``, labelled ``label``, else the
     spec's name, else after its constructor (a Cayley file's basename).
 
-    Only metacyclic tables and Cayley files are validated; ``_table`` says
-    why the others need not be. A group whose order exceeds ``max_order``
-    raises OrderTooLarge before its table is built, its order read from the
-    spec, a Cayley file's first line or the permutation closure the build
-    then uses.
+    Only metacyclic tables and Cayley files are validated, and a group whose
+    order exceeds ``max_order`` raises OrderTooLarge before its table is
+    built; ``_table`` says why and how.
     """
-    if max_order is not None:
-        _check_order(_order_before_build(spec), max_order)
-    if spec.kind == "cayley":
-        return from_cayley_file(spec.params[0],
-                                label=spec.name if label is None else label)
     table, labels = _table(spec, max_order)
-    return Group(table, labels=labels,
-                 label=spec.label() if label is None else label,
-                 validate=False)
+    if label is None:
+        label = (os.path.basename(spec.params[0])
+                 if spec.kind == "cayley" and spec.name is None
+                 else spec.label())
+    return Group(table, labels=labels, label=label, validate=False)
 
 
 def _check_order(order: Optional[int], max_order: Optional[int]) -> None:
     if order is not None and max_order is not None and order > max_order:
         raise OrderTooLarge(
             f"order {order} exceeds the maximum order {max_order}")
-
-
-def _order_before_build(spec: GroupSpec) -> Optional[int]:
-    """The order of the group ``spec`` builds, from the spec or a Cayley
-    file's first line; None when neither gives one (a permutation group's
-    order comes from its closure)."""
-    if spec.kind == "cayley":
-        try:
-            with open(spec.params[0], "r", encoding="utf-8") as fh:
-                return int(next(ln for ln in fh if ln.strip()))
-        except (OSError, ValueError, StopIteration):
-            return None
-    return spec.order()
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +787,11 @@ def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
                  label=os.path.basename(path) if label is None else label)
 
 
-def _read_cayley_file(path: str) -> tuple[np.ndarray, list]:
+def _read_cayley_file(path: str, max_order: Optional[int] = None
+                      ) -> tuple[np.ndarray, list]:
     """The validated table and the element labels (``e0``, ``e1``, ...
-    when the file has none) of a Cayley-table file.
+    when the file has none) of a Cayley-table file. An order n on the first
+    line above ``max_order`` raises OrderTooLarge before the body is read.
 
     The lines are read lazily and parsed in blocks of rows straight into
     the table a Group keeps, so the load takes the table plus
@@ -802,6 +804,7 @@ def _read_cayley_file(path: str) -> tuple[np.ndarray, list]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = _nonblank_lines(fh)
             n = _cayley_order(next(lines, None))
+            _check_order(n, max_order)
             info = os.fstat(fh.fileno())
             read = None
             if stat.S_ISREG(info.st_mode) and info.st_size >= n * (2 * n - 1):

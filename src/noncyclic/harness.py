@@ -39,10 +39,11 @@ from .errors import (Disconnected, InvalidParameter, NonCyclicError,
 from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
                     degree_kinds, diameter_info, distance, independence_info,
                     omega_bound_info, subgroup_graph)
-from .groups import (Group, GroupSpec, abelian, alternating, build, center,
-                     cyclic, dihedral, direct_product, generalized_quaternion,
-                     is_cyclic_group, modular_pgroup, mu, parse_group_expr,
-                     pi_e, prime_factorization, semidihedral, symmetric)
+from .groups import (MAX_SYMMETRIC_DEGREE, Group, GroupSpec, abelian,
+                     alternating, build, center, cyclic, dihedral,
+                     direct_product, generalized_quaternion, is_cyclic_group,
+                     modular_pgroup, mu, parse_group_expr, pi_e,
+                     prime_factorization, semidihedral, symmetric)
 
 MAX_REPORTED = 10
 
@@ -130,10 +131,8 @@ class Catalog:
         return cls(entries, max_order)
 
     @classmethod
-    def default(cls, max_order: int = 200,
-                include_degree_seven: bool = False) -> "Catalog":
-        return cls(_default_entries(max_order, include_degree_seven),
-                   max_order)
+    def default(cls, max_order: int = 200) -> "Catalog":
+        return cls(_default_entries(max_order), max_order)
 
 
 @cache
@@ -156,9 +155,9 @@ def _abelian_factor_lists(order: int) -> list[tuple[int, ...]]:
                   if any(len(factors) > 1 for factors in choice))
 
 
-def _default_entries(max_order: int, include_degree_seven: bool):
+def _default_entries(max_order: int):
     base = [(spec.label(), spec, spec.order())
-            for spec in _base_specs(max_order, include_degree_seven)]
+            for spec in _base_specs(max_order)]
     entries = [(order, label, spec)
                for label, spec, order in base + _products(base, max_order)
                if order <= max_order]
@@ -166,8 +165,7 @@ def _default_entries(max_order: int, include_degree_seven: bool):
     return [CatalogEntry(label, spec) for _, label, spec in entries]
 
 
-def _base_specs(max_order: int, include_degree_seven: bool
-                ) -> list[GroupSpec]:
+def _base_specs(max_order: int) -> list[GroupSpec]:
     """The catalog's families before products of pairs."""
     family_bound = min(128, max_order)
     specs = [cyclic(n) for n in range(1, family_bound + 1)]
@@ -180,14 +178,9 @@ def _base_specs(max_order: int, include_degree_seven: bool
     specs += [modular_pgroup(p, n) for p in (2, 3, 5, 7, 11)
               for n in exponents[3:] if p ** n <= family_bound]
     specs += [semidihedral(m) for m in exponents[4:]]
-    top_degree = 7 if include_degree_seven else 6
-    fact = 1
-    for n in range(2, top_degree + 1):
-        fact *= n
-        if n >= 3 and fact <= max_order:
-            specs.append(symmetric(n))
-        if n >= 3 and fact // 2 <= max_order:
-            specs.append(alternating(n))
+    specs += [spec for n in range(3, MAX_SYMMETRIC_DEGREE + 1)
+              for spec in (symmetric(n), alternating(n))
+              if spec.order() <= max_order]
     return specs
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclicizers import cyclicizer_table
 from .errors import InvalidParameter
-from .groups import (Group, _presentation, center, dihedral,
+from .groups import (Group, _escape, _presentation, center, dihedral,
                      generalized_quaternion, modular_pgroup,
                      prime_factorization, semidihedral)
 
@@ -50,15 +50,11 @@ def sylow_members(group: Group, p: int) -> Optional[tuple]:
     """Members of the set of p-elements when that set is a subgroup of the
     right size (the normal Sylow p-subgroup), else None."""
     n = group.order
-    target = p_part(n, p)
     orders = group.elem_orders
     ppowers = {o for o in set(orders) if p_part(o, p) == o}
     members = [x for x in range(n) if orders[x] in ppowers]
-    if len(members) != target:
-        return None
-    inside = np.zeros(n, dtype=bool)
-    inside[members] = True
-    if not inside[group.np_table()[np.ix_(members, members)]].all():
+    if (len(members) != p_part(n, p)
+            or _escape(group.np_table(), members) is not None):
         return None
     return tuple(members)
 

@@ -38,6 +38,17 @@ def closure(group, gens):
     return sorted(members)
 
 
+def row_major_escape(group, members):
+    """The first (a, b), a then b running over ``members`` in their order,
+    whose product lies outside ``members``, or None: the plain double loop."""
+    inside = set(members)
+    for a in members:
+        for b in members:
+            if group.mult(a, b) not in inside:
+                return a, b
+    return None
+
+
 def associativity_failure(table):
     """First triple (i, j, k), in lexicographic order, with
     (i*j)*k != i*(j*k), or None: the exact O(n^3) loop over every triple,

@@ -230,6 +230,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_max_order_below_one_is_a_usage_error(capsys, bound):
+    # an empty catalog would pass every check
+    code, out, err = run_cli(capsys, "verify", "--max-order", bound)
+    assert (code, out) == (2, "")
+    assert "--max-order must be at least 1" in err
+
+
 def test_bad_spec_is_computation_error(capsys):
     code, _, err = run_cli(capsys, "build", "Z0x")
     assert code == 1

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from noncyclic import groups as G, harness
+from noncyclic.cyclicizers import cyclicizer_table
 from noncyclic.errors import (ClosureTooLarge, InvalidCayleyFile,
-                              InvalidParameter, NotAGroup, ParseError)
+                              InvalidParameter, NotAGroup, OrderTooLarge,
+                              ParseError)
 from noncyclic.harness import Catalog
 
 import oracles
@@ -347,6 +349,66 @@ def test_cayley_file_factor_builds_one_group(monkeypatch, tmp_path):
         f"({a},{b})" for a in "01" for b in G.from_cayley_file(path).labels)
 
 
+def test_oversized_cayley_factor_is_refused_by_its_first_line(
+        monkeypatch, tmp_path):
+    # the bound is checked against the header's n before any body is parsed,
+    # and the refusal names the factor's order, as a perm: factor's does
+    path = tmp_path / "s5.cayley"
+    G.to_cayley_file(build("S5"), str(path))
+
+    def parsed(*args):
+        raise AssertionError("the body was parsed")
+
+    monkeypatch.setattr(G, "_stream_body", parsed)
+    monkeypatch.setattr(G, "_whole_body", parsed)
+    spec = G.direct_product([G.cyclic(2), G.cayley_file(str(path))])
+    with pytest.raises(OrderTooLarge,
+                       match="^order 120 exceeds the maximum order 100$"):
+        G.build(spec, max_order=100)
+
+
+def test_bounded_cayley_build_opens_its_file_once(monkeypatch, tmp_path):
+    path = tmp_path / "a4.cayley"
+    G.to_cayley_file(build("A4"), str(path))
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(G, "open", counted, raising=False)
+    g = G.build(G.cayley_file(str(path)), max_order=12)
+    assert opened == [str(path)]
+    assert (g.label, g.order) == ("a4.cayley", 12)
+
+
+def test_escape_matches_row_major_loop():
+    # the one closure test of the Sylow, centrality and tidiness checks, on
+    # each prime's p-elements, Cyc(G), Z(G), every distinct cyclicizer and
+    # three random sets holding 0 of every catalog group of order <= 64
+    rng = random.Random(7)
+    closed = escaped = 0
+    for entry in Catalog.default(max_order=64).entries:
+        g = G.build(entry.spec)
+        n, orders = g.order, g.elem_orders
+        sets = [[x for x in range(n) if all(
+                    q == p for q, _ in G.prime_factorization(orders[x]))]
+                for p, _ in G.prime_factorization(n)]
+        sets += [list(cyclicizer_table(g).cyc_members()),
+                 list(G.center(g).members)]
+        sets += [[x for x in range(n) if (bits >> x) & 1]
+                 for bits in set(g.pair_rows)]
+        sets += [[0] + sorted(rng.sample(range(1, n), rng.randrange(n)))
+                 for _ in range(3)]
+        for members in sets:
+            want = oracles.row_major_escape(g, members)
+            assert G._escape(g.np_table(), members) == want, (
+                entry.label, members)
+            closed += want is None
+            escaped += want is not None
+    assert closed > 1000 and escaped > 500
+
+
 def test_flat_table_ignores_memory_layout():
     # S4's table read through transposed, strided and wider-typed views
     t = build("S4").np_table()
@@ -666,7 +728,7 @@ def test_expression_language():
 def test_labels_parse_back_to_their_specs():
     # the label, the order and the atom read one table: every base spec of
     # the default catalog, the named products and a Cayley file parse back
-    specs = harness._base_specs(200, False) + [
+    specs = harness._base_specs(200) + [
         G.elementary_abelian(2, 3), G.elementary_abelian(3, 1),
         G.cyclic_times_p(3, 3), G.cyclic_times_p(2, 5),
         G.cayley_file("groups/q8.cayley")]
