@@ -8,9 +8,13 @@ catalog entry; the runner skips "graph" checks on cyclic groups, whose
 non-cyclic graph is not defined. "global" checks read the collected
 profiles (graph-isomorphism classes, order spectra, recognizer flags),
 whose classes ``form_classes`` sets once every entry has run, and "fixed"
-checks build their own groups. The runner, not the check, records
-skips for entries it could not analyze, keeps catalog order and times each
-call.
+checks build their own groups. A check states only its claim; the runner
+does the rest. It records skips for entries it could not analyze, and
+counts ``tested`` for the per-entry checks: an entry a check does not skip
+is tested once (global and fixed checks count their own cases). A library
+error a check raises (``NonCyclicError``) means the claim failed there: it
+becomes one counterexample naming the entry, if any, and the error, and the
+run goes on. The runner also keeps catalog order and times each call.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from .canon import (TwinQuotient, canonical_form,
 from .cyclicizers import (CyclicizerTable, _packed_rows, central_cosets,
                           check_central, cyclicizer_table, is_tidy,
                           quotient_pair_matrix)
-from .errors import (Disconnected, InvalidParameter, NonCyclicError,
-                     OrderTooLarge, ParseError, Timeout, TooLarge,
-                     UnknownCheck, VerificationFailure)
+from .errors import (InvalidParameter, NonCyclicError, OrderTooLarge,
+                     ParseError, Timeout, TooLarge, UnknownCheck,
+                     VerificationFailure)
 from .graph import (NonCyclicGraph, build_graph, clique_and_chromatic,
                     degree_kinds, diameter_info, distance, independence_info,
                     omega_bound_info, subgroup_graph)
@@ -515,7 +519,6 @@ def _ce(result: CheckResult, **data) -> None:
            "cyclicizer, whose size therefore divides it", "group")
 def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
     g, ct = az.group, az.ctable
-    result.tested += 1
     if ct.cyc_size == 1:
         return
     rows, row_of = az.ctable.distinct
@@ -546,7 +549,6 @@ def _check_core_cyclic(az: AnalyzedGroup, result: CheckResult):
     {y in D : D <= Cyc(y)}, as Cyc is a symmetric relation; x is scanned in
     ascending order, as the failures are reported for the least x."""
     g, n = az.group, az.group.order
-    result.tested += 1
     rows, row_of = az.ctable.distinct
     cores = _cyc_cores(rows, row_of)
     # a cyclic subgroup equal to a core is generated by one of its members
@@ -585,7 +587,6 @@ def _check_pgroup_cyc(az: AnalyzedGroup, result: CheckResult):
     if structure.pgroup_parameters(az.group) is None:
         result.skip(az.label, "not a p-group")
         return
-    result.tested += 1
     quaternion = structure.is_generalized_quaternion(az.group)
     if (az.ctable.cyc_size > 1) != (az.is_cyclic or quaternion):
         _ce(result, group=az.label, cyc_size=az.ctable.cyc_size,
@@ -602,11 +603,11 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
     <xN, yN> is cyclic iff some x' in xN and y' in yN generate a cyclic
     subgroup, and Cyc(xN) is the image of the union of Cyc(x') over x' in
     xN (``quotient_pair_matrix``). Cyc(G/N) is then trivial iff the
-    identity coset's column is the matrix's only all-true column. Each N is
-    first checked exactly to be a central subgroup."""
+    identity coset's column is the matrix's only all-true column. Cyc(G) is
+    first checked exactly to be a central subgroup; Z(G) is one by
+    construction."""
     g, ct = az.group, az.ctable
     rows, row_of = az.ctable.distinct
-    result.tested += 1
     if ct.cyc_size > 1:
         check_central(g, ct.cyc_members())
         cosets = az.cyc_cosets
@@ -623,12 +624,10 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
                 reason="cyclicizer does not project onto the quotient")
             return
     z = az.center
-    if 1 < len(z) < g.order:
-        check_central(g, z)
-        if not _cyc_trivial(quotient_pair_matrix(rows, row_of,
-                                                 central_cosets(g, z))):
-            _ce(result, group=az.label,
-                reason="central quotient has non-trivial cyclicizer")
+    if 1 < len(z) < g.order and not _cyc_trivial(
+            quotient_pair_matrix(rows, row_of, central_cosets(g, z))):
+        _ce(result, group=az.label,
+            reason="central quotient has non-trivial cyclicizer")
 
 
 def _cyc_trivial(pairs: np.ndarray) -> bool:
@@ -641,10 +640,11 @@ def _cyc_trivial(pairs: np.ndarray) -> bool:
            "the non-cyclic graph is complete exactly for elementary abelian "
            "2-groups", "graph")
 def _check_complete(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
     nv = az.graph.n_vertices
     complete = degree_kinds(az.graph)[0] == ((nv - 1, nv),)
-    ea = structure.elementary_abelian_parameters(az.group)
+    # an elementary abelian group of order p^e is homocyclic (p, 1, e)
+    params = structure.homocyclic_parameters(az.group)
+    ea = (params[0], params[2]) if params and params[1] == 1 else None
     if complete != (ea is not None and ea[0] == 2):
         _ce(result, group=az.label, complete=complete,
             elementary_abelian=ea)
@@ -655,12 +655,7 @@ def _check_complete(az: AnalyzedGroup, result: CheckResult):
            "diameter exactly 2 when the center equals the group cyclicizer",
            "graph")
 def _check_diameter(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
-    try:
-        info = az.diameter
-    except Disconnected:
-        _ce(result, group=az.label, reason="graph is disconnected")
-        return
+    info = az.diameter
     if info.diameter > 3:
         _ce(result, group=az.label, diameter=info.diameter,
             witness=info.witness_labels(az.graph))
@@ -677,7 +672,6 @@ def _check_nilpotent_diam(az: AnalyzedGroup, result: CheckResult):
     if not structure.is_nilpotent(az.group):
         result.skip(az.label, "not nilpotent")
         return
-    result.tested += 1
     info = az.diameter
     if info.diameter > 2:
         _ce(result, group=az.label, diameter=info.diameter,
@@ -688,12 +682,7 @@ def _check_nilpotent_diam(az: AnalyzedGroup, result: CheckResult):
            "clique number and chromatic number both equal the number of "
            "maximal cyclic subgroups, with validated witnesses", "graph")
 def _check_omega_chi(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
-    try:
-        cc = clique_and_chromatic(az.graph, az.ctable)
-    except VerificationFailure as exc:
-        _ce(result, group=az.label, reason=str(exc))
-        return
+    cc = clique_and_chromatic(az.graph, az.ctable)
     if cc.omega != cc.chi or cc.omega != len(az.ctable.maximal):
         _ce(result, group=az.label, omega=cc.omega, chi=cc.chi,
             s=len(az.ctable.maximal))
@@ -705,7 +694,6 @@ def _check_omega_chi(az: AnalyzedGroup, result: CheckResult):
            "max((s-1)^2 (s-3)!, (s-2)^3 (s-3)!) dominates that index",
            "graph")
 def _check_bounds(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
     info = omega_bound_info(az.group, az.ctable)
     if not info.index_bound_ok:
         _ce(result, group=az.label, s=info.s, index=info.index,
@@ -724,12 +712,7 @@ def _check_bounds(az: AnalyzedGroup, result: CheckResult):
            "the group cyclicizer size; exact search cross-checks small "
            "graphs and disagreements are surfaced", "graph")
 def _check_alpha(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
-    try:
-        info = independence_info(az.graph, az.ctable)
-    except VerificationFailure as exc:
-        _ce(result, group=az.label, reason=str(exc))
-        return
+    info = independence_info(az.graph, az.ctable)
     if info.brute_value is not None and info.brute_value < info.formula_value:
         _ce(result, group=az.label, formula=info.formula_value,
             exact=info.brute_value,
@@ -746,7 +729,6 @@ def _check_alpha(az: AnalyzedGroup, result: CheckResult):
            "P x Z_m with P non-cyclic of prime exponent p, gcd(m, p) = 1",
            "graph")
 def _check_regular(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
     _, _, regular = degree_kinds(az.graph)
     fam = structure.regular_family(az.group)
     if regular != (fam is not None):
@@ -772,10 +754,9 @@ def _homocyclic_expected_size(p: int, m: int, n: int, ell: int) -> int:
     return total
 
 
-def _homocyclic_case(group: Group, p: int, m: int, n: int, label: str,
+def _homocyclic_case(az: AnalyzedGroup, p: int, m: int, n: int,
                      result: CheckResult):
-    ct = cyclicizer_table(group)
-    result.tested += 1
+    group, ct, label = az.group, az.ctable, az.label
     if ct.cyc_size != 1:
         _ce(result, group=label, reason="group cyclicizer is not trivial")
         return
@@ -790,8 +771,7 @@ def _homocyclic_case(group: Group, p: int, m: int, n: int, label: str,
             _ce(result, group=label, element=group.labels[x],
                 got=ct.rows[x].bit_count(), expected=expected)
             return
-    graph = build_graph(group, ct)
-    _, kinds, _ = degree_kinds(graph)
+    _, kinds, _ = degree_kinds(az.graph)
     if kinds != m:
         _ce(result, group=label, kind_degrees=kinds, expected=m)
         return
@@ -810,8 +790,7 @@ def _check_homocyclic(az: AnalyzedGroup, result: CheckResult):
     if params is None or params[2] < 2:
         result.skip(az.label, "not homocyclic on more than one factor")
         return
-    p, m, n = params
-    _homocyclic_case(az.group, p, m, n, az.label, result)
+    _homocyclic_case(az, *params, result)
 
 
 @_register("abelian_two_kind_degrees",
@@ -826,10 +805,9 @@ def _check_two_kinds(az: AnalyzedGroup, result: CheckResult):
                 {"group": az.label, "note": "non-abelian with two kind degrees"})
         result.skip(az.label, "not abelian")
         return
-    result.tested += 1
-    if (kinds == 2) != structure.two_kind_abelian_family(az.group):
-        _ce(result, group=az.label, kind_degrees=kinds,
-            family=structure.two_kind_abelian_family(az.group))
+    family = structure.two_kind_abelian_family(az.group)
+    if (kinds == 2) != family:
+        _ce(result, group=az.label, kind_degrees=kinds, family=family)
 
 
 @_register("mu_cyc_disjoint",
@@ -837,7 +815,6 @@ def _check_two_kinds(az: AnalyzedGroup, result: CheckResult):
            "order inside the group cyclicizer of a non-cyclic group",
            "graph")
 def _check_mu_disjoint(az: AnalyzedGroup, result: CheckResult):
-    result.tested += 1
     g, ct = az.group, az.ctable
     cyc_orders = {g.elem_orders[x] for x in ct.cyc_members()}
     clash = sorted(set(mu(g)) & cyc_orders)
@@ -850,7 +827,6 @@ def _check_mu_disjoint(az: AnalyzedGroup, result: CheckResult):
            "equal to the cyclic subgroup it generates", "group")
 def _check_mu_self(az: AnalyzedGroup, result: CheckResult):
     g, ct = az.group, az.ctable
-    result.tested += 1
     maximal_orders = set(mu(g))
     for x in range(g.order):
         if g.elem_orders[x] in maximal_orders:
@@ -888,7 +864,11 @@ def _check_homocyclic_fixed(result: CheckResult):
     for p, m, n in HOMOCYCLIC_REQUIRED:
         label = f"(Z{p ** m})^{n}"
         spec = direct_product([cyclic(p ** m)] * n, name=label)
-        _homocyclic_case(build(spec), p, m, n, label, result)
+        g = build(spec)
+        ct = cyclicizer_table(g)
+        result.tested += 1
+        _homocyclic_case(AnalyzedGroup(label, spec, g, ct, build_graph(g, ct)),
+                         p, m, n, result)
 
 
 def _family_graph(expr: str):
@@ -968,8 +948,6 @@ def _check_order_spectrum(profiles, result: CheckResult):
            "degrees and vertex count", "global")
 def _check_fi(profiles, result: CheckResult):
     for cls in _graph_classes(profiles):
-        if len(cls) < 2:
-            continue
         for a, b in combinations(cls, 2):
             for left, right in ((a, b), (b, a)):
                 result.tested += 1
@@ -987,8 +965,6 @@ def _check_transfer(profiles, result: CheckResult):
     """Compares nilpotency, then primes, then the profiles' Sylow-graph
     classes prime by prime; no group is rebuilt."""
     for cls in _graph_classes(profiles):
-        if len(cls) < 2:
-            continue
         pairs = [p for p in cls if p.cyc_size == 1]
         for a, b in combinations(pairs, 2):
             if not (a.is_nilpotent or b.is_nilpotent):
@@ -1034,10 +1010,7 @@ def _check_goor(profiles, result: CheckResult):
            "has rank 2", "global")
 def _check_regular_unique(profiles, result: CheckResult):
     for cls in _graph_classes(profiles):
-        anchors = [p for p in cls if p.regular_family is not None]
-        if not anchors:
-            continue
-        for anchor in anchors:
+        for anchor in [p for p in cls if p.regular_family is not None]:
             fam = anchor.regular_family
             covered = (fam[0] == "Q8"
                        or (fam[0] == "P" and (fam[1] == 2 or fam[2] == 2)))
@@ -1045,8 +1018,6 @@ def _check_regular_unique(profiles, result: CheckResult):
                 continue
             result.tested += 1
             for other in cls:
-                if other is anchor:
-                    continue
                 if other.regular_family != fam:
                     _ce(result, anchor=anchor.label, other=other.label,
                         families=(fam, other.regular_family))
@@ -1114,9 +1085,16 @@ def _check_pgroup_recovery(profiles, result: CheckResult):
 # Runners
 
 
-def _timed(result: CheckResult, fn: Callable, *args) -> None:
+def _timed(result: CheckResult, fn: Callable, *args, **where) -> None:
+    """Call ``fn(*args, result)`` and add its time to the result. A library
+    error it raises means the check's claim failed there: it becomes one
+    counterexample, ``where`` (the entry's group) plus its reason, and the
+    run goes on."""
     t0 = time.perf_counter()
-    fn(*args, result)
+    try:
+        fn(*args, result)
+    except NonCyclicError as exc:
+        _ce(result, **where, reason=f"{type(exc).__name__}: {exc}")
     result.elapsed_ms += 1000 * (time.perf_counter() - t0)
 
 
@@ -1134,7 +1112,9 @@ def _run_entry(entry: CatalogEntry, entry_checks: list[str],
         elif check.kind == "graph" and az.graph is None:
             part.skip(az.label, "cyclic")
         else:
-            _timed(part, check.fn, az)
+            _timed(part, check.fn, az, group=az.label)
+        # a per-entry check tests each entry it does not skip, once
+        part.tested = int(not part.skipped)
     return outcomes, profile_of(az, want_classes)
 
 

@@ -110,16 +110,6 @@ def abelian_ptype(group: Group, p: int) -> list[int]:
     return partition
 
 
-def elementary_abelian_parameters(group: Group) -> Optional[tuple[int, int]]:
-    pe = _is_prime_power(group.order)
-    if pe is None:
-        return None
-    p, e = pe
-    if all(o in (1, p) for o in group.elem_orders) and is_abelian(group):
-        return (p, e)
-    return None
-
-
 def _presented_by(group: Group, make, *params) -> bool:
     """True when ``make(*params)`` is a valid spec of a metacyclic family
     and the group is that family's group: |G| = m*p, and some a of order m

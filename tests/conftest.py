@@ -31,6 +31,14 @@ def catalog_groups():
 
 
 @pytest.fixture(scope="session")
+def analyzed_64():
+    """``analyze_entry`` of every entry of the default catalog of order at
+    most 64. Tests share them, so they must not mutate them."""
+    return [harness.analyze_entry(e)
+            for e in Catalog.default(max_order=64).entries]
+
+
+@pytest.fixture(scope="session")
 def old_forms(catalog_groups):
     """label -> (certificate, Sylow certificates) of every non-cyclic entry
     of the default catalog, computed as profiles did before forms moved to

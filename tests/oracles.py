@@ -887,7 +887,6 @@ def coset_union_loop(az, result):
     g, ct = az.group, az.ctable
     n = g.order
     cyc = ct.cyc_members()
-    result.tested += 1
     if len(cyc) == 1:
         return
     for x in range(n):
@@ -917,7 +916,6 @@ def core_cyclic_loop(az, result):
     member that generates all of it."""
     g, ct = az.group, az.ctable
     n = g.order
-    result.tested += 1
     verdicts = {}
     for x in range(n):
         d_bits = ct.rows[x]
@@ -973,7 +971,6 @@ def quotient_loop(az, result):
     found by comparing every pair of elements."""
     g, ct = az.group, az.ctable
     n = g.order
-    result.tested += 1
 
     def cyc_bits(rows):
         inter = -1

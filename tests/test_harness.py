@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from noncyclic import canon, cyclicizers, graph, groups, harness, structure
-from noncyclic.errors import UnknownCheck
+from noncyclic.errors import Disconnected, UnknownCheck, VerificationFailure
 from noncyclic.harness import (CHECKS, Catalog, CheckResult, GroupProfile,
                                all_pass, analyze_entry, profile_of,
                                render_table, report_json, run_all, run_check)
@@ -162,13 +162,12 @@ def _doctored(az, rng):
     return out
 
 
-def test_coset_union_matches_loop_oracle():
+def test_coset_union_matches_loop_oracle(analyzed_64):
     """cyc_coset_union and quotient_cyc_trivial agree with their loop
     oracles on every catalog group and on doctored cyclicizer rows."""
     rng = random.Random(0xC05E7)
     reasons = Counter()
-    for entry in Catalog.default(max_order=64).entries:
-        az = analyze_entry(entry)
+    for az in analyzed_64:
         cases = [az]
         if az.ctable.cyc_size > 1 and not az.is_cyclic:
             cases += _doctored(az, rng)
@@ -180,7 +179,7 @@ def test_coset_union_matches_loop_oracle():
                 want = CheckResult(name, "")
                 CHECKS[name].fn(case, got)
                 oracle(case, want)
-                assert got == want, (entry.label, name)
+                assert got == want, (az.label, name)
                 reasons.update(ce["reason"] for ce in got.counterexamples)
     assert reasons["cyclicizer size not divisible by group cyclicizer"] > 0
     assert reasons["coset leaks outside the cyclicizer"] > 0
@@ -208,20 +207,19 @@ def _core_doctored(az, rng):
         ct, rows=tuple(rows))) for rows in (missing, split)]
 
 
-def test_core_cyclic_matches_loop_oracle():
+def test_core_cyclic_matches_loop_oracle(analyzed_64):
     """cyc_core_cyclic agrees with its loop oracle on every catalog group
     and on doctored cyclicizer rows, and both failures occur."""
     rng = random.Random(0xC0DE)
     reasons = Counter()
-    for entry in Catalog.default(max_order=64).entries:
-        az = analyze_entry(entry)
+    for az in analyzed_64:
         cases = [az] + (_core_doctored(az, rng) if az.group.order > 1 else [])
         for case in cases:
             got = CheckResult("cyc_core_cyclic", "")
             want = CheckResult("cyc_core_cyclic", "")
             CHECKS["cyc_core_cyclic"].fn(case, got)
             oracles.core_cyclic_loop(case, want)
-            assert got == want, entry.label
+            assert got == want, az.label
             reasons.update(ce["reason"] for ce in got.counterexamples)
     assert reasons["core misses the element itself"] > 0
     assert reasons["core is not a cyclic subgroup"] > 0
@@ -255,10 +253,9 @@ def test_cyc_cores_with_empty_rows():
     assert empty_last > 50
 
 
-def test_quotient_check_builds_no_group(monkeypatch):
+def test_quotient_check_builds_no_group(monkeypatch, analyzed_64):
     """quotient_cyc_trivial reads the quotients' cyclicizers off the
     entry's `CyclicizerTable.distinct`: it constructs no Group."""
-    entries = [analyze_entry(e) for e in Catalog.default(max_order=64).entries]
     built = []
     init = groups.Group.__init__
 
@@ -268,10 +265,10 @@ def test_quotient_check_builds_no_group(monkeypatch):
 
     monkeypatch.setattr(groups.Group, "__init__", counted_init)
     quotients = 0
-    for az in entries:
+    for az in analyzed_64:
         result = CheckResult("quotient_cyc_trivial", "")
         CHECKS["quotient_cyc_trivial"].fn(az, result)
-        assert result.passed and result.tested == 1, az.label
+        assert result.passed, az.label
         quotients += (az.ctable.cyc_size > 1) + (1 < len(az.center)
                                                  < az.group.order)
     assert not built
@@ -512,6 +509,375 @@ def test_transfer_reads_profiles_only(monkeypatch, small_catalog):
     assert res.passed and res.tested == 1
     assert as_group_calls == []
     assert member_calls == {("G(2,4)", 2): 1, ("Z2xZ8", 2): 1}
+
+
+def _analyzed(expr):
+    return analyze_entry(harness.CatalogEntry(expr,
+                                              groups.parse_group_expr(expr)))
+
+
+def _class_degrees(az, degrees):
+    """``az`` whose graph's Q vertices have the given degrees."""
+    return dataclasses.replace(az, graph=dataclasses.replace(
+        az.graph, class_degrees=tuple(degrees)))
+
+
+def _profile(label, **fields):
+    return GroupProfile(label, None, graph_class=("class",), **fields)
+
+
+# Planted violations: for each check, a generator of (the check's arguments
+# before its result, the counterexamples they must give), built from a
+# doctored entry, doctored profiles, or a builder or an invariant patched
+# through ``mp``, a pytest MonkeyPatch.
+
+
+def _with_cyc(az, *members):
+    """``az`` whose Cyc(G) is the given members."""
+    bits = sum(1 << x for x in members)
+    return dataclasses.replace(az, ctable=dataclasses.replace(
+        az.ctable, cyc_bits=bits))
+
+
+def _with_member_everywhere(az, y):
+    """``az`` with y put into every element's cyclicizer."""
+    rows = tuple(row | 1 << y for row in az.ctable.rows)
+    return dataclasses.replace(az, ctable=dataclasses.replace(
+        az.ctable, rows=rows))
+
+
+def _planted_quotient(mp):
+    # the coset of b (of r) meets every cyclicizer, so Q8/Cyc(Q8) (D8/Z(D8))
+    # gets a non-trivial cyclicizer
+    q8 = _analyzed("Q8")
+    yield ((_with_member_everywhere(q8, q8.group.labels.index("b")),),
+           [{"group": "Q8",
+             "reason": "quotient by cyclicizer keeps non-trivial cyclicizer"}])
+    d8 = _analyzed("D8")
+    yield ((_with_member_everywhere(d8, d8.group.labels.index("r")),),
+           [{"group": "D8",
+             "reason": "central quotient has non-trivial cyclicizer"}])
+
+
+def _planted_pgroup_cyc(mp):
+    # D8's central involution r2 put into its trivial Cyc(G)
+    yield ((_with_cyc(_analyzed("D8"), 0, 2),),
+           [{"group": "D8", "cyc_size": 2, "cyclic": False,
+             "generalized_quaternion": False}])
+
+
+def _planted_complete(mp):
+    ea2, ea3, z2z4 = _analyzed("Z2xZ2"), _analyzed("Z3xZ3"), _analyzed("Z2xZ4")
+    yield ((_class_degrees(ea2, [1, 2, 2]),),
+           [{"group": "Z2xZ2", "complete": False,
+             "elementary_abelian": (2, 2)}])
+    for az, ea in ((ea3, (3, 2)), (z2z4, None)):
+        complete = [az.graph.n_vertices - 1] * len(az.graph.class_degrees)
+        yield ((_class_degrees(az, complete),),
+               [{"group": az.label, "complete": True,
+                 "elementary_abelian": ea}])
+
+
+def _with_diameter(mp, diameter):
+    real = graph.diameter_info
+    mp.setattr(harness, "diameter_info", lambda g: dataclasses.replace(
+        real(g), diameter=diameter))
+
+
+def _planted_diameter(mp):
+    _with_diameter(mp, 4)
+    yield ((_analyzed("S3"),),
+           [{"group": "S3", "diameter": 4, "witness": ("(1 2 3)", "(1 3 2)")}])
+    # Z(Q8) = Cyc(Q8)
+    _with_diameter(mp, 3)
+    yield ((_analyzed("Q8"),),
+           [{"group": "Q8", "diameter": 3,
+             "reason": "center equals cyclicizer but diameter is not 2"}])
+
+
+def _planted_nilpotent_diameter(mp):
+    _with_diameter(mp, 3)
+    yield ((_analyzed("Q8"),),
+           [{"group": "Q8", "diameter": 3, "witness": ("a", "a3")}])
+
+
+def _planted_omega_chi(mp):
+    real = graph.clique_and_chromatic
+    for omega, chi in ((4, 5), (5, 5)):
+        mp.setattr(harness, "clique_and_chromatic",
+                   lambda g, ct, omega=omega, chi=chi: dataclasses.replace(
+                       real(g, ct), omega=omega, chi=chi))
+        yield ((_analyzed("S3"),),
+               [{"group": "S3", "omega": omega, "chi": chi, "s": 4}])
+
+
+def _planted_bounds(mp):
+    # S3 has s = 4 maximal cyclic subgroups, and Z2xZ6 has 3
+    yield ((_with_cyc(_analyzed("S3"), 0, 1),),
+           [{"group": "S3", "s": 4, "index": 3,
+             "reason": "clique count exceeds cyclicizer index"}])
+    yield ((_with_cyc(_analyzed("Z2xZ6"), 0),),
+           [{"group": "Z2xZ6", "s": 3, "index": 12, "bound": 4,
+             "reason": "covering bound violated"}])
+
+
+def _planted_alpha(mp):
+    real = graph.independence_info
+    mp.setattr(harness, "independence_info", lambda g, ct: dataclasses.replace(
+        real(g, ct), brute_value=1, mismatch=True))
+    yield ((_analyzed("S3"),),
+           [{"group": "S3", "formula": 2, "exact": 1,
+             "reason": "closed form exceeds the exact independence number"}])
+
+
+def _planted_regular(mp):
+    yield ((_class_degrees(_analyzed("Z2xZ2"), [1, 2, 2]),),
+           [{"group": "Z2xZ2", "regular": False, "family": ("P", 2, 2, 1)}])
+
+
+def _planted_homocyclic(mp):
+    az = _analyzed("Z4xZ4")
+    yield ((_with_cyc(az, 0, 8),),
+           [{"group": "Z4xZ4", "reason": "group cyclicizer is not trivial"}])
+    rows = list(az.ctable.rows)
+    rows[1] &= ~(1 << 3)    # (0,3) leaves Cyc((0,1))
+    yield ((dataclasses.replace(az, ctable=dataclasses.replace(
+        az.ctable, rows=tuple(rows))),),
+           [{"group": "Z4xZ4", "element": "(0,1)", "got": 3, "expected": 4}])
+    one = [az.graph.class_degrees[0]] * len(az.graph.class_degrees)
+    yield ((_class_degrees(az, one),),
+           [{"group": "Z4xZ4", "kind_degrees": 1, "expected": 2}])
+    mp.setattr(harness, "is_tidy", lambda g: True)
+    yield ((az,), [{"group": "Z4xZ4",
+                    "reason": "expected a cyclicizer that is not a subgroup"}])
+
+
+def _planted_two_kinds(mp):
+    z4z4, ea = _analyzed("Z4xZ4"), _analyzed("Z2xZ2")
+    one = [z4z4.graph.class_degrees[0]] * len(z4z4.graph.class_degrees)
+    yield ((_class_degrees(z4z4, one),),
+           [{"group": "Z4xZ4", "kind_degrees": 1, "family": True}])
+    two = [d + (i > 0) for i, d in enumerate(ea.graph.class_degrees)]
+    yield ((_class_degrees(ea, two),),
+           [{"group": "Z2xZ2", "kind_degrees": 2, "family": False}])
+
+
+def _planted_mu_disjoint(mp):
+    # an element of the maximal order 4 put into Cyc(G)
+    az = _analyzed("Z2xZ4")
+    x = az.group.elem_orders.index(4)
+    ct = dataclasses.replace(az.ctable, cyc_bits=az.ctable.cyc_bits | 1 << x)
+    yield ((dataclasses.replace(az, ctable=ct),),
+           [{"group": "Z2xZ4", "orders": [4]}])
+
+
+def _planted_mu_self(mp):
+    # the last element of a maximal order gains a member outside <x>
+    az = _analyzed("S3")
+    g, ct = az.group, az.ctable
+    maximal = set(groups.mu(g))
+    x = max(y for y in range(g.order) if g.elem_orders[y] in maximal)
+    outside = next(y for y in range(g.order)
+                   if not g.generated_cyclic_bits(x) >> y & 1)
+    rows = list(ct.rows)
+    rows[x] |= 1 << outside
+    yield ((dataclasses.replace(az, ctable=dataclasses.replace(
+        ct, rows=tuple(rows))),), [{"group": "S3", "element": g.labels[x]}])
+
+
+def _planted_z6xs3(mp):
+    _with_diameter(mp, 2)
+    yield (), [{"group": "Z6xS3", "diameter": 2}]
+    mp.setattr(harness, "diameter_info", graph.diameter_info)
+    mp.setattr(harness, "distance", lambda g, a, b: 2)
+    yield (), [{"group": "Z6xS3", "pair": ("(3,e)", "(2,e)"), "distance": 2}]
+
+
+def _planted_homocyclic_fixed(mp):
+    # every required case has m > 1
+    mp.setattr(harness, "is_tidy", lambda g: True)
+    yield (), [{"group": label,
+                "reason": "expected a cyclicizer that is not a subgroup"}
+               for label in ("(Z4)^2", "(Z4)^3", "(Z8)^2", "(Z9)^2",
+                             "(Z25)^2")]
+
+
+def _planted_families(mp):
+    # every group's graph in a class of its own
+    mp.setattr(harness, "canonical_form",
+               lambda g: types.SimpleNamespace(certificate=g.group.label))
+    yield (), [{"pair": pair, "expected": "isomorphic"} for pair in (
+        ("G(2,4)", "K(2,4)"), ("G(2,5)", "K(2,5)"), ("G(3,3)", "K(3,3)"),
+        ("G(2,3)", "D8"))]
+
+
+def _planted_order_spectrum(mp):
+    yield ([[_profile("A", order=8, pi_e=(1, 2, 4)),
+             _profile("B", order=8, pi_e=(1, 2))]],
+           [{"pair": ("A", "B"), "pi_e": ([1, 2, 4], [1, 2])}])
+
+
+def _planted_divisibility(mp):
+    # gcd(4, 6) = 2 is not divisible by B's |Cyc(G)| = 3
+    yield ([[_profile("A", degrees_gcd=4, vertex_count=6, cyc_size=1),
+             _profile("B", degrees_gcd=6, vertex_count=6, cyc_size=3)]],
+           [{"pair": ("A", "B"), "cyc_size": 3, "gcd": 2}])
+
+
+def _planted_goor(mp):
+    # Z2xZ2 and EA(3,2) meet neither equation, (Z2xZ2) twice meets both
+    yield ([[_profile("A", goor=(2, 2, 1)), _profile("B", goor=(3, 2, 1))]],
+           [{"pair": ("A", "B"), "condition": (False, False), "iso": True}])
+    yield ([[_profile("A", goor=(2, 2, 1)),
+             dataclasses.replace(_profile("B", goor=(2, 2, 1)),
+                                 graph_class=("other",))]],
+           [{"pair": ("A", "B"), "condition": (True, True), "iso": False}])
+
+
+def _planted_regular_unique(mp):
+    yield ([[_profile("A", regular_family=("Q8", 3)), _profile("B")]],
+           [{"anchor": "A", "other": "B", "families": (("Q8", 3), None)}])
+    # P of odd order and rank 3 is outside the claim
+    yield [[_profile("A", regular_family=("P", 3, 3, 1)), _profile("B")]], []
+
+
+def _planted_dihedral_unique(mp):
+    anchor = _profile("A", order=6, pi_e=(1, 2, 3), dihedral_n=3)
+    yield ([[anchor, _profile("B", order=12, pi_e=(1, 2, 3))]],
+           [{"anchor": "A", "other": "B",
+             "reason": "order or element-order constraint fails"}])
+    yield ([[anchor, _profile("B", order=6, pi_e=(1, 2, 3, 6))]],
+           [{"anchor": "A", "other": "B", "reason": "odd half-order class "
+                                                   "contains a non-dihedral "
+                                                   "group"}])
+
+
+def _planted_pgroup_recovery(mp):
+    yield ([[_profile("A", order=16, is_pgroup=(2, 4), cyc_size=2)]],
+           [{"group": "A", "reason": "non-trivial cyclicizer without "
+                                     "generalized quaternion structure"}])
+    yield ([[_profile("A", order=16, is_pgroup=(2, 4), cyc_size=2,
+                      is_gen_quaternion=True), _profile("B", order=32)]],
+           [{"anchor": "A", "other": "B", "reason": "classmate is not the "
+                                                   "same generalized "
+                                                   "quaternion group"}])
+    yield ([[_profile("A", order=27, is_pgroup=(3, 3), cyc_size=1,
+                      self_cyc_orders=(9,)), _profile("B", order=54)]],
+           [{"anchor": "A", "other": "B", "orders": (27, 54)}])
+
+
+PLANTED = {
+    "pgroup_cyc_nontrivial": _planted_pgroup_cyc,
+    "quotient_cyc_trivial": _planted_quotient,
+    "complete_iff_ea2": _planted_complete,
+    "diam_le_3": _planted_diameter,
+    "nilpotent_diam_le_2": _planted_nilpotent_diameter,
+    "omega_chi_s": _planted_omega_chi,
+    "omega_index_bounds": _planted_bounds,
+    "alpha_formula": _planted_alpha,
+    "regular_classification": _planted_regular,
+    "homocyclic_degree_formula": _planted_homocyclic,
+    "abelian_two_kind_degrees": _planted_two_kinds,
+    "mu_cyc_disjoint": _planted_mu_disjoint,
+    "mu_self_cyclicizer": _planted_mu_self,
+    "z6xs3_diam_3": _planted_z6xs3,
+    "homocyclic_required_cases": _planted_homocyclic_fixed,
+    "cyclic_maximal_families": _planted_families,
+    "iso_order_spectrum": _planted_order_spectrum,
+    "iso_cyc_divisibility": _planted_divisibility,
+    "multipartite_iso_condition": _planted_goor,
+    "regular_uniqueness": _planted_regular_unique,
+    "dihedral_uniqueness": _planted_dihedral_unique,
+    "pgroup_order_recovery": _planted_pgroup_recovery,
+}
+# the loop-oracle tests and test_nilpotent_transfer_reports_each_mismatch
+# plant violations of the other three
+FAILED_ELSEWHERE = {"cyc_coset_union", "cyc_core_cyclic",
+                    "nilpotent_transfer"}
+
+
+def test_every_check_has_a_planted_violation():
+    assert set(PLANTED) | FAILED_ELSEWHERE == set(CHECKS)
+    assert not set(PLANTED) & FAILED_ELSEWHERE
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_violation_is_reported(name, monkeypatch):
+    """Each planted violation makes the check report exactly its expected
+    counterexamples."""
+    for args, expected in PLANTED[name](monkeypatch):
+        result = CheckResult(name, "")
+        CHECKS[name].fn(*args, result)
+        assert result.counterexamples == expected
+
+
+def _plant_failure(monkeypatch, name, on=None):
+    """Make check ``name`` raise VerificationFailure after its own run: on
+    the entry labelled ``on``, or on every call of a global or fixed check.
+    Pool workers fork after the patch, so they see it too."""
+    real = CHECKS[name].fn
+
+    def planted(*args):
+        real(*args)
+        if on is None or args[0].label == on:
+            raise VerificationFailure(f"planted in {name}")
+
+    monkeypatch.setitem(CHECKS, name,
+                        dataclasses.replace(CHECKS[name], fn=planted))
+
+
+def test_an_error_in_a_per_entry_check_is_one_counterexample(monkeypatch,
+                                                            small_catalog):
+    clean = run_check(small_catalog, "omega_chi_s")
+    _plant_failure(monkeypatch, "omega_chi_s", on="Q8")
+    serial = run_check(small_catalog, "omega_chi_s")
+    assert serial.counterexamples == [
+        {"group": "Q8", "reason": "VerificationFailure: planted in omega_chi_s"}]
+    assert (serial.tested, serial.skipped) == (clean.tested, clean.skipped)
+    parallel = run_check(small_catalog, "omega_chi_s", jobs=2)
+    assert parallel.to_json_dict() == serial.to_json_dict()
+    assert parallel.skipped == serial.skipped
+
+
+@pytest.mark.parametrize("name", ["iso_order_spectrum",
+                                  "homocyclic_required_cases"])
+def test_an_error_in_a_global_or_fixed_check_is_one_counterexample(
+        monkeypatch, small_catalog, name):
+    clean = run_check(small_catalog, name)
+    _plant_failure(monkeypatch, name)
+    res = run_check(small_catalog, name)
+    assert res.counterexamples == [
+        {"reason": f"VerificationFailure: planted in {name}"}]
+    assert (res.tested, res.skipped) == (clean.tested, clean.skipped)
+
+
+def test_a_disconnected_nilpotent_graph_fails_two_checks(monkeypatch,
+                                                        small_catalog):
+    # the cached diameter does not cache the error: both checks meet it
+    names = ["diam_le_3", "nilpotent_diam_le_2"]
+    clean = run_all(small_catalog, names=names)
+    real = harness.diameter_info
+
+    def planted(g):
+        if g.group.label == "Q8":
+            raise Disconnected("graph of Q8 is not connected")
+        return real(g)
+
+    monkeypatch.setattr(harness, "diameter_info", planted)
+    results = run_all(small_catalog, names=names)
+    want = [{"group": "Q8", "reason": "Disconnected: graph of Q8 is not "
+                                      "connected"}]
+    assert [r.counterexamples for r in results] == [want, want]
+    assert ([(r.tested, r.skipped) for r in results]
+            == [(r.tested, r.skipped) for r in clean])
+
+
+def test_a_form_timeout_in_a_fixed_check_is_one_counterexample(monkeypatch):
+    monkeypatch.setenv("NONCYC_TIMEOUT_SECS", "0")
+    res = run_check(Catalog([], None), "cyclic_maximal_families")
+    assert res.counterexamples == [
+        {"reason": "Timeout: canonical form search exceeded its time budget"}]
+    assert res.tested == 0
 
 
 @pytest.fixture
