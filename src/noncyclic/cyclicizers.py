@@ -257,7 +257,11 @@ def quotient_pair_matrix(rows: np.ndarray, row_of: np.ndarray,
     is cyclic iff some x' in xN and y' in yN generate a cyclic subgroup:
     entry [i, j] says whether coset j meets the union of the cyclicizers
     of coset i's members, and row i is Cyc(xN)."""
-    meets = rows[:, cosets.T].any(axis=1)    # row r meets coset j
+    return _quotient_pairs(rows[:, cosets.T].any(axis=1), row_of, cosets)
+
+
+def _quotient_pairs(meets: np.ndarray, row_of, cosets) -> np.ndarray:
+    """``quotient_pair_matrix`` from ``meets``[r, j]: row r meets coset j."""
     return meets[row_of[cosets]].any(axis=1)
 
 

@@ -210,12 +210,11 @@ class Group:
     A group keeps its table as one read-only C-contiguous intc array, which
     ``np_table`` returns. A table passed in is range-checked, copied and
     checked exactly. ``validate=False`` hands over a new table instead: the
-    group keeps that array itself, range-checked only. Three callers pass
-    False: ``build``, whose tables ``_table`` has validated (metacyclic
-    tables, Cayley files) or built as groups (cyclic, permutation and
-    product tables), ``from_cayley_file``, whose table ``_read_cayley_file``
-    has validated, and ``quotient_by_central``, whose quotient tables are
-    groups by construction.
+    group keeps that array itself, range-checked only. Two callers pass
+    False: ``build`` (and ``from_cayley_file`` through it), whose tables
+    ``_table`` has validated (metacyclic tables, Cayley files) or built as
+    groups (cyclic, permutation and product tables), and
+    ``quotient_by_central``, whose quotient tables are groups by construction.
     """
 
     __slots__ = ("order", "label", "labels", "_table", "elem_orders",
@@ -713,7 +712,10 @@ def _table(spec: GroupSpec, max_order: Optional[int] = None
     tables are groups by construction. This is the one order gate: a group
     over ``max_order`` raises OrderTooLarge before its table is built, by
     the spec's order, else a Cayley file's first line, the permutation
-    closure or, its factors checked first, the product of their orders."""
+    closure or, its factors checked first, the product of their orders.
+    No bound is above DEFAULT_CLOSURE_CAP, which None also means."""
+    max_order = (DEFAULT_CLOSURE_CAP if max_order is None
+                 else min(max_order, DEFAULT_CLOSURE_CAP))
     _check_order(spec.order(), max_order)
     k, p = spec.kind, spec.params
     if k == "cyclic":
@@ -754,8 +756,9 @@ def build(spec: GroupSpec, *, label: Optional[str] = None,
     spec's name, else after its constructor (a Cayley file's basename).
 
     Only metacyclic tables and Cayley files are validated, and a group whose
-    order exceeds ``max_order`` raises OrderTooLarge before its table is
-    built; ``_table`` says why and how.
+    order exceeds ``max_order``, or DEFAULT_CLOSURE_CAP (20160) when that is
+    None or larger, raises OrderTooLarge before its table is built;
+    ``_table`` says why and how.
     """
     table, labels = _table(spec, max_order)
     if label is None:
@@ -765,8 +768,8 @@ def build(spec: GroupSpec, *, label: Optional[str] = None,
     return Group(table, labels=labels, label=label, validate=False)
 
 
-def _check_order(order: Optional[int], max_order: Optional[int]) -> None:
-    if order is not None and max_order is not None and order > max_order:
+def _check_order(order: Optional[int], max_order: int) -> None:
+    if order is not None and order > max_order:
         raise OrderTooLarge(
             f"order {order} exceeds the maximum order {max_order}")
 
@@ -780,14 +783,11 @@ def _check_order(order: Optional[int], max_order: Optional[int]) -> None:
 
 
 def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
-    """Read and validate a Cayley-table file; ``label`` defaults to the
-    file's basename."""
-    table, labels = _read_cayley_file(path)
-    return Group(table, labels=labels, validate=False,
-                 label=os.path.basename(path) if label is None else label)
+    """``build`` of the Cayley-table file ``path``, validated on load."""
+    return build(cayley_file(path), label=label)
 
 
-def _read_cayley_file(path: str, max_order: Optional[int] = None
+def _read_cayley_file(path: str, max_order: int
                       ) -> tuple[np.ndarray, list]:
     """The validated table and the element labels (``e0``, ``e1``, ...
     when the file has none) of a Cayley-table file. An order n on the first

@@ -9,12 +9,14 @@ non-cyclic graph is not defined. "global" checks read the collected
 profiles (graph-isomorphism classes, order spectra, recognizer flags),
 whose classes ``form_classes`` sets once every entry has run, and "fixed"
 checks build their own groups. A check states only its claim; the runner
-does the rest. It records skips for entries it could not analyze, and
-counts ``tested`` for the per-entry checks: an entry a check does not skip
-is tested once (global and fixed checks count their own cases). A library
-error a check raises (``NonCyclicError``) means the claim failed there: it
-becomes one counterexample naming the entry, if any, and the error, and the
-run goes on. The runner also keeps catalog order and times each call.
+does the rest. A per-entry check returns its skip reason, if any; the
+runner records it, or the entry's error, counts an entry not skipped as
+tested once, and puts ``"group": label`` first in each counterexample and
+finding (global and fixed checks count and name their own cases). A
+library error (``NonCyclicError``) that a check raises is one
+counterexample, naming the entry if any, and the run goes on; one raised
+while an entry is condensed into its profile is a skip reason for the
+global checks. The runner also keeps catalog order and times each call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
@@ -34,9 +37,9 @@ import numpy as np
 from . import structure
 from .canon import (TwinQuotient, canonical_form,
                     check_goormaghtigh_condition)
-from .cyclicizers import (CyclicizerTable, _packed_rows, central_cosets,
-                          check_central, cyclicizer_table, is_tidy,
-                          quotient_pair_matrix)
+from .cyclicizers import (CyclicizerTable, _packed_rows, _quotient_pairs,
+                          central_cosets, check_central, cyclicizer_table,
+                          is_tidy, quotient_pair_matrix)
 from .errors import (InvalidParameter, NonCyclicError, OrderTooLarge,
                      ParseError, Timeout, TooLarge, UnknownCheck,
                      VerificationFailure)
@@ -247,6 +250,11 @@ class AnalyzedGroup:
         """The cosets of Cyc(G), one per row (``central_cosets``)."""
         return central_cosets(self.group, self.ctable.cyc_members())
 
+    @cached_property
+    def cyc_incidence(self) -> np.ndarray:
+        """[r, k, c]: whether ``cyc_cosets``[c, k] is in distinct row r."""
+        return self.ctable.distinct[0][:, self.cyc_cosets.T]
+
 
 @dataclass
 class GroupProfile:
@@ -270,7 +278,6 @@ class GroupProfile:
     dihedral_n: Optional[int] = None
     self_cyc_orders: tuple = ()
     regular_family: Optional[tuple] = None
-    goor: Optional[tuple] = None
     vertex_count: Optional[int] = None
     degrees_gcd: Optional[int] = None
     degree_census: Optional[tuple] = None
@@ -310,12 +317,10 @@ def profile_of(az: AnalyzedGroup, want_classes: bool = True
     carried only when ``want_classes``."""
     if az.error is not None:
         return GroupProfile(az.label, az.spec, error=az.error)
-    g = az.group
-    ct = az.ctable
+    g, ct = az.group, az.ctable
     sylows = structure.sylow_decomposition(g)
     prof = GroupProfile(
-        label=az.label,
-        spec=az.spec,
+        az.label, az.spec,
         order=g.order,
         cyc_size=ct.cyc_size,
         pi_e=pi_e(g),
@@ -325,10 +330,8 @@ def profile_of(az: AnalyzedGroup, want_classes: bool = True
         dihedral_n=structure.dihedral_parameter(g),
         self_cyc_orders=structure.self_cyclicizer_orders(g),
         regular_family=structure.regular_family(g),
-        goor=structure.goor_parameters(g),
     )
-    if az.graph is not None:
-        graph = az.graph
+    if (graph := az.graph) is not None:
         prof.vertex_count = graph.n_vertices
         prof.degree_census = graph.degree_census
         prof.degrees_gcd = gcd(*(d for d, _ in prof.degree_census))
@@ -463,13 +466,8 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def skip(self, label: str, reason: str) -> None:
-        self.skipped.append((label, reason))
-
     def to_json_dict(self, with_timing: bool = False) -> dict:
-        reasons: dict[str, int] = {}
-        for _, reason in self.skipped:
-            reasons[reason] = reasons.get(reason, 0) + 1
+        reasons = Counter(reason for _, reason in self.skipped)
         out = {
             "check": self.name,
             "statement": self.statement,
@@ -512,6 +510,7 @@ def _ce(result: CheckResult, **data) -> None:
 
 
 # -- per-group checks -------------------------------------------------------
+# Each returns the reason it skips its entry, or None when it tests it.
 
 
 @_register("cyc_coset_union",
@@ -523,7 +522,7 @@ def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
         return
     rows, row_of = az.ctable.distinct
     cosets = az.cyc_cosets   # the rows partition G
-    inside = rows[:, cosets.T]   # [r, k, c]: is cosets[c, k] in row r
+    inside = az.cyc_incidence   # [r, k, c]: is cosets[c, k] in row r
     leaks = inside.any(axis=1) & ~inside.all(axis=1)
     indivisible = np.count_nonzero(rows, axis=1) % ct.cyc_size != 0
     bad = np.flatnonzero((indivisible | leaks.any(axis=1))[row_of])
@@ -532,12 +531,12 @@ def _check_coset_union(az: AnalyzedGroup, result: CheckResult):
     x = int(bad[0])
     r = row_of[x]
     if indivisible[r]:
-        _ce(result, group=az.label, element=g.labels[x],
+        _ce(result, element=g.labels[x],
             reason="cyclicizer size not divisible by group cyclicizer")
         return
     # the least element of Cyc(x) whose coset leaks
     y = int(cosets[leaks[r]][inside[r].T[leaks[r]]].min())
-    _ce(result, group=az.label, element=g.labels[x], coset_rep=g.labels[y],
+    _ce(result, element=g.labels[x], coset_rep=g.labels[y],
         reason="coset leaks outside the cyclicizer")
 
 
@@ -559,7 +558,7 @@ def _check_core_cyclic(az: AnalyzedGroup, result: CheckResult):
     bad = np.flatnonzero(~has_self | ~ok[row_of])
     if bad.size:
         x = int(bad[0])
-        _ce(result, group=az.label, element=g.labels[x],
+        _ce(result, element=g.labels[x],
             reason="core is not a cyclic subgroup" if has_self[x]
             else "core misses the element itself")
 
@@ -585,12 +584,11 @@ def _cyc_cores(rows: np.ndarray, row_of: np.ndarray) -> np.ndarray:
            "it is cyclic or generalized quaternion", "group")
 def _check_pgroup_cyc(az: AnalyzedGroup, result: CheckResult):
     if structure.pgroup_parameters(az.group) is None:
-        result.skip(az.label, "not a p-group")
-        return
+        return "not a p-group"
     quaternion = structure.is_generalized_quaternion(az.group)
     if (az.ctable.cyc_size > 1) != (az.is_cyclic or quaternion):
-        _ce(result, group=az.label, cyc_size=az.ctable.cyc_size,
-            cyclic=az.is_cyclic, generalized_quaternion=quaternion)
+        _ce(result, cyc_size=az.ctable.cyc_size, cyclic=az.is_cyclic,
+            generalized_quaternion=quaternion)
 
 
 @_register("quotient_cyc_trivial",
@@ -611,23 +609,21 @@ def _check_quotient(az: AnalyzedGroup, result: CheckResult):
     if ct.cyc_size > 1:
         check_central(g, ct.cyc_members())
         cosets = az.cyc_cosets
-        quo = quotient_pair_matrix(rows, row_of, cosets)
+        meets = az.cyc_incidence.any(axis=1)    # row r meets coset c
+        quo = _quotient_pairs(meets, row_of, cosets)
         if not _cyc_trivial(quo):
-            _ce(result, group=az.label,
+            _ce(result,
                 reason="quotient by cyclicizer keeps non-trivial cyclicizer")
             return
-        image = rows[row_of[cosets[:, 0]]][:, cosets.T].any(axis=1)
-        bad = np.flatnonzero((image != quo).any(axis=1))
+        bad = np.flatnonzero((meets[row_of[cosets[:, 0]]] != quo).any(axis=1))
         if bad.size:
-            _ce(result, group=az.label,
-                coset=f"[{g.labels[cosets[bad[0], 0]]}]",
+            _ce(result, coset=f"[{g.labels[cosets[bad[0], 0]]}]",
                 reason="cyclicizer does not project onto the quotient")
             return
     z = az.center
     if 1 < len(z) < g.order and not _cyc_trivial(
             quotient_pair_matrix(rows, row_of, central_cosets(g, z))):
-        _ce(result, group=az.label,
-            reason="central quotient has non-trivial cyclicizer")
+        _ce(result, reason="central quotient has non-trivial cyclicizer")
 
 
 def _cyc_trivial(pairs: np.ndarray) -> bool:
@@ -646,8 +642,7 @@ def _check_complete(az: AnalyzedGroup, result: CheckResult):
     params = structure.homocyclic_parameters(az.group)
     ea = (params[0], params[2]) if params and params[1] == 1 else None
     if complete != (ea is not None and ea[0] == 2):
-        _ce(result, group=az.label, complete=complete,
-            elementary_abelian=ea)
+        _ce(result, complete=complete, elementary_abelian=ea)
 
 
 @_register("diam_le_3",
@@ -657,11 +652,11 @@ def _check_complete(az: AnalyzedGroup, result: CheckResult):
 def _check_diameter(az: AnalyzedGroup, result: CheckResult):
     info = az.diameter
     if info.diameter > 3:
-        _ce(result, group=az.label, diameter=info.diameter,
+        _ce(result, diameter=info.diameter,
             witness=info.witness_labels(az.graph))
         return
     if az.center == az.ctable.cyc_members() and info.diameter != 2:
-        _ce(result, group=az.label, diameter=info.diameter,
+        _ce(result, diameter=info.diameter,
             reason="center equals cyclicizer but diameter is not 2")
 
 
@@ -670,11 +665,10 @@ def _check_diameter(az: AnalyzedGroup, result: CheckResult):
            "graph")
 def _check_nilpotent_diam(az: AnalyzedGroup, result: CheckResult):
     if not structure.is_nilpotent(az.group):
-        result.skip(az.label, "not nilpotent")
-        return
+        return "not nilpotent"
     info = az.diameter
     if info.diameter > 2:
-        _ce(result, group=az.label, diameter=info.diameter,
+        _ce(result, diameter=info.diameter,
             witness=info.witness_labels(az.graph))
 
 
@@ -684,8 +678,7 @@ def _check_nilpotent_diam(az: AnalyzedGroup, result: CheckResult):
 def _check_omega_chi(az: AnalyzedGroup, result: CheckResult):
     cc = clique_and_chromatic(az.graph, az.ctable)
     if cc.omega != cc.chi or cc.omega != len(az.ctable.maximal):
-        _ce(result, group=az.label, omega=cc.omega, chi=cc.chi,
-            s=len(az.ctable.maximal))
+        _ce(result, omega=cc.omega, chi=cc.chi, s=len(az.ctable.maximal))
 
 
 @_register("omega_index_bounds",
@@ -696,14 +689,14 @@ def _check_omega_chi(az: AnalyzedGroup, result: CheckResult):
 def _check_bounds(az: AnalyzedGroup, result: CheckResult):
     info = omega_bound_info(az.group, az.ctable)
     if not info.index_bound_ok:
-        _ce(result, group=az.label, s=info.s, index=info.index,
+        _ce(result, s=info.s, index=info.index,
             reason="clique count exceeds cyclicizer index")
     if info.covering_ok is False:
-        _ce(result, group=az.label, s=info.s, index=info.index,
-            bound=info.covering_value, reason="covering bound violated")
+        _ce(result, s=info.s, index=info.index, bound=info.covering_value,
+            reason="covering bound violated")
     if info.covering_ok is None:
         result.findings.append(
-            {"group": az.label, "s": info.s,
+            {"s": info.s,
              "note": "covering bound skipped, fewer than 3 maximal cyclics"})
 
 
@@ -714,13 +707,11 @@ def _check_bounds(az: AnalyzedGroup, result: CheckResult):
 def _check_alpha(az: AnalyzedGroup, result: CheckResult):
     info = independence_info(az.graph, az.ctable)
     if info.brute_value is not None and info.brute_value < info.formula_value:
-        _ce(result, group=az.label, formula=info.formula_value,
-            exact=info.brute_value,
+        _ce(result, formula=info.formula_value, exact=info.brute_value,
             reason="closed form exceeds the exact independence number")
     elif info.mismatch:
         result.findings.append(
-            {"group": az.label, "formula": info.formula_value,
-             "exact": info.brute_value,
+            {"formula": info.formula_value, "exact": info.brute_value,
              "note": "closed form undershoots the exact value"})
 
 
@@ -732,7 +723,7 @@ def _check_regular(az: AnalyzedGroup, result: CheckResult):
     _, _, regular = degree_kinds(az.graph)
     fam = structure.regular_family(az.group)
     if regular != (fam is not None):
-        _ce(result, group=az.label, regular=regular, family=fam)
+        _ce(result, regular=regular, family=fam)
 
 
 HOMOCYCLIC_REQUIRED = ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 2, 2))
@@ -756,28 +747,24 @@ def _homocyclic_expected_size(p: int, m: int, n: int, ell: int) -> int:
 
 def _homocyclic_case(az: AnalyzedGroup, p: int, m: int, n: int,
                      result: CheckResult):
-    group, ct, label = az.group, az.ctable, az.label
+    group, ct = az.group, az.ctable
     if ct.cyc_size != 1:
-        _ce(result, group=label, reason="group cyclicizer is not trivial")
+        _ce(result, reason="group cyclicizer is not trivial")
         return
+    expected = {p ** ell: _homocyclic_expected_size(p, m, n, ell)
+                for ell in range(m + 1)}
     for x in range(1, group.order):
-        o = group.elem_orders[x]
-        ell = 0
-        while o > 1:
-            o //= p
-            ell += 1
-        expected = _homocyclic_expected_size(p, m, n, ell)
-        if ct.rows[x].bit_count() != expected:
-            _ce(result, group=label, element=group.labels[x],
-                got=ct.rows[x].bit_count(), expected=expected)
+        want = expected.get(group.elem_orders[x])
+        if ct.rows[x].bit_count() != want:
+            _ce(result, element=group.labels[x],
+                got=ct.rows[x].bit_count(), expected=want)
             return
     _, kinds, _ = degree_kinds(az.graph)
     if kinds != m:
-        _ce(result, group=label, kind_degrees=kinds, expected=m)
+        _ce(result, kind_degrees=kinds, expected=m)
         return
     if m > 1 and is_tidy(group):
-        _ce(result, group=label,
-            reason="expected a cyclicizer that is not a subgroup")
+        _ce(result, reason="expected a cyclicizer that is not a subgroup")
 
 
 @_register("homocyclic_degree_formula",
@@ -788,8 +775,7 @@ def _homocyclic_case(az: AnalyzedGroup, p: int, m: int, n: int,
 def _check_homocyclic(az: AnalyzedGroup, result: CheckResult):
     params = structure.homocyclic_parameters(az.group)
     if params is None or params[2] < 2:
-        result.skip(az.label, "not homocyclic on more than one factor")
-        return
+        return "not homocyclic on more than one factor"
     _homocyclic_case(az, *params, result)
 
 
@@ -802,12 +788,11 @@ def _check_two_kinds(az: AnalyzedGroup, result: CheckResult):
     if not structure.is_abelian(az.group):
         if kinds == 2:
             result.findings.append(
-                {"group": az.label, "note": "non-abelian with two kind degrees"})
-        result.skip(az.label, "not abelian")
-        return
+                {"note": "non-abelian with two kind degrees"})
+        return "not abelian"
     family = structure.two_kind_abelian_family(az.group)
     if (kinds == 2) != family:
-        _ce(result, group=az.label, kind_degrees=kinds, family=family)
+        _ce(result, kind_degrees=kinds, family=family)
 
 
 @_register("mu_cyc_disjoint",
@@ -819,7 +804,7 @@ def _check_mu_disjoint(az: AnalyzedGroup, result: CheckResult):
     cyc_orders = {g.elem_orders[x] for x in ct.cyc_members()}
     clash = sorted(set(mu(g)) & cyc_orders)
     if clash:
-        _ce(result, group=az.label, orders=clash)
+        _ce(result, orders=clash)
 
 
 @_register("mu_self_cyclicizer",
@@ -831,7 +816,7 @@ def _check_mu_self(az: AnalyzedGroup, result: CheckResult):
     for x in range(g.order):
         if g.elem_orders[x] in maximal_orders:
             if ct.rows[x] != g.generated_cyclic_bits(x):
-                _ce(result, group=az.label, element=g.labels[x])
+                _ce(result, element=g.labels[x])
                 return
 
 
@@ -842,8 +827,7 @@ def _check_mu_self(az: AnalyzedGroup, result: CheckResult):
            "the graph of Z6 x S3 has diameter 3, achieved by the pair "
            "((3,e), (2,e))", "fixed")
 def _check_z6xs3(result: CheckResult):
-    spec = direct_product([cyclic(6), symmetric(3)])
-    g = build(spec)
+    g = build(direct_product([cyclic(6), symmetric(3)]))
     graph = build_graph(g)
     result.tested += 1
     info = diameter_info(graph)
@@ -865,15 +849,15 @@ def _check_homocyclic_fixed(result: CheckResult):
         label = f"(Z{p ** m})^{n}"
         spec = direct_product([cyclic(p ** m)] * n, name=label)
         g = build(spec)
-        ct = cyclicizer_table(g)
         result.tested += 1
-        _homocyclic_case(AnalyzedGroup(label, spec, g, ct, build_graph(g, ct)),
-                         p, m, n, result)
+        case = CheckResult(result.name, result.statement)
+        _homocyclic_case(AnalyzedGroup(label, spec, g, cyclicizer_table(g),
+                                       build_graph(g)), p, m, n, case)
+        _merge(result, _named(case, label))
 
 
 def _family_graph(expr: str):
-    g = build(parse_group_expr(expr))
-    return canonical_form(build_graph(g))
+    return canonical_form(build_graph(build(parse_group_expr(expr))))
 
 
 @_register("cyclic_maximal_families",
@@ -965,8 +949,7 @@ def _check_transfer(profiles, result: CheckResult):
     """Compares nilpotency, then primes, then the profiles' Sylow-graph
     classes prime by prime; no group is rebuilt."""
     for cls in _graph_classes(profiles):
-        pairs = [p for p in cls if p.cyc_size == 1]
-        for a, b in combinations(pairs, 2):
+        for a, b in combinations([p for p in cls if p.cyc_size == 1], 2):
             if not (a.is_nilpotent or b.is_nilpotent):
                 continue
             result.tested += 1
@@ -993,11 +976,12 @@ def _check_transfer(profiles, result: CheckResult):
            "m > 1, gcd(n, p) = 1), two such graphs are isomorphic exactly "
            "when the part-count and part-size equations both hold", "global")
 def _check_goor(profiles, result: CheckResult):
-    members = [p for p in profiles
-               if p.goor is not None and p.graph_class is not None]
+    # regular_family's P is non-cyclic, so |P| = p^m with m > 1
+    members = [p for p in profiles if p.graph_class is not None
+               and p.regular_family and p.regular_family[0] == "P"]
     for a, b in combinations(members, 2):
         result.tested += 1
-        (p1, m1, n1), (p2, m2, n2) = a.goor, b.goor
+        (_, p1, m1, n1), (_, p2, m2, n2) = a.regular_family, b.regular_family
         c1, c2 = check_goormaghtigh_condition(p1, m1, n1, p2, m2, n2)
         iso = a.graph_class == b.graph_class
         if iso != (c1 and c2):
@@ -1029,18 +1013,18 @@ def _check_regular_unique(profiles, result: CheckResult):
            "dihedral group itself", "global")
 def _check_dihedral_unique(profiles, result: CheckResult):
     for cls in _graph_classes(profiles):
-        anchors = [p for p in cls if p.dihedral_n is not None]
-        if not anchors:
+        anchor = next((p for p in cls if p.dihedral_n is not None), None)
+        if anchor is None:
             continue
-        n = anchors[0].dihedral_n
+        n = anchor.dihedral_n
         for other in cls:
             result.tested += 1
             if other.order != 2 * n or n not in other.pi_e:
-                _ce(result, anchor=anchors[0].label, other=other.label,
+                _ce(result, anchor=anchor.label, other=other.label,
                     reason="order or element-order constraint fails")
                 continue
             if n % 2 == 1 and other.dihedral_n != n:
-                _ce(result, anchor=anchors[0].label, other=other.label,
+                _ce(result, anchor=anchor.label, other=other.label,
                     reason="odd half-order class contains a non-dihedral group")
 
 
@@ -1052,11 +1036,9 @@ def _check_dihedral_unique(profiles, result: CheckResult):
 def _check_pgroup_recovery(profiles, result: CheckResult):
     for cls in _graph_classes(profiles):
         for a in cls:
-            if a.is_pgroup is None:
+            if a.is_pgroup is None or a.is_pgroup[1] < 3:
                 continue
             p, e = a.is_pgroup
-            if e < 3:
-                continue
             if a.cyc_size > 1:
                 result.tested += 1
                 if not a.is_gen_quaternion:
@@ -1085,17 +1067,42 @@ def _check_pgroup_recovery(profiles, result: CheckResult):
 # Runners
 
 
-def _timed(result: CheckResult, fn: Callable, *args, **where) -> None:
-    """Call ``fn(*args, result)`` and add its time to the result. A library
-    error it raises means the check's claim failed there: it becomes one
-    counterexample, ``where`` (the entry's group) plus its reason, and the
-    run goes on."""
+def _timed(result: CheckResult, fn: Callable, *args) -> Optional[str]:
+    """What ``fn(*args, result)`` returns, its time added to the result. A
+    library error it raises means the check's claim failed there: it is one
+    counterexample, its reason, and the run goes on."""
     t0 = time.perf_counter()
     try:
-        fn(*args, result)
+        return fn(*args, result)
     except NonCyclicError as exc:
-        _ce(result, **where, reason=f"{type(exc).__name__}: {exc}")
-    result.elapsed_ms += 1000 * (time.perf_counter() - t0)
+        _ce(result, reason=f"{type(exc).__name__}: {exc}")
+    finally:
+        result.elapsed_ms += 1000 * (time.perf_counter() - t0)
+
+
+def _named(part: CheckResult, label: str) -> CheckResult:
+    """``part``, with ``"group": label`` first in each of its records."""
+    for records in filter(None, (part.counterexamples, part.findings)):
+        records[:] = [{"group": label, **r} for r in records]
+    return part
+
+
+def _check_entry(az: AnalyzedGroup, name: str) -> CheckResult:
+    """Per-entry check ``name`` on ``az``: skipped for the entry's error,
+    as "cyclic" for a graph check on a cyclic group, or for the reason the
+    check returns, else tested once; its records are ``_named``."""
+    check = CHECKS[name]
+    part = CheckResult(name, check.statement)
+    if az.error is not None:
+        reason = az.error
+    elif check.kind == "graph" and az.graph is None:
+        reason = "cyclic"
+    else:
+        reason = _timed(part, check.fn, az)
+    part.tested = int(reason is None)
+    if reason is not None:
+        part.skipped.append((az.label, reason))
+    return _named(part, az.label)
 
 
 def _run_entry(entry: CatalogEntry, entry_checks: list[str],
@@ -1103,19 +1110,12 @@ def _run_entry(entry: CatalogEntry, entry_checks: list[str],
     if max_order is not None:
         entry = replace(entry, max_order=max_order)
     az = analyze_entry(entry)
-    outcomes = {}
-    for name in entry_checks:
-        check = CHECKS[name]
-        part = outcomes[name] = CheckResult(name, check.statement)
-        if az.error is not None:
-            part.skip(az.label, az.error)
-        elif check.kind == "graph" and az.graph is None:
-            part.skip(az.label, "cyclic")
-        else:
-            _timed(part, check.fn, az, group=az.label)
-        # a per-entry check tests each entry it does not skip, once
-        part.tested = int(not part.skipped)
-    return outcomes, profile_of(az, want_classes)
+    outcomes = {name: _check_entry(az, name) for name in entry_checks}
+    try:
+        return outcomes, profile_of(az, want_classes)
+    except NonCyclicError as exc:
+        return outcomes, GroupProfile(az.label, az.spec, error=(
+            f"profile failed ({type(exc).__name__}: {exc})"))
 
 
 def _merge(into: CheckResult, part: CheckResult) -> None:
@@ -1140,8 +1140,7 @@ def _mapper(jobs: int):
 
 
 def run_check(catalog: Catalog, name: str, jobs: int = 1) -> CheckResult:
-    results = run_all(catalog, jobs=jobs, names=[name])
-    return results[0]
+    return run_all(catalog, jobs=jobs, names=[name])[0]
 
 
 def run_all(catalog: Catalog, jobs: int = 1,
@@ -1173,17 +1172,13 @@ def run_all(catalog: Catalog, jobs: int = 1,
                 profiles.append(prof)
             if global_checks:
                 form_classes(profiles, mapper)
-    ok_profiles = []
-    for prof in profiles:
-        if prof.error is not None:
-            reason = prof.error
-        else:
-            ok_profiles.append(prof)
-            if prof.cert_error is None:
-                continue
-            reason = f"no certificate ({prof.cert_error})"
-        for name in global_checks:
-            results[name].skip(prof.label, reason)
+    ok_profiles = [p for p in profiles if p.error is None]
+    for p in profiles:
+        if p.error is not None or p.cert_error is not None:
+            reason = (p.error if p.error is not None
+                      else f"no certificate ({p.cert_error})")
+            for name in global_checks:
+                results[name].skipped.append((p.label, reason))
     for name in global_checks:
         _timed(results[name], CHECKS[name].fn, ok_profiles)
     for name in fixed_checks:

@@ -16,9 +16,10 @@ import numpy as np
 
 from noncyclic.canon import _Backjump, _codegree_split, _Search, canonical_form
 from noncyclic.cyclicizers import _bit_matrix, _bit_rows
-from noncyclic.errors import InvalidCayleyFile, ParseError
+from noncyclic.errors import InvalidCayleyFile, OrderTooLarge, ParseError
 from noncyclic.graph import build_graph
-from noncyclic.groups import Group, Subgroup, _row_blocks, direct_product
+from noncyclic.groups import (DEFAULT_CLOSURE_CAP, Group, Subgroup,
+                              _row_blocks, direct_product)
 from noncyclic.harness import CatalogEntry, _ce
 
 
@@ -107,7 +108,9 @@ def cayley_file_text(group):
 
 def whole_file_cayley_load(path, label=None):
     """Read and validate a Cayley-table file held whole: every stripped
-    non-empty line in a list, then one ``np.loadtxt`` over the body."""
+    non-empty line in a list, then one ``np.loadtxt`` over the body. An
+    order above DEFAULT_CLOSURE_CAP, the bound of every build, is refused
+    before the line count."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -121,6 +124,9 @@ def whole_file_cayley_load(path, label=None):
         raise InvalidCayleyFile(f"first line must be the order: {lines[0]!r}") from exc
     if n < 1:
         raise InvalidCayleyFile("order must be positive")
+    if n > DEFAULT_CLOSURE_CAP:
+        raise OrderTooLarge(f"order {n} exceeds the maximum order "
+                            f"{DEFAULT_CLOSURE_CAP}")
     if len(lines) == n + 1:
         labels = None
         rows_text = lines[1:]

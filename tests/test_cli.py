@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import noncyclic
-from noncyclic import canon, cli
+from noncyclic import canon, cli, groups
 from noncyclic.cli import main
 from noncyclic.errors import UnknownCheck
 
@@ -254,6 +255,39 @@ def test_bad_cayley_entry_is_computation_error(capsys, tmp_path, body):
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] in ("NotAGroup",
                                                 "InvalidCayleyFile")
+
+
+def _built(*args, **kwargs):
+    raise AssertionError("a table was built")
+
+
+def test_a_build_with_no_bound_is_capped_before_any_table(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(np, "empty", _built)
+    monkeypatch.setattr(groups, "_perm_closure", _built)
+    code, _, err = run_cli(capsys, "build", "S7xS7")
+    assert code == 1
+    assert json.loads(err) == {"error": {
+        "type": "OrderTooLarge",
+        "message": "order 25401600 exceeds the maximum order 20160"}}
+
+
+def test_a_catalog_entry_over_the_cap_is_skipped(capsys, monkeypatch,
+                                                 tmp_path):
+    # the bound is capped at 20160 whatever --max-order says, so no S7 is
+    # built
+    monkeypatch.setattr(groups, "_perm_closure", _built)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"spec": s} for s in ("Z2", "S7xS7",
+                                                      "Z2xZ2")]))
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(path),
+                           "--max-order", "30000000", "--check",
+                           "cyc_core_cyclic", "--json")
+    assert code == 0
+    [res] = json.loads(out)
+    assert res["tested"] == 2
+    assert res["skipped"] == {"total": 1, "labels": ["S7xS7"], "reasons": {
+        "order 25401600 exceeds the maximum order 20160": 1}}
 
 
 @pytest.mark.parametrize("code", [

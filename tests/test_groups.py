@@ -367,6 +367,15 @@ def test_oversized_cayley_factor_is_refused_by_its_first_line(
         G.build(spec, max_order=100)
 
 
+def test_cayley_file_over_the_cap_is_refused_by_its_first_line(tmp_path):
+    # from_cayley_file goes through build, whose bound None means 20160
+    path = tmp_path / "big.cayley"
+    path.write_text("20161\n0 1\n")
+    with pytest.raises(OrderTooLarge,
+                       match="^order 20161 exceeds the maximum order 20160$"):
+        G.from_cayley_file(str(path))
+
+
 def test_bounded_cayley_build_opens_its_file_once(monkeypatch, tmp_path):
     path = tmp_path / "a4.cayley"
     G.to_cayley_file(build("A4"), str(path))
@@ -594,7 +603,7 @@ def test_cayley_loader_matches_whole_file_reference(monkeypatch, tmp_path,
         want = _load_outcome(oracles.whole_file_cayley_load, path)
         assert _load_outcome(G.from_cayley_file, path) == want, path.name
         kinds.add(want[0] if isinstance(want[0], type) else "group")
-    assert kinds == {"group", InvalidCayleyFile, NotAGroup}
+    assert kinds == {"group", InvalidCayleyFile, NotAGroup, OrderTooLarge}
 
 
 @pytest.mark.parametrize("labelled", [True, False])
@@ -618,8 +627,10 @@ def test_cayley_load_peaks_at_twice_the_table(tmp_path, labelled):
 
 
 def test_huge_header_fails_on_the_line_count(tmp_path):
+    # the largest header under the cap of every build: 20160 rows would
+    # take 1.5 GiB
     path = tmp_path / "huge.cayley"
-    path.write_text("1000000000\n0\n")
+    path.write_text("20160\n0\n")
     tracemalloc.start()
     try:
         with pytest.raises(InvalidCayleyFile) as exc:
@@ -627,8 +638,7 @@ def test_huge_header_fails_on_the_line_count(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == (
-        "expected 1000000001 or 1000000002 non-empty lines, got 2")
+    assert str(exc.value) == "expected 20161 or 20162 non-empty lines, got 2"
     assert peak < 1 << 20
 
 

@@ -175,9 +175,9 @@ def test_coset_union_matches_loop_oracle(analyzed_64):
             for name, oracle in (("cyc_coset_union", oracles.coset_union_loop),
                                  ("quotient_cyc_trivial",
                                   oracles.quotient_loop)):
-                got = CheckResult(name, "")
-                want = CheckResult(name, "")
-                CHECKS[name].fn(case, got)
+                got = harness._check_entry(case, name)
+                want = CheckResult(name, got.statement, tested=1,
+                                   elapsed_ms=got.elapsed_ms)
                 oracle(case, want)
                 assert got == want, (az.label, name)
                 reasons.update(ce["reason"] for ce in got.counterexamples)
@@ -215,9 +215,9 @@ def test_core_cyclic_matches_loop_oracle(analyzed_64):
     for az in analyzed_64:
         cases = [az] + (_core_doctored(az, rng) if az.group.order > 1 else [])
         for case in cases:
-            got = CheckResult("cyc_core_cyclic", "")
-            want = CheckResult("cyc_core_cyclic", "")
-            CHECKS["cyc_core_cyclic"].fn(case, got)
+            got = harness._check_entry(case, "cyc_core_cyclic")
+            want = CheckResult("cyc_core_cyclic", got.statement, tested=1,
+                               elapsed_ms=got.elapsed_ms)
             oracles.core_cyclic_loop(case, want)
             assert got == want, az.label
             reasons.update(ce["reason"] for ce in got.counterexamples)
@@ -726,10 +726,12 @@ def _planted_divisibility(mp):
 
 def _planted_goor(mp):
     # Z2xZ2 and EA(3,2) meet neither equation, (Z2xZ2) twice meets both
-    yield ([[_profile("A", goor=(2, 2, 1)), _profile("B", goor=(3, 2, 1))]],
+    z2z2, ea3 = ("P", 2, 2, 1), ("P", 3, 2, 1)
+    yield ([[_profile("A", regular_family=z2z2),
+             _profile("B", regular_family=ea3)]],
            [{"pair": ("A", "B"), "condition": (False, False), "iso": True}])
-    yield ([[_profile("A", goor=(2, 2, 1)),
-             dataclasses.replace(_profile("B", goor=(2, 2, 1)),
+    yield ([[_profile("A", regular_family=z2z2),
+             dataclasses.replace(_profile("B", regular_family=z2z2),
                                  graph_class=("other",))]],
            [{"pair": ("A", "B"), "condition": (True, True), "iso": False}])
 
@@ -804,10 +806,14 @@ def test_every_check_has_a_planted_violation():
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_planted_violation_is_reported(name, monkeypatch):
     """Each planted violation makes the check report exactly its expected
-    counterexamples."""
+    counterexamples; a per-entry check runs through the runner's per-entry
+    step, which names the entry."""
     for args, expected in PLANTED[name](monkeypatch):
-        result = CheckResult(name, "")
-        CHECKS[name].fn(*args, result)
+        if CHECKS[name].kind in ("group", "graph"):
+            result = harness._check_entry(*args, name)
+        else:
+            result = CheckResult(name, "")
+            CHECKS[name].fn(*args, result)
         assert result.counterexamples == expected
 
 
@@ -818,9 +824,10 @@ def _plant_failure(monkeypatch, name, on=None):
     real = CHECKS[name].fn
 
     def planted(*args):
-        real(*args)
+        reason = real(*args)
         if on is None or args[0].label == on:
             raise VerificationFailure(f"planted in {name}")
+        return reason
 
     monkeypatch.setitem(CHECKS, name,
                         dataclasses.replace(CHECKS[name], fn=planted))
@@ -878,6 +885,55 @@ def test_a_form_timeout_in_a_fixed_check_is_one_counterexample(monkeypatch):
     assert res.counterexamples == [
         {"reason": "Timeout: canonical form search exceeded its time budget"}]
     assert res.tested == 0
+
+
+def test_the_runner_names_each_entry_and_records_returned_skips(
+        monkeypatch, small_catalog):
+    """A per-entry check records without the entry's name and returns its
+    skip reason; the runner puts "group" first in each record and records
+    the skip, serially and under jobs=2 alike."""
+    name = "mu_self_cyclicizer"     # a group check: no entry is cyclic-skipped
+
+    def planted(az, result):
+        if az.label == "Q8":
+            harness._ce(result, element="a", reason="planted")
+            result.findings.append({"note": "planted"})
+        elif az.label == "D8":
+            return "planted skip"
+
+    monkeypatch.setitem(CHECKS, name,
+                        dataclasses.replace(CHECKS[name], fn=planted))
+    serial = run_check(small_catalog, name)
+    assert [list(ce.items()) for ce in serial.counterexamples] == [
+        [("group", "Q8"), ("element", "a"), ("reason", "planted")]]
+    assert [list(f.items()) for f in serial.findings] == [
+        [("group", "Q8"), ("note", "planted")]]
+    assert serial.skipped == [("D8", "planted skip")]
+    assert serial.tested == len(small_catalog) - 1
+    parallel = run_check(small_catalog, name, jobs=2)
+    assert report_json([parallel]) == report_json([serial])
+
+
+def test_a_profile_error_is_a_skip_reason(monkeypatch, small_catalog):
+    """An error raised while an entry is condensed into its profile is the
+    profile's error: the run returns, the global check skips that entry and
+    tests the others, and the per-entry checks still test it."""
+    names = ["diam_le_3", "iso_order_spectrum"]
+    clean = run_all(small_catalog, names=names)
+    real = structure.dihedral_parameter
+
+    def planted(g):
+        if g.label == "Q8":
+            raise VerificationFailure("planted in a recognizer")
+        return real(g)
+
+    monkeypatch.setattr(structure, "dihedral_parameter", planted)
+    entry, spectrum = run_all(small_catalog, names=names)
+    assert entry.to_json_dict() == clean[0].to_json_dict()
+    assert spectrum.skipped == clean[1].skipped + [
+        ("Q8", "profile failed (VerificationFailure: planted in a "
+               "recognizer)")]
+    assert spectrum.passed and spectrum.tested == clean[1].tested - 1 > 0
 
 
 @pytest.fixture
