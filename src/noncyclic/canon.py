@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate
-from math import gcd, isnan, nan
+from math import gcd, inf, isnan, nan
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -110,6 +110,11 @@ def twin_contraction(graph_or_rows) -> tuple:
     its descriptor alone, so expansion in any fixed member order yields a
     labeling-invariant matrix.
     """
+    return _contract(graph_or_rows, inf)
+
+
+def _contract(graph_or_rows, deadline: float) -> tuple:
+    """``twin_contraction``, with ``deadline`` checked between rounds."""
     false_round = not isinstance(graph_or_rows, NonCyclicGraph)
     qrows = tuple(graph_or_rows) if false_round else graph_or_rows.qrows
     members = (tuple((v,) for v in range(len(qrows))) if false_round
@@ -125,6 +130,7 @@ def twin_contraction(graph_or_rows) -> tuple:
                                     members, "C")
         if merged is None:
             return qrows, descs, members
+        _check_deadline(deadline)
         (qrows, descs, members), false_round = merged, True
 
 
@@ -204,6 +210,11 @@ def _deadline(timeout: Optional[float]) -> float:
             raise InvalidParameter(
                 f"{TIMEOUT_ENV_VAR} must be a number of seconds, not {env!r}")
     return time.monotonic() + timeout
+
+
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise Timeout("canonical form search exceeded its time budget")
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +318,7 @@ class _Search:
         census = []
         block = max(1, self.CENSUS_BLOCK_OPS // (self.k * self.k))
         for i in range(0, self.k, block):
-            if time.monotonic() > self.deadline:
-                raise Timeout("canonical form search exceeded its time budget")
+            _check_deadline(self.deadline)
             rows = self.adj[i:i + block]
             census.extend((np.einsum("ij,jk->ik", rows, self.adj)
                            * rows).sum(axis=1, dtype=np.int64).tolist())
@@ -466,8 +476,7 @@ class _Search:
     def _search(self, cells, seq, fixed, fixed_mask=0):
         """Explore the node whose individualized prefix is ``fixed``, which
         is ``fixed_mask`` as a bitset."""
-        if time.monotonic() > self.deadline:
-            raise Timeout("canonical form search exceeded its time budget")
+        _check_deadline(self.deadline)
         self.nodes += 1
         cells, inv = self._refine(cells)
         seq = seq + (inv,)
@@ -558,7 +567,7 @@ def canonical_form(graph_or_rows: Union[NonCyclicGraph, Sequence[int],
 
     qrows, descs, members = (
         (graph_or_rows.rows, graph_or_rows.descs, None) if source is None
-        else twin_contraction(source))
+        else _contract(source, deadline))
     k = len(qrows)
     if k == 1:
         lab_q, qmatrix, effort = [0], (0,), (1, 0, 0, 0, 0)

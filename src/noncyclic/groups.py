@@ -790,40 +790,66 @@ def from_cayley_file(path: str, label: Optional[str] = None) -> Group:
 def _read_cayley_file(path: str, max_order: int
                       ) -> tuple[np.ndarray, list]:
     """The validated table and the element labels (``e0``, ``e1``, ...
-    when the file has none) of a Cayley-table file. An order n on the first
-    line above ``max_order`` raises OrderTooLarge before the body is read.
+    when the file has none) of a Cayley-table file, read once.
 
-    The lines are read lazily and parsed in blocks of rows straight into
-    the table a Group keeps, so the load takes the table plus
-    O(block * n), with blocks sized by ``_BLOCK_BYTES``. A file that is not
-    a regular file, is too short to hold n rows of n entries, or fails a
-    check in some block is read again and parsed whole: its error is the
-    one a single parse of the whole body gives.
+    Its errors come in this order: an unreadable file (ParseError), a bad
+    first line, an order n over ``max_order`` (OrderTooLarge, before the
+    body is read), the line count, the label count, the first malformed row
+    in table order (``bad table body: row R ...``), an entry outside
+    0..n-1 (NotAGroup), then validation.
+
+    The lines after line 2 are read lazily and parsed in blocks of rows,
+    sized by ``_BLOCK_BYTES``, into rows 1.. of an (n + 1) x n table. Line
+    2 is parsed into row 0 only when the line count shows that it is not a
+    label line, and the group keeps rows 1..n or 0..n-1. A regular file too
+    short to hold n rows of n entries cannot be valid, so no table is made
+    for it: its blocks are parsed to find its error and dropped. A load
+    thus takes the table, if any, plus O(block * n) memory on every path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = _nonblank_lines(fh)
+            lines = (s for s in map(str.strip, fh) if s)
             n = _cayley_order(next(lines, None))
             _check_order(n, max_order)
             info = os.fstat(fh.fileno())
-            read = None
-            if stat.S_ISREG(info.st_mode) and info.st_size >= n * (2 * n - 1):
-                read = _stream_body(lines, n)
-                if read is None:
-                    fh.seek(0)
-                    lines = _nonblank_lines(fh)
-                    next(lines)
-            if read is None:
-                read = _whole_body(list(lines), n)
+            # a pipe's size is unknown, so its table is made from the header
+            t = (np.empty((n + 1, n), dtype=np.intc)
+                 if not stat.S_ISREG(info.st_mode)
+                 or info.st_size >= n * (2 * n - 1) else None)
+            second = next(lines, None)
+            step = _block_rows(n * 8)
+            # lines after line 2, the first malformed one, and whether every
+            # entry parsed is in 0..n-1
+            done, bad, in_range = 0, None, True
+            while block := list(islice(lines, step)):
+                # past n lines the line count fails, and it comes first
+                if bad is None and done + len(block) <= n:
+                    bad, ok = _parse_rows(block, done, n, t)
+                    in_range &= ok
+                done += len(block)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    table, labels = read
+    if second is None or done not in (n - 1, n):
+        raise InvalidCayleyFile(f"expected {n + 1} or {n + 2} non-empty lines, "
+                                f"got {done + 1 + (second is not None)}")
+    labels = second.split() if done == n else None
+    if labels is None:
+        # row 0 comes before every other row
+        bad0, ok = _parse_rows([second], -1, n, t)
+        bad = bad0 or bad
+        in_range &= ok
+    elif len(labels) != n:
+        raise InvalidCayleyFile(
+            f"label line has {len(labels)} entries, expected {n}")
+    if bad is not None:
+        i, fault = bad
+        raise InvalidCayleyFile(f"bad table body: row {i + (labels is None)} "
+                                f"{fault}")
+    if not in_range:
+        raise NotAGroup("table entries out of range")
+    table = t[:n] if labels is None else t[1:]
     _validate_structure(table)
     return table, labels or [f"e{i}" for i in range(n)]
-
-
-def _nonblank_lines(fh) -> Iterator[str]:
-    return (s for s in map(str.strip, fh) if s)
 
 
 def _cayley_order(first: Optional[str]) -> int:
@@ -838,72 +864,30 @@ def _cayley_order(first: Optional[str]) -> int:
     return n
 
 
-def _whole_body(lines: list[str], n: int) -> tuple[np.ndarray, Optional[list]]:
-    """A new table and the labels from ``lines``, the non-empty lines after
-    the order line, parsed as one body. Its checks, in this order, decide
-    every error a Cayley file raises."""
-    if len(lines) == n:
-        labels = None
-    elif len(lines) == n + 1:
-        labels = lines[0].split()
-        if len(labels) != n:
-            raise InvalidCayleyFile(
-                f"label line has {len(labels)} entries, expected {n}")
-        lines = lines[1:]
-    else:
-        raise InvalidCayleyFile(
-            f"expected {n + 1} or {n + 2} non-empty lines, got {len(lines) + 1}")
+def _parse_rows(lines: list[str], index: int, n: int,
+                t: Optional[np.ndarray]) -> tuple[Optional[tuple], bool]:
+    """Parse ``lines``, the body lines numbered index.. (the file's line 3
+    is 0, line 2 is -1), into rows index + 1.. of ``t``, or nowhere if it
+    is None. Returns (None, whether every entry is in 0..n-1), or ((i,
+    fault), True) for the first line i that is not n 64-bit integers: a
+    block that fails is parsed again a line at a time by the same call, so
+    the parse and the fault it names always agree."""
     try:
-        table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise InvalidCayleyFile(f"bad table body: {exc}") from exc
-    if table.shape != (n, n):
-        raise InvalidCayleyFile(
-            f"table has shape {table.shape}, expected {(n, n)}")
-    return _as_table(table), labels
-
-
-def _stream_body(lines: Iterator[str], n: int
-                 ) -> Optional[tuple[np.ndarray, Optional[list]]]:
-    """What ``_whole_body`` returns, parsed in blocks of rows straight into
-    a new table; None at the first check that fails.
-
-    Line 2 is the label line or row 0, which only the line count tells.
-    The rows after it fill the table from row 0, as in a labelled file; an
-    unlabelled file's rows then move down one, in place, for line 2.
-    """
-    second = next(lines, None)
-    if second is None:
-        return None
-    t = np.empty((n, n), dtype=np.intc)
-    step = _block_rows(n * 8)
-    done = 0
-    while block := list(islice(lines, step)):
-        stop = done + len(block)
-        if stop > n or not _parse_rows(block, t[done:stop]):
-            return None
-        done = stop
-    if done == n:
-        labels = second.split()
-        return (t, labels) if len(labels) == n else None
-    if done != n - 1:
-        return None
-    for b in reversed(list(_row_blocks(n - 1, n * t.itemsize))):
-        t[b.start + 1:b.stop + 1] = t[b]
-    return (t, None) if _parse_rows([second], t[:1]) else None
-
-
-def _parse_rows(lines: list[str], out: np.ndarray) -> bool:
-    """Parse ``lines`` into the rows ``out`` of an n-column table; False
-    unless each line is a row of n integers in 0..n-1."""
-    try:
-        rows = np.loadtxt(lines, dtype=np.intc, ndmin=2, comments=None)
+        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError):
-        return False
-    if rows.shape != out.shape or rows.min() < 0 or rows.max() >= out.shape[1]:
-        return False
-    out[...] = rows
-    return True
+        rows = None
+    if rows is not None and rows.shape[1] == n:
+        if t is not None:
+            t[index + 1:index + 1 + len(lines)] = rows
+        return None, bool(rows.min() >= 0 and rows.max() < n)
+    if len(lines) == 1:
+        return (index, "has an entry that is not a 64-bit integer"
+                if rows is None
+                else f"has {rows.shape[1]} entries, expected {n}"), True
+    for i, line in enumerate(lines):
+        bad, _ = _parse_rows([line], index + i, n, None)
+        if bad is not None:
+            return bad, True
 
 
 def to_cayley_file(group: Group, path: str) -> None:

@@ -311,10 +311,8 @@ def analyze_entry(entry: CatalogEntry) -> AnalyzedGroup:
     return az
 
 
-def profile_of(az: AnalyzedGroup, want_classes: bool = True
-               ) -> GroupProfile:
-    """The entry's profile; the twin quotients the class phase reads are
-    carried only when ``want_classes``."""
+def profile_of(az: AnalyzedGroup) -> GroupProfile:
+    """The entry's profile, with the twin quotients the class phase reads."""
     if az.error is not None:
         return GroupProfile(az.label, az.spec, error=az.error)
     g, ct = az.group, az.ctable
@@ -335,12 +333,11 @@ def profile_of(az: AnalyzedGroup, want_classes: bool = True
         prof.vertex_count = graph.n_vertices
         prof.degree_census = graph.degree_census
         prof.degrees_gcd = gcd(*(d for d, _ in prof.degree_census))
-        if want_classes:
-            prof.quotient = TwinQuotient.of(graph)
-            if sylows is not None and ct.cyc_size == 1 and len(sylows) > 1:
-                prof.sylow_quotients = tuple(
-                    (p, TwinQuotient.of(subgroup_graph(g, ct, mem)))
-                    for p, mem in sylows.items())
+        prof.quotient = TwinQuotient.of(graph)
+        if sylows is not None and ct.cyc_size == 1 and len(sylows) > 1:
+            prof.sylow_quotients = tuple(
+                (p, TwinQuotient.of(subgroup_graph(g, ct, mem)))
+                for p, mem in sylows.items())
     return prof
 
 
@@ -1106,13 +1103,17 @@ def _check_entry(az: AnalyzedGroup, name: str) -> CheckResult:
 
 
 def _run_entry(entry: CatalogEntry, entry_checks: list[str],
-               want_classes: bool, max_order: Optional[int]):
+               want_profile: bool, max_order: Optional[int]):
+    """The entry's per-entry check results, then its profile if
+    ``want_profile`` (a global check reads it), else None."""
     if max_order is not None:
         entry = replace(entry, max_order=max_order)
     az = analyze_entry(entry)
     outcomes = {name: _check_entry(az, name) for name in entry_checks}
+    if not want_profile:
+        return outcomes, None
     try:
-        return outcomes, profile_of(az, want_classes)
+        return outcomes, profile_of(az)
     except NonCyclicError as exc:
         return outcomes, GroupProfile(az.label, az.spec, error=(
             f"profile failed ({type(exc).__name__}: {exc})"))
@@ -1163,13 +1164,14 @@ def run_all(catalog: Catalog, jobs: int = 1,
     profiles: list[GroupProfile] = []
     if entry_checks or global_checks:
         run_entry = partial(_run_entry, entry_checks=entry_checks,
-                            want_classes=bool(global_checks),
+                            want_profile=bool(global_checks),
                             max_order=catalog.max_order)
         with _mapper(jobs) as mapper:
             for outcomes, prof in mapper(run_entry, catalog.entries):
                 for name, part in outcomes.items():
                     _merge(results[name], part)
-                profiles.append(prof)
+                if prof is not None:
+                    profiles.append(prof)
             if global_checks:
                 form_classes(profiles, mapper)
     ok_profiles = [p for p in profiles if p.error is None]

@@ -108,9 +108,10 @@ def cayley_file_text(group):
 
 def whole_file_cayley_load(path, label=None):
     """Read and validate a Cayley-table file held whole: every stripped
-    non-empty line in a list, then one ``np.loadtxt`` over the body. An
-    order above DEFAULT_CLOSURE_CAP, the bound of every build, is refused
-    before the line count."""
+    non-empty line in a list, then one ``np.loadtxt`` over the body. If that
+    parse fails, or gives rows of another length, the first row that alone
+    is not n 64-bit integers is named. An order above DEFAULT_CLOSURE_CAP,
+    the bound of every build, is refused before the line count."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -141,11 +142,18 @@ def whole_file_cayley_load(path, label=None):
             f"expected {n + 1} or {n + 2} non-empty lines, got {len(lines)}")
     try:
         table = np.loadtxt(rows_text, dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise InvalidCayleyFile(f"bad table body: {exc}") from exc
-    if table.shape != (n, n):
-        raise InvalidCayleyFile(
-            f"table has shape {table.shape}, expected {(n, n)}")
+    except (ValueError, OverflowError):
+        table = None
+    if table is None or table.shape != (n, n):
+        for r, text in enumerate(rows_text):
+            try:
+                row = np.loadtxt([text], dtype=np.int64, comments=None)
+            except (ValueError, OverflowError):
+                raise InvalidCayleyFile(f"bad table body: row {r} has an "
+                                        "entry that is not a 64-bit integer")
+            if row.size != n:
+                raise InvalidCayleyFile(f"bad table body: row {r} has "
+                                        f"{row.size} entries, expected {n}")
     if label is None:
         label = os.path.basename(path)
     return Group(table, labels=labels, label=label)

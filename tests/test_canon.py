@@ -507,6 +507,21 @@ def test_timeout_holds_during_the_triangle_census():
     assert time.monotonic() - start < 4 * budget
 
 
+def test_timeout_holds_during_the_twin_contraction(monkeypatch):
+    # K(2,2,1) as bare rows: its false-twin pairs merge, then those two
+    # classes as true twins, leaving a 2-vertex quotient to search; the
+    # deadline is checked between the rounds, before any search
+    rows = [0b11100, 0b11100, 0b10011, 0b10011, 0b01111]
+    assert len(twin_contraction(rows)[0]) == 2
+
+    def searched(*args):
+        raise AssertionError("the search was set up")
+
+    monkeypatch.setattr(canon, "_Search", searched)
+    with pytest.raises(Timeout):
+        canonical_form(rows, timeout=0)
+
+
 def test_goormaghtigh_condition():
     # identical parameters always match
     assert check_goormaghtigh_condition(2, 2, 3, 2, 2, 3) == (True, True)

@@ -10,8 +10,8 @@ import pytest
 from noncyclic import groups as G, harness
 from noncyclic.cyclicizers import cyclicizer_table
 from noncyclic.errors import (ClosureTooLarge, InvalidCayleyFile,
-                              InvalidParameter, NotAGroup, OrderTooLarge,
-                              ParseError)
+                              InvalidParameter, NonCyclicError, NotAGroup,
+                              OrderTooLarge, ParseError)
 from noncyclic.harness import Catalog
 
 import oracles
@@ -359,8 +359,7 @@ def test_oversized_cayley_factor_is_refused_by_its_first_line(
     def parsed(*args):
         raise AssertionError("the body was parsed")
 
-    monkeypatch.setattr(G, "_stream_body", parsed)
-    monkeypatch.setattr(G, "_whole_body", parsed)
+    monkeypatch.setattr(G, "_parse_rows", parsed)
     spec = G.direct_product([G.cyclic(2), G.cayley_file(str(path))])
     with pytest.raises(OrderTooLarge,
                        match="^order 120 exceeds the maximum order 100$"):
@@ -515,9 +514,9 @@ def test_cayley_file_body_rejections(tmp_path, body):
 
 
 def test_entries_are_range_checked_before_narrowing(tmp_path):
-    # each file is long enough to be read streamed, whose rows parse as
-    # intc: 2^31 - 1 is the largest entry that fits, 2^31 the least that
-    # does not, and 2^32 + 1 would narrow to 1; each gets the whole-body error
+    # each file is long enough for its intc table to be made: 2^31 - 1 is
+    # the largest entry that fits, 2^31 the least that does not, and
+    # 2^32 + 1 would narrow to 1; each is out of range before it is narrowed
     wide = tmp_path / "wide.cayley"
     for entry in (2 ** 31 - 1, 2 ** 31, 2 ** 32 + 1, -2 ** 31 - 1):
         wide.write_text(f"2\n0 {entry}\n1 0\n")
@@ -568,6 +567,14 @@ def _cayley_corpus(tmp_path):
         "int32_over": {25: rows[25].replace(" 9 ", f" {2 ** 31} ")},
         "extra_row": {39: rows[39] + "\n" + rows[0]},
         "all_short": {i: r.rsplit(" ", 1)[0] for i, r in enumerate(rows)},
+        # the line count comes before a malformed row; unlabelled, the extra
+        # row makes line 2 a label line
+        "token_and_extra_row": {10: rows[10].replace(" 7 ", " 7x "),
+                                39: rows[39] + "\n" + rows[0]},
+        # the int64 bounds are entries out of range, one past them malformed
+        "int64_max": {25: rows[25].replace(" 9 ", f" {2 ** 63 - 1} ")},
+        "int64_min": {25: rows[25].replace(" 9 ", f" {-2 ** 63} ")},
+        "int64_over": {25: rows[25].replace(" 9 ", f" {2 ** 63} ")},
     }
     for name, edits in faults.items():
         body = [edits.get(i, r) for i, r in enumerate(rows)]
@@ -577,6 +584,14 @@ def _cayley_corpus(tmp_path):
                                          + rows) + "\n"
     files["z40_row0_token"] = "\n".join(z40[:1] + [rows[0] + "x"]
                                         + rows[1:]) + "\n"
+    # the label count comes before a malformed row, and an unlabelled file's
+    # row 0, parsed last, before every other row
+    files["z40_short_label_token"] = "\n".join(
+        [z40[0], z40[1].rsplit(" ", 1)[0]] + rows[:30]
+        + [rows[30].replace(" 9 ", " nine ")] + rows[31:]) + "\n"
+    files["z40_row0_and_row30_token"] = "\n".join(
+        z40[:1] + [rows[0] + "x"] + rows[1:30]
+        + [rows[30].replace(" 9 ", " nine ")] + rows[31:]) + "\n"
     paths = []
     for name, text in files.items():
         path = tmp_path / f"{name}.cayley"
@@ -608,22 +623,36 @@ def test_cayley_loader_matches_whole_file_reference(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("labelled", [True, False])
 def test_cayley_load_peaks_at_twice_the_table(tmp_path, labelled):
-    big = tmp_path / "s6.cayley"
-    G.to_cayley_file(build("S6"), str(big))
+    # a fault in the last entry fails only once the whole body is parsed
+    loads = {
+        None: 720,
+        "x": (InvalidCayleyFile, "bad table body: row 719 has an entry that "
+                                 "is not a 64-bit integer"),
+        "720": (NotAGroup, "table entries out of range"),
+    }
+    lines = oracles.cayley_file_text(build("S6")).splitlines()
     if not labelled:
-        head, _, rest = big.read_text().partition("\n")
-        big.write_text(head + "\n" + rest.partition("\n")[2])
+        del lines[1]
     warm = tmp_path / "a4.cayley"
     G.to_cayley_file(build("A4"), str(warm))
     G.from_cayley_file(str(warm))
-    tracemalloc.start()
-    try:
-        g = G.from_cayley_file(str(big))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.order == 720
-    assert peak <= 2 * g.order ** 2 * np.dtype(np.intc).itemsize
+    big = tmp_path / "s6.cayley"
+    for fault, want in loads.items():
+        last = lines[-1].split()
+        if fault is not None:
+            last[-1] = fault
+        big.write_text("\n".join(lines[:-1] + [" ".join(last)]) + "\n")
+        tracemalloc.start()
+        try:
+            try:
+                outcome = G.from_cayley_file(str(big)).order
+            except NonCyclicError as exc:
+                outcome = (type(exc), str(exc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == want
+        assert peak <= 2 * 720 ** 2 * np.dtype(np.intc).itemsize, fault
 
 
 def test_huge_header_fails_on_the_line_count(tmp_path):

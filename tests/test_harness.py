@@ -416,6 +416,35 @@ def test_group_checks_alone_compute_no_certificate(monkeypatch, small_catalog):
     assert res.passed and res.tested == 3
 
 
+def test_profiles_are_made_only_for_a_global_check(monkeypatch,
+                                                   small_catalog):
+    # a per-entry check alone makes no profile, and reports as it does
+    # beside a global check, which makes each entry's profile after its
+    # checks
+    steps = []
+    check_entry, profile_of = harness._check_entry, harness.profile_of
+
+    def checked(az, name):
+        steps.append((az.label, name))
+        return check_entry(az, name)
+
+    def profiled(az, *args):
+        steps.append((az.label, "profile"))
+        return profile_of(az, *args)
+
+    monkeypatch.setattr(harness, "_check_entry", checked)
+    monkeypatch.setattr(harness, "profile_of", profiled)
+    labels = [e.label for e in small_catalog.entries]
+    alone = run_all(small_catalog, names=["diam_le_3"])
+    assert steps == [(label, "diam_le_3") for label in labels]
+    steps.clear()
+    beside = run_all(small_catalog, names=["diam_le_3", "iso_order_spectrum"])
+    assert steps == [step for label in labels
+                     for step in ((label, "diam_le_3"), (label, "profile"))]
+    assert alone[0].to_json_dict() == beside[0].to_json_dict()
+    assert beside[1].passed and beside[1].tested > 0
+
+
 def test_profiles_expand_no_canonical_form(monkeypatch):
     # the certificates of the profiles' twin quotients are the quotient
     # certificates alone: no canonical labeling or matrix of a whole graph
@@ -938,16 +967,17 @@ def test_a_profile_error_is_a_skip_reason(monkeypatch, small_catalog):
 
 @pytest.fixture
 def contractions(monkeypatch):
-    """Record every twin contraction, from graph objects or bare rows."""
-    real = canon.twin_contraction
+    """Record every twin contraction, from graph objects or bare rows:
+    ``twin_contraction`` and ``canonical_form`` both run ``_contract``."""
+    real = canon._contract
     calls = []
 
-    def counting(graph_or_rows):
+    def counting(graph_or_rows, deadline):
         # the vertex count of the graph contracted
         calls.append(canon._vertex_count(graph_or_rows))
-        return real(graph_or_rows)
+        return real(graph_or_rows, deadline)
 
-    monkeypatch.setattr(canon, "twin_contraction", counting)
+    monkeypatch.setattr(canon, "_contract", counting)
     return calls
 
 
