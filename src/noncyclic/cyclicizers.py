@@ -122,14 +122,15 @@ class CyclicizerTable:
 def cyclicizer_table(group: Group) -> CyclicizerTable:
     """Compute (and memoize on the group) the full cyclicizer table. <g> is
     maximal cyclic iff Cyc(g) = <g>: every cyclic subgroup containing <g>
-    lies in Cyc(g)."""
+    lies in Cyc(g). Cyc(G) is the intersection of the maximal <g>, which
+    cover G: x in Cyc(G) lies in each, as cyclic <x, g> holds <g>."""
     if group._cyc_table is not None:
         return group._cyc_table
     rows = group.pair_rows
-    inter = reduce(int.__and__, rows)
-    maximal = sorted((MaximalCyclic(g, group.generated_cyclic_bits(g))
+    maximal = sorted((MaximalCyclic(g, rows[g])
                       for g in maximal_generators(group)),
                      key=lambda mc: (-mc.size, mc.generator))
+    inter = reduce(int.__and__, [mc.bits for mc in maximal])
     table = CyclicizerTable(tuple(rows), inter, tuple(maximal))
     group._cyc_table = table
     return table
@@ -193,7 +194,8 @@ class PrimeGraph:
 def prime_graph(group: Group) -> PrimeGraph:
     """Prime divisors of |G|, adjacent when an element order is divisible
     by both; the number of connected components is the vertex for several
-    order-spectrum arguments."""
+    order-spectrum arguments. A component is a union of the sets of primes
+    that divide one element order, merged while they meet."""
     primes = [p for p, _ in prime_factorization(group.order)]
     orders = set(group.elem_orders)
     edges = []
@@ -201,21 +203,14 @@ def prime_graph(group: Group) -> PrimeGraph:
         for q in primes[i + 1:]:
             if any(o % (p * q) == 0 for o in orders):
                 edges.append((p, q))
-    parent = {p: p for p in primes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p, q in edges:
-        parent[find(p)] = find(q)
-    comps: dict[int, list] = {}
-    for p in primes:
-        comps.setdefault(find(p), []).append(p)
-    components = tuple(tuple(sorted(c)) for c in
-                       sorted(comps.values(), key=min))
+    comps: list[set] = []
+    for o in orders:
+        part = {p for p in primes if o % p == 0}
+        for c in [c for c in comps if c & part]:
+            part |= c
+            comps.remove(c)
+        comps.append(part)
+    components = tuple(sorted(tuple(sorted(c)) for c in comps if c))
     return PrimeGraph(tuple(primes), tuple(edges), components)
 
 

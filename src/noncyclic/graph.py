@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial
 from typing import Optional, Sequence
 
@@ -214,8 +214,9 @@ def clique_and_chromatic(graph: NonCyclicGraph,
 
     The designated generators of the maximal cyclic subgroups form a clique,
     and coloring each vertex by the first maximal cyclic subgroup containing
-    it is proper, so both bounds meet at s. Both witnesses are validated
-    before returning; a failure indicates an implementation bug.
+    it is proper, so both bounds meet at s; the colours are read off the s
+    maximal rows, which cover G. Both witnesses are validated before
+    returning; a failure indicates an implementation bug.
     """
     if ctable is None:
         ctable = cyclicizer_table(graph.group)
@@ -232,16 +233,11 @@ def clique_and_chromatic(graph: NonCyclicGraph,
     # a repeated generator, or two in one class, misses an edge too
     if mask.bit_count() < s or any(mask & ~qrows[c] != 1 << c for c in at):
         raise VerificationFailure("clique witness has a missing edge")
-    # colour i: the members of the i-th maximal cyclic subgroup not coloured
-    # before, in group elements, then in vertex positions
-    uncoloured = ((1 << graph.group.order) - 1) & ~cyc
-    classes = []
-    for m in maximal:
-        classes.append(m.bits & uncoloured)
-        uncoloured &= ~m.bits
-    if uncoloured:
+    # colour: the first maximal cyclic subgroup that holds the vertex
+    bits, n = [m.bits for m in maximal], graph.group.order
+    if reduce(int.__or__, bits) != (1 << n) - 1:
         raise VerificationFailure("vertex lies in no maximal cyclic subgroup")
-    colour = _bit_matrix(classes, graph.group.order).argmax(axis=0).tolist()
+    colour = _bit_matrix(bits, n).argmax(axis=0).tolist()
     coloring = tuple(map(colour.__getitem__, graph.vertices))
     on = [0] * s      # the Q vertices of each colour, which Q must not join
     for c, i in set(zip(class_of, coloring)):
@@ -303,7 +299,7 @@ def independence_info(graph: NonCyclicGraph,
         ctable = cyclicizer_table(group)
     e = max(group.elem_orders)
     formula = e - ctable.cyc_size
-    gen = min(x for x in range(group.order) if group.elem_orders[x] == e)
+    gen = group.elem_orders.index(e)
     members = group.generated_cyclic_bits(gen) & ~ctable.cyc_bits
     witness = tuple(graph.positions[v] for v in bits_to_indices(members))
     if len(witness) != formula:

@@ -240,8 +240,15 @@ class Group:
         self._sylow = None
         self._center = None
 
+    def __getstate__(self):
+        # the memoized facts are recomputed on demand; a Sylow decomposition
+        # is a mappingproxy, which does not pickle
+        memo = ("_cyc_table", "_sylow", "_center")
+        return None, {name: None if name in memo else getattr(self, name)
+                      for name in self.__slots__}
+
     def __setstate__(self, state):
-        # (None, slots), the default state; the table unpickles writeable
+        # (None, slots), as __getstate__ gives; the table unpickles writeable
         for name, value in state[1].items():
             setattr(self, name, value)
         self._table.flags.writeable = False
@@ -565,7 +572,7 @@ _FAMILIES = {
     "modular": ("G({},{})", pow, modular_pgroup),
     "semidihedral": ("H({})", lambda m: 2 ** m, semidihedral),
     "symmetric": ("S{}", factorial, symmetric),
-    "alternating": ("A{}", lambda n: factorial(n) // 2, alternating),
+    "alternating": ("A{}", lambda n: max(factorial(n) // 2, 1), alternating),
     "cayley": ("cayley:{}", None, None),
     "perm": (_perm_expr, None, None),
 }
@@ -794,9 +801,10 @@ def _read_cayley_file(path: str, max_order: int
 
     Its errors come in this order: an unreadable file (ParseError), a bad
     first line, an order n over ``max_order`` (OrderTooLarge, before the
-    body is read), the line count, the label count, the first malformed row
-    in table order (``bad table body: row R ...``), an entry outside
-    0..n-1 (NotAGroup), then validation.
+    body is read), the line count, a label line that is not UTF-8, the
+    label count, the first malformed row in table order (``bad table body:
+    row R ...``), an entry outside 0..n-1 (NotAGroup), then validation. A
+    byte that is not UTF-8 decodes to a lone surrogate, which no int parses.
 
     The lines after line 2 are read lazily and parsed in blocks of rows,
     sized by ``_BLOCK_BYTES``, into rows 1.. of an (n + 1) x n table. Line
@@ -807,7 +815,8 @@ def _read_cayley_file(path: str, max_order: int
     thus takes the table, if any, plus O(block * n) memory on every path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             lines = (s for s in map(str.strip, fh) if s)
             n = _cayley_order(next(lines, None))
             _check_order(n, max_order)
@@ -838,6 +847,9 @@ def _read_cayley_file(path: str, max_order: int
         bad0, ok = _parse_rows([second], -1, n, t)
         bad = bad0 or bad
         in_range &= ok
+    elif re.search("[\udc80-\udcff]", second):
+        # valid UTF-8 never decodes to such a surrogate
+        raise InvalidCayleyFile("label line is not UTF-8")
     elif len(labels) != n:
         raise InvalidCayleyFile(
             f"label line has {len(labels)} entries, expected {n}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclicizers import cyclicizer_table
 from .errors import InvalidParameter
-from .groups import (Group, _escape, _presentation, center, dihedral,
+from .groups import (Group, _presentation, center, dihedral,
                      generalized_quaternion, modular_pgroup,
                      prime_factorization, semidihedral)
 
@@ -47,22 +47,20 @@ def pgroup_parameters(group: Group) -> Optional[tuple[int, int]]:
 
 
 def sylow_members(group: Group, p: int) -> Optional[tuple]:
-    """Members of the set of p-elements when that set is a subgroup of the
-    right size (the normal Sylow p-subgroup), else None."""
-    n = group.order
+    """Members of the normal Sylow p-subgroup, the set of p-elements, when
+    there are exactly |G|_p of them, else None. Each Sylow p-subgroup holds
+    |G|_p p-elements, so it is then that whole set, the only one; and a
+    normal Sylow p-subgroup holds every p-element. The count decides."""
     orders = group.elem_orders
     ppowers = {o for o in set(orders) if p_part(o, p) == o}
-    members = [x for x in range(n) if orders[x] in ppowers]
-    if (len(members) != p_part(n, p)
-            or _escape(group.np_table(), members) is not None):
-        return None
-    return tuple(members)
+    members = [x for x in range(group.order) if orders[x] in ppowers]
+    return tuple(members) if len(members) == p_part(group.order, p) else None
 
 
 def sylow_decomposition(group: Group) -> Optional[Mapping[int, tuple]]:
-    """{p: members} for every prime divisor, or None when some set of
-    p-elements is not a subgroup (the group is then not nilpotent).
-    Memoized on the group as a read-only mapping, or False for None."""
+    """{p: members} for every prime divisor, or None when some Sylow
+    subgroup is not normal, counted by ``sylow_members`` (the group is then
+    not nilpotent). Memoized as a read-only mapping, or False for None."""
     if group._sylow is None:
         out = {}
         for p, _ in prime_factorization(group.order):
@@ -170,17 +168,23 @@ def modular_parameters(group: Group) -> Optional[tuple[int, int]]:
     return None
 
 
+def _abelian_types(group: Group) -> Optional[dict[int, list[int]]]:
+    """{p: ``abelian_ptype(group, p)``} over the prime divisors of an
+    abelian group, else None."""
+    if not is_abelian(group):
+        return None
+    return {p: abelian_ptype(group, p)
+            for p, _ in prime_factorization(group.order)}
+
+
 def homocyclic_parameters(group: Group) -> Optional[tuple[int, int, int]]:
     """(p, m, n) when the group is the direct sum of n copies of Z_{p^m}."""
-    pe = _is_prime_power(group.order)
-    if pe is None or not is_abelian(group):
+    types = _is_prime_power(group.order) and _abelian_types(group)
+    if not types:
         return None
-    p, e = pe
-    partition = abelian_ptype(group, p)
-    if not partition or len(set(partition)) != 1:
-        return None
-    m = partition[0]
-    return (p, m, len(partition))
+    (p, partition), = types.items()
+    return ((p, partition[0], len(partition)) if len(set(partition)) == 1
+            else None)
 
 
 def regular_family(group: Group) -> Optional[tuple]:
@@ -225,17 +229,9 @@ def goor_parameters(group: Group) -> Optional[tuple[int, int, int]]:
 
 def two_kind_abelian_family(group: Group) -> bool:
     """True when the group is Z_m + (Z_{p^2})^n with n > 1, gcd(m, p) = 1."""
-    if not is_abelian(group):
-        return False
-    noncyclic = []
-    for p, _ in prime_factorization(group.order):
-        partition = abelian_ptype(group, p)
-        if len(partition) > 1:
-            noncyclic.append((p, partition))
-    if len(noncyclic) != 1:
-        return False
-    _, partition = noncyclic[0]
-    return len(partition) > 1 and set(partition) == {2}
+    types = _abelian_types(group)
+    noncyclic = [part for part in (types or {}).values() if len(part) > 1]
+    return len(noncyclic) == 1 and set(noncyclic[0]) == {2}
 
 
 def self_cyclicizer_orders(group: Group) -> tuple:

@@ -111,9 +111,12 @@ def whole_file_cayley_load(path, label=None):
     non-empty line in a list, then one ``np.loadtxt`` over the body. If that
     parse fails, or gives rows of another length, the first row that alone
     is not n 64-bit integers is named. An order above DEFAULT_CLOSURE_CAP,
-    the bound of every build, is refused before the line count."""
+    the bound of every build, is refused before the line count. A byte that
+    is not UTF-8 is read as its lone surrogate, which a label line must not
+    hold and no integer parses."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -132,6 +135,10 @@ def whole_file_cayley_load(path, label=None):
         labels = None
         rows_text = lines[1:]
     elif len(lines) == n + 2:
+        try:
+            lines[1].encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidCayleyFile("label line is not UTF-8") from None
         labels = lines[1].split()
         if len(labels) != n:
             raise InvalidCayleyFile(
@@ -209,6 +216,28 @@ def pair_row_self_cyclicizer_orders(group):
     return tuple(sorted({group.elem_orders[g]
                          for g, bits in group.cyclic_subgroups
                          if group.pair_rows[g] == bits}))
+
+
+def edge_search_components(primes, edges):
+    """Connected components of the graph on ``primes`` with ``edges``, each
+    sorted, by a depth-first search from each prime not yet reached, in
+    ascending order."""
+    adjacent = {p: set() for p in primes}
+    for p, q in edges:
+        adjacent[p].add(q)
+        adjacent[q].add(p)
+    reached, components = set(), []
+    for p in sorted(primes):
+        if p in reached:
+            continue
+        stack, component = [p], {p}
+        while stack:
+            for q in adjacent[stack.pop()] - component:
+                component.add(q)
+                stack.append(q)
+        reached |= component
+        components.append(tuple(sorted(component)))
+    return tuple(components)
 
 
 def transpose_center(group):

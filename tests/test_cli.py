@@ -10,6 +10,7 @@ import noncyclic
 from noncyclic import canon, cli, groups
 from noncyclic.cli import main
 from noncyclic.errors import UnknownCheck
+from noncyclic.harness import CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +256,28 @@ def test_bad_cayley_entry_is_computation_error(capsys, tmp_path, body):
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] in ("NotAGroup",
                                                 "InvalidCayleyFile")
+
+
+def test_a_cayley_file_that_is_not_utf8_is_an_error_and_a_skip(capsys,
+                                                               tmp_path):
+    path = tmp_path / "bad.cayley"
+    path.write_bytes(b"2\n0 1\n1 \xff\n")
+    message = "bad table body: row 1 has an entry that is not a 64-bit integer"
+    code, out, err = run_cli(capsys, "build", f"cayley:{path}")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "InvalidCayleyFile",
+                                         "message": message}}
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"spec": "Z4"},
+                                   {"spec": f"cayley:{path}"}]))
+    code, out, err = run_cli(capsys, "verify", "--catalog", str(catalog),
+                             "--json")
+    assert (code, err) == (0, "")
+    reason = f"build failed (InvalidCayleyFile: {message})"
+    report = {item["check"]: item for item in json.loads(out)}
+    for name, check in CHECKS.items():
+        if check.kind in ("group", "graph"):
+            assert report[name]["skipped"]["reasons"][reason] == 1, name
 
 
 def _built(*args, **kwargs):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,27 @@ def test_distinct_rows_partition_the_cyclicizers(catalog_groups):
         assert (np.diff(firsts) > 0).all(), entry.label
         assert not (rows.flags.writeable or row_of.flags.writeable)
         assert table.distinct is table.distinct
+
+
+def test_group_cyclicizer_is_the_and_of_every_row(catalog_groups):
+    for entry, g in catalog_groups:
+        assert cyclicizer_table(g).cyc_bits == reduce(int.__and__,
+                                                      g.pair_rows), entry.label
+
+
+def test_prime_graph_matches_a_search_over_its_edges(catalog_groups):
+    components = set()
+    for entry, g in catalog_groups:
+        pg = prime_graph(g)
+        assert pg.primes == tuple(p for p, _ in G.prime_factorization(g.order))
+        assert pg.edges == tuple(
+            (p, q) for p in pg.primes for q in pg.primes
+            if p < q and any(o % (p * q) == 0 for o in g.elem_orders)), \
+            entry.label
+        assert pg.components == oracles.edge_search_components(
+            pg.primes, pg.edges), entry.label
+        components.add(pg.component_count)
+    assert components >= {0, 1, 2, 3}
 
 
 def test_prime_graph():

@@ -7,7 +7,7 @@ from array import array
 import numpy as np
 import pytest
 
-from noncyclic import groups as G, harness
+from noncyclic import groups as G, harness, structure
 from noncyclic.cyclicizers import cyclicizer_table
 from noncyclic.errors import (ClosureTooLarge, InvalidCayleyFile,
                               InvalidParameter, NonCyclicError, NotAGroup,
@@ -543,6 +543,7 @@ def _cayley_corpus(tmp_path):
         "labels": "3\na b\n0 1 2\n1 2 0\n2 0 1\n",
         "numeric_labels": "3\n2 0 1\n0 1 2\n1 2 0\n2 0 1\n",
         "crlf": "3\r\n\r\n0\t1 2\r\n\t\r\n1 2\t0\r\n \t \r\n2 0 1\r\n\r\n",
+        "utf8_labels": "3\n\u00e9 \u2203 \U0001d53e\n0 1 2\n1 2 0\n2 0 1\n",
     }
     for i, body in enumerate(BAD_BODIES):
         files[f"body{i}"] = "3\n" + body
@@ -575,6 +576,8 @@ def _cayley_corpus(tmp_path):
         "int64_max": {25: rows[25].replace(" 9 ", f" {2 ** 63 - 1} ")},
         "int64_min": {25: rows[25].replace(" 9 ", f" {-2 ** 63} ")},
         "int64_over": {25: rows[25].replace(" 9 ", f" {2 ** 63} ")},
+        # a byte that is not UTF-8 (written from its lone surrogate)
+        "byte": {39: rows[39].replace(" 9 ", " 9\udcff ")},
     }
     for name, edits in faults.items():
         body = [edits.get(i, r) for i, r in enumerate(rows)]
@@ -584,6 +587,11 @@ def _cayley_corpus(tmp_path):
                                          + rows) + "\n"
     files["z40_row0_token"] = "\n".join(z40[:1] + [rows[0] + "x"]
                                         + rows[1:]) + "\n"
+    files["z40_row0_byte"] = "\n".join(z40[:1] + [rows[0] + " \udcc3"]
+                                       + rows[1:]) + "\n"
+    files["z40_header_byte"] = "\n".join([z40[0] + "\udcff"] + z40[1:]) + "\n"
+    files["z40_label_byte"] = "\n".join(
+        [z40[0], z40[1].replace(" 7 ", " 7\udc80 ")] + rows) + "\n"
     # the label count comes before a malformed row, and an unlabelled file's
     # row 0, parsed last, before every other row
     files["z40_short_label_token"] = "\n".join(
@@ -595,7 +603,7 @@ def _cayley_corpus(tmp_path):
     paths = []
     for name, text in files.items():
         path = tmp_path / f"{name}.cayley"
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode(errors="surrogateescape"))
         paths.append(path)
     return paths
 
@@ -619,6 +627,23 @@ def test_cayley_loader_matches_whole_file_reference(monkeypatch, tmp_path,
         assert _load_outcome(G.from_cayley_file, path) == want, path.name
         kinds.add(want[0] if isinstance(want[0], type) else "group")
     assert kinds == {"group", InvalidCayleyFile, NotAGroup, OrderTooLarge}
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"2\xff\n0 1\n1 0\n", "first line must be the order: '2\\udcff'"),
+    (b"2\na \xffb\n0 1\n1 0\n", "label line is not UTF-8"),
+    (b"2\n0 1\n1 \xff\n",
+     "bad table body: row 1 has an entry that is not a 64-bit integer"),
+    (b"2\n\xc3\xa9 b\n0 1\n1 \xc3\n",
+     "bad table body: row 1 has an entry that is not a 64-bit integer"),
+], ids=["header", "label", "row", "row_after_utf8_labels"])
+def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, data,
+                                                         want):
+    path = tmp_path / "bad.cayley"
+    path.write_bytes(data)
+    with pytest.raises(InvalidCayleyFile) as exc:
+        G.from_cayley_file(str(path))
+    assert str(exc.value) == want
 
 
 @pytest.mark.parametrize("labelled", [True, False])
@@ -681,6 +706,18 @@ def test_loaded_group_pickles(tmp_path):
         assert getattr(back, attr) == getattr(g, attr), attr
     assert back.np_table().tolist() == g.np_table().tolist()
     assert back.mult(7, 11) == g.mult(7, 11)
+
+
+def test_group_pickles_after_its_facts_are_memoized():
+    g = build("Z2xZ4")
+    facts = (cyclicizer_table(g), structure.sylow_decomposition(g),
+             G.center(g).members)
+    back = pickle.loads(pickle.dumps(g))
+    assert (back._cyc_table, back._sylow, back._center) == (None,) * 3
+    assert (cyclicizer_table(back), structure.sylow_decomposition(back),
+            G.center(back).members) == facts
+    with pytest.raises(ValueError):
+        back.np_table()[0, 1] = 0
 
 
 @pytest.mark.parametrize("loaded", [False, True])
@@ -783,6 +820,13 @@ def test_labels_parse_back_to_their_specs():
     assert (perm.label(), perm.order()) == ("perm:3:(1 2),(1 2 3),()", None)
     assert G.parse_group_expr(perm.label()) == perm
     assert G.build(perm).label == "perm:3:(1 2),(1 2 3),()"
+
+
+@pytest.mark.parametrize("expr", ["A1", "A2", "S1", "Z1", "D6", "Q8",
+                                  "G(2,3)", "H(4)", "EA(2,1)", "K(2,2)"])
+def test_spec_order_of_each_family_at_its_smallest(expr):
+    spec = G.parse_group_expr(expr)
+    assert spec.order() == G.build(spec).order
 
 
 def test_label_and_order_outside_the_families():

@@ -287,6 +287,14 @@ def test_catalog_from_file_respects_max_order(tmp_path):
     assert [e.label for e in cat.entries] == ["a"]
 
 
+def test_catalog_from_file_drops_a_product_with_an_a1_factor(tmp_path):
+    # A1 has order 1, so A1xS7 has order 5040
+    cat_file = tmp_path / "catalog.json"
+    cat_file.write_text(json.dumps([{"spec": "A1xS7"}, {"spec": "A1xZ4"}]))
+    cat = Catalog.from_file(str(cat_file), max_order=100)
+    assert [e.label for e in cat.entries] == ["A1xZ4"]
+
+
 def test_catalog_from_file_skips_oversized_perm_and_cayley(tmp_path):
     s4 = tmp_path / "s4.cayley"
     groups.to_cayley_file(groups.build(groups.parse_group_expr("S4")), str(s4))

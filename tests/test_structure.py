@@ -1,6 +1,5 @@
 from noncyclic import groups as G
 from noncyclic import structure
-from noncyclic.harness import Catalog
 
 import oracles
 
@@ -39,10 +38,9 @@ def test_sylow_members():
     assert s3 is not None and len(s3) == 3
 
 
-def test_sylow_members_match_closure_oracle():
+def test_sylow_members_match_closure_oracle(catalog_groups):
     outcomes = set()
-    for entry in Catalog.default(max_order=64).entries:
-        g = G.build(entry.spec)
+    for entry, g in catalog_groups:
         for p, _ in G.prime_factorization(g.order):
             pel = [x for x in range(g.order)
                    if all(q == p for q, _ in
