@@ -5,8 +5,8 @@ Group expressions use the mini-language from groups.parse_group_expr, for
 example Z4, Z2xZ4, D8, Q16, S5, G(3,3), H(4), EA(2,3), K(3,3), cayley:PATH,
 perm:3:(1 2),(1 2 3).
 
-Exit codes: 0 success, 1 computation error (JSON object on stderr),
-2 usage error, 3 verification failure.
+Exit codes: 0 success, 1 computation error or an output path that cannot
+be written (JSON object on stderr), 2 usage error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NonCyclicError as exc:
+    except (NonCyclicError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err), file=sys.stderr)
         return EXIT_ERROR

@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySet, VerificationFailure
-from .groups import (Group, Subgroup, _escape, center, maximal_generators,
-                     prime_factorization)
+from .groups import (Group, Subgroup, _check_elements, _escape, center,
+                     maximal_generators, prime_factorization)
 
 
 def _bit_matrix(rows: Sequence[int], n: Optional[int] = None) -> np.ndarray:
@@ -99,6 +99,7 @@ class CyclicizerTable:
         return tuple(bits_to_indices(self.cyc_bits))
 
     def cyc_of(self, x: int) -> tuple:
+        _check_elements(len(self.rows), x)
         return tuple(bits_to_indices(self.rows[x]))
 
     @cached_property
@@ -138,6 +139,7 @@ def cyclicizer_table(group: Group) -> CyclicizerTable:
 
 def cyclicizer(group: Group, x: int) -> tuple:
     """Sorted element indices of Cyc(x)."""
+    _check_elements(group.order, x)
     return tuple(bits_to_indices(group.pair_rows[x]))
 
 
@@ -146,6 +148,7 @@ def cyclicizer_of_set(group: Group, xs: Iterable[int]) -> tuple:
     xs = list(xs)
     if not xs:
         raise EmptySet("cyclicizer of the empty set is undefined")
+    _check_elements(group.order, *xs)
     rows = group.pair_rows
     return tuple(bits_to_indices(reduce(int.__and__, [rows[x] for x in xs])))
 
@@ -197,7 +200,7 @@ def prime_graph(group: Group) -> PrimeGraph:
     order-spectrum arguments. A component is a union of the sets of primes
     that divide one element order, merged while they meet."""
     primes = [p for p, _ in prime_factorization(group.order)]
-    orders = set(group.elem_orders)
+    orders = group.order_counts
     edges = []
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:

@@ -297,7 +297,7 @@ def independence_info(graph: NonCyclicGraph,
     group = graph.group
     if ctable is None:
         ctable = cyclicizer_table(group)
-    e = max(group.elem_orders)
+    e = max(group.order_counts)
     formula = e - ctable.cyc_size
     gen = group.elem_orders.index(e)
     members = group.generated_cyclic_bits(gen) & ~ctable.cyc_bits

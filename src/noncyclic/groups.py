@@ -10,10 +10,11 @@ from __future__ import annotations
 import os
 import re
 import stat
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice, product as iter_product
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -201,8 +202,17 @@ def _escape(table: np.ndarray, members) -> Optional[tuple[int, int]]:
     return int(m[a]), int(m[b])
 
 
+def _check_elements(n: int, *xs: int) -> None:
+    """Raise InvalidParameter unless each x is an element index, 0..n-1: a
+    negative one would silently wrap around a table or a list."""
+    for x in xs:
+        if not 0 <= x < n:
+            raise InvalidParameter(f"element index out of range: {x}")
+
+
 class Group:
-    """A finite group: Cayley table, labels, element orders, inverses and
+    """A finite group: Cayley table, labels, element orders and their census
+    ``order_counts`` ({order: count}, by ascending order), inverses and
     cyclic subgroups, the last as (smallest generator, member bitset) by
     ascending generator. Row x of ``pair_rows`` has bit y set iff <x, y> is
     cyclic, i.e. x and y lie in a common cyclic subgroup: it is Cyc(x).
@@ -218,8 +228,8 @@ class Group:
     """
 
     __slots__ = ("order", "label", "labels", "_table", "elem_orders",
-                 "inverses", "pair_rows", "_gen_bits", "cyclic_subgroups",
-                 "_cyc_table", "_sylow", "_center")
+                 "order_counts", "inverses", "pair_rows", "_gen_bits",
+                 "cyclic_subgroups", "_cyc_table", "_center")
 
     def __init__(self, table, labels=None, label="G", validate=True):
         t = _as_table(table, keep=not validate)
@@ -237,13 +247,11 @@ class Group:
         self._table = t
         self._walk_cyclic_subgroups()
         self._cyc_table = None
-        self._sylow = None
         self._center = None
 
     def __getstate__(self):
-        # the memoized facts are recomputed on demand; a Sylow decomposition
-        # is a mappingproxy, which does not pickle
-        memo = ("_cyc_table", "_sylow", "_center")
+        # the memoized facts are recomputed on demand
+        memo = ("_cyc_table", "_center")
         return None, {name: None if name in memo else getattr(self, name)
                       for name in self.__slots__}
 
@@ -295,10 +303,14 @@ class Group:
         for g, bits in enumerate(gen_bits):
             first.setdefault(bits, g)
         self.cyclic_subgroups = tuple((g, bits) for bits, g in first.items())
+        self.order_counts = dict(sorted(Counter(orders).items()))
 
     # -- basic queries ----------------------------------------------------
 
     def mult(self, i: int, j: int) -> int:
+        n = self.order
+        if not (0 <= i < n and 0 <= j < n):  # inline: loops call mult often
+            _check_elements(n, i, j)
         return self._table.item(i, j)
 
     def np_table(self) -> np.ndarray:
@@ -318,9 +330,7 @@ class Group:
 
     def is_pair_cyclic(self, x: int, y: int) -> bool:
         """True iff <x, y> is cyclic."""
-        n = self.order
-        if not (0 <= x < n and 0 <= y < n):
-            raise InvalidParameter(f"element index out of range: {(x, y)}")
+        _check_elements(self.order, x, y)
         return bool((self.pair_rows[x] >> y) & 1)
 
     def __repr__(self):
@@ -359,9 +369,7 @@ class Subgroup:
 def subgroup_generated(group: Group, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``gens``."""
     gens = list(gens)
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise InvalidParameter(f"generator index out of range: {g}")
+    _check_elements(group.order, *gens)
     reached = np.zeros(group.order, dtype=bool)
     reached[0] = True
     _close(group.np_table(), reached, gens)
@@ -373,22 +381,18 @@ def is_pair_cyclic(group: Group, x: int, y: int) -> bool:
 
 
 def exponent(group: Group) -> int:
-    e = 1
-    for o in set(group.elem_orders):
-        e = e * o // gcd(e, o)
-    return e
+    return lcm(*group.order_counts)
 
 
 def pi_e(group: Group) -> tuple:
     """Sorted set of element orders."""
-    return tuple(sorted(set(group.elem_orders)))
+    return tuple(group.order_counts)
 
 
 def mu(group: Group) -> tuple:
-    """Divisibility-maximal element orders."""
-    pe = set(group.elem_orders)
-    return tuple(sorted(t for t in pe
-                        if not any(s != t and s % t == 0 for s in pe)))
+    """Divisibility-maximal element orders, ascending."""
+    pe = group.order_counts
+    return tuple(t for t in pe if not any(s != t and s % t == 0 for s in pe))
 
 
 def maximal_generators(group: Group) -> list:
@@ -412,7 +416,7 @@ def center(group: Group) -> Subgroup:
 
 
 def is_cyclic_group(group: Group) -> bool:
-    return max(group.elem_orders) == group.order
+    return group.order in group.order_counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,23 @@
 """Structural predicates on finite groups.
 
-Everything here is decided directly from the Cayley table at desk scale:
-Sylow pieces, nilpotency, abelian types, and recognizers for the small
-standard families (dihedral, generalized quaternion, semidihedral, the
-modular p-groups, homocyclic abelian groups, and the two families with
-regular non-cyclic graphs).
+Sylow normality, nilpotency, abelian types and the two families with
+regular non-cyclic graphs are read off the group's census of element
+orders, ``Group.order_counts``. The recognizers for the small standard
+families (dihedral, generalized quaternion, semidihedral, the modular
+p-groups) test their presentations on the Cayley table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from types import MappingProxyType
-from typing import Mapping, Optional
+from itertools import accumulate
+from math import log
+from typing import Optional
 
 import numpy as np
 
 from .cyclicizers import cyclicizer_table
 from .errors import InvalidParameter
-from .groups import (Group, _presentation, center, dihedral,
+from .groups import (Group, _is_prime, _presentation, center, dihedral,
                      generalized_quaternion, modular_pgroup,
                      prime_factorization, semidihedral)
 
@@ -34,78 +34,64 @@ def p_part(order: int, p: int) -> int:
     return out
 
 
-def _is_prime_power(n: int) -> Optional[tuple[int, int]]:
-    fac = prime_factorization(n)
-    if len(fac) == 1:
-        return fac[0]
-    return None
-
-
 def pgroup_parameters(group: Group) -> Optional[tuple[int, int]]:
     """(p, e) when |G| = p^e for a prime p, else None."""
-    return _is_prime_power(group.order)
+    fac = prime_factorization(group.order)
+    return fac[0] if len(fac) == 1 else None
+
+
+def _ppower_counts(group: Group, p: int) -> dict[int, int]:
+    """{p^k: number of elements of order p^k} off the census, by ascending
+    order: the element orders dividing |G|_p, as every order divides |G|.
+    The orders present are 1, p, ..., p^t, each p-th power of an element of
+    order p^(k+1) having order p^k. Raises InvalidParameter unless p is
+    prime."""
+    if not _is_prime(p):
+        raise InvalidParameter(f"not a prime: {p}")
+    size = p_part(group.order, p)
+    return {o: c for o, c in group.order_counts.items() if size % o == 0}
 
 
 def sylow_members(group: Group, p: int) -> Optional[tuple]:
     """Members of the normal Sylow p-subgroup, the set of p-elements, when
-    there are exactly |G|_p of them, else None. Each Sylow p-subgroup holds
-    |G|_p p-elements, so it is then that whole set, the only one; and a
-    normal Sylow p-subgroup holds every p-element. The count decides."""
+    the census counts exactly |G|_p of them, else None. Each Sylow
+    p-subgroup holds |G|_p p-elements, so it is then that whole set, the
+    only one; and a normal Sylow p-subgroup holds every p-element. The
+    count decides; members are listed only for a normal Sylow subgroup."""
+    ppowers = _ppower_counts(group, p)
+    if sum(ppowers.values()) != p_part(group.order, p):
+        return None
     orders = group.elem_orders
-    ppowers = {o for o in set(orders) if p_part(o, p) == o}
-    members = [x for x in range(group.order) if orders[x] in ppowers]
-    return tuple(members) if len(members) == p_part(group.order, p) else None
-
-
-def sylow_decomposition(group: Group) -> Optional[Mapping[int, tuple]]:
-    """{p: members} for every prime divisor, or None when some Sylow
-    subgroup is not normal, counted by ``sylow_members`` (the group is then
-    not nilpotent). Memoized as a read-only mapping, or False for None."""
-    if group._sylow is None:
-        out = {}
-        for p, _ in prime_factorization(group.order):
-            mem = sylow_members(group, p)
-            if mem is None:
-                group._sylow = False
-                break
-            out[p] = mem
-        else:
-            group._sylow = MappingProxyType(out)
-    return None if group._sylow is False else group._sylow
+    return tuple(x for x in range(group.order) if orders[x] in ppowers)
 
 
 def is_nilpotent(group: Group) -> bool:
-    """A finite group is nilpotent iff it is the direct product of its
-    Sylow subgroups, i.e. every set of p-elements forms a (normal) subgroup."""
-    return sylow_decomposition(group) is not None
+    """A finite group is nilpotent iff each of its Sylow subgroups is
+    normal, that is iff for each prime p it has exactly |G|_p elements of
+    p-power order (see ``sylow_members``), which the census counts."""
+    return all(sum(_ppower_counts(group, p).values()) == p ** e
+               for p, e in prime_factorization(group.order))
+
+
+def sylow_decomposition(group: Group) -> Optional[dict[int, tuple]]:
+    """{p: ``sylow_members(group, p)``} for every prime divisor of a
+    nilpotent group, the direct product of these normal Sylow subgroups,
+    else None. Not cached: ``harness.profile_of`` calls it once per entry."""
+    if not is_nilpotent(group):
+        return None
+    return {p: sylow_members(group, p)
+            for p, _ in prime_factorization(group.order)}
 
 
 def abelian_ptype(group: Group, p: int) -> list[int]:
-    """Partition (descending) of the abelian p-part, computed from the
-    census c_k = #{x : x^(p^k) = e}."""
-    counts = {o: v for o, v in Counter(group.elem_orders).items()
-              if p_part(o, p) == o}
-    c_prev = 1
-    m = []  # m[k-1] = number of parts >= k
-    k = 1
-    while True:
-        c_k = sum(v for o, v in counts.items() if o <= p ** k)
-        if c_k == c_prev:
-            break
-        ratio = c_k // c_prev
-        parts_ge_k = 0
-        while ratio > 1:
-            ratio //= p
-            parts_ge_k += 1
-        m.append(parts_ge_k)
-        c_prev = c_k
-        k += 1
-    partition = []
-    for k, cnt in enumerate(m, start=1):
-        nxt = m[k] if k < len(m) else 0
-        partition.extend([k] * (cnt - nxt))
-    partition.sort(reverse=True)
-    return partition
+    """Partition (descending) of the p-part of an abelian group. If m_j of
+    its parts have size at least j, then c_k = #{x : x^(p^k) = e}, a running
+    sum of the census's p-power counts, is p^(m_1 + ... + m_k): so
+    m_k = log_p(c_k / c_(k-1))."""
+    c = list(accumulate(_ppower_counts(group, p).values()))
+    at_least = [round(log(b / a, p)) for a, b in zip(c, c[1:])]
+    return [sum(1 for m in at_least if m > i)
+            for i in range(max(at_least, default=0))]
 
 
 def _presented_by(group: Group, make, *params) -> bool:
@@ -162,7 +148,7 @@ def semidihedral_parameter(group: Group) -> Optional[int]:
 def modular_parameters(group: Group) -> Optional[tuple[int, int]]:
     """(p, n) when the group is the modular p-group of order p^n (n >= 3)
     that ``groups.modular_pgroup(p, n)`` builds, else None."""
-    pe = _is_prime_power(group.order)
+    pe = pgroup_parameters(group)
     if pe is not None and _presented_by(group, modular_pgroup, *pe):
         return pe
     return None
@@ -179,7 +165,7 @@ def _abelian_types(group: Group) -> Optional[dict[int, list[int]]]:
 
 def homocyclic_parameters(group: Group) -> Optional[tuple[int, int, int]]:
     """(p, m, n) when the group is the direct sum of n copies of Z_{p^m}."""
-    types = _is_prime_power(group.order) and _abelian_types(group)
+    types = pgroup_parameters(group) and _abelian_types(group)
     if not types:
         return None
     (p, partition), = types.items()
@@ -193,25 +179,25 @@ def regular_family(group: Group) -> Optional[tuple]:
     with P non-cyclic of prime exponent p, |P| = p^m, gcd(n, p) = 1.
 
     Returns None for cyclic groups and for groups outside both families.
+    In a nilpotent group the Sylow p-subgroup, of order p^e, is the set of
+    p-elements, so the census decides: it is cyclic iff some element has
+    order p^e, of prime exponent iff its p-power orders lie in {1, p}, and
+    Q8 iff p = 2, e = 3 and G has one involution (a non-cyclic 2-group with
+    a unique involution is generalized quaternion).
     """
-    dec = sylow_decomposition(group)
-    if dec is None:
+    if not is_nilpotent(group):
         return None
-    noncyclic = [(p, members) for p, members in dec.items()
-                 if max(group.elem_orders[x] for x in members) < len(members)]
+    counts = group.order_counts
+    noncyclic = [(p, e) for p, e in prime_factorization(group.order)
+                 if p ** e not in counts]
     if len(noncyclic) != 1:
         return None
-    p, sylow = noncyclic[0]
-    size = len(sylow)
-    cof = group.order // size
-    orders = {group.elem_orders[x] for x in sylow}
-    if orders <= {1, p}:
-        return ("P", p, _is_prime_power(size)[1], cof)
-    if p == 2 and size == 8 and cof % 2 == 1:
-        # a non-cyclic 2-group with a unique involution is generalized
-        # quaternion, and the one of order 8 is Q8
-        if sum(1 for x in sylow if group.elem_orders[x] == 2) == 1:
-            return ("Q8", cof)
+    (p, e), = noncyclic
+    cof = group.order // p ** e
+    if set(_ppower_counts(group, p)) <= {1, p}:
+        return ("P", p, e, cof)
+    if p == 2 and e == 3 and counts.get(2) == 1:
+        return ("Q8", cof)
     return None
 
 

@@ -842,6 +842,69 @@ def _prime_power(n):
     return None
 
 
+def _ppower(n, p):
+    """True when n is 1 or a power of the prime p."""
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def closure_sylow_members(group, p):
+    """The p-elements when there are |G|_p of them and their set closure is
+    itself (the normal Sylow p-subgroup), else None."""
+    pel = [x for x in range(group.order) if _ppower(group.elem_orders[x], p)]
+    size = 1
+    while group.order % (size * p) == 0:
+        size *= p
+    return (tuple(pel) if len(pel) == size and closure(group, pel) == pel
+            else None)
+
+
+def walked_regular_family(group, sylows):
+    """regular_family by walking the members of each Sylow subgroup, given
+    as ``sylows`` = {p: ``closure_sylow_members(group, p)``} over the prime
+    divisors p: None unless all are normal and exactly one is non-cyclic
+    (its largest member order below its size); then ("P", p, m, cofactor)
+    when its orders lie in {1, p}, ("Q8", cofactor) when it has order 8 and
+    one involution."""
+    if None in sylows.values():
+        return None
+    orders = group.elem_orders
+    noncyclic = [(p, members) for p, members in sylows.items()
+                 if max(orders[x] for x in members) < len(members)]
+    if len(noncyclic) != 1:
+        return None
+    (p, sylow), = noncyclic
+    size = len(sylow)
+    cof = group.order // size
+    if {orders[x] for x in sylow} <= {1, p}:
+        return ("P", p, _prime_power(size)[1], cof)
+    if size == 8 and sum(1 for x in sylow if orders[x] == 2) == 1:
+        return ("Q8", cof)
+    return None
+
+
+def recounted_abelian_ptype(group, p):
+    """Partition (descending) of the abelian p-part from
+    c_k = #{x : x^(p^k) = e}, counted over every element for each k: the
+    p-part has log_p(c_k / c_(k-1)) parts of size at least k."""
+    orders = [o for o in group.elem_orders if _ppower(o, p)]
+    at_least = []
+    c_prev, k = 1, 1
+    while (c_k := sum(1 for o in orders if o <= p ** k)) != c_prev:
+        ratio, parts = c_k // c_prev, 0
+        while ratio > 1:
+            ratio //= p
+            parts += 1
+        at_least.append(parts)
+        c_prev, k = c_k, k + 1
+    partition = []
+    for k, cnt in enumerate(at_least, start=1):
+        nxt = at_least[k] if k < len(at_least) else 0
+        partition.extend([k] * (cnt - nxt))
+    return sorted(partition, reverse=True)
+
+
 def _loop_power(group, g, k):
     out = 0
     x = g

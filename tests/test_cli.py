@@ -226,6 +226,22 @@ def test_export_dot(capsys, tmp_path):
     assert path.read_text().count("--") > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("export-cayley", "S3", "{path}"),
+    ("export-dot", "S3", "{path}"),
+    ("analyze", "S3", "--dot", "{path}"),
+    ("verify", "--max-order", "8", "--report", "{path}"),
+], ids=["export-cayley", "export-dot", "analyze-dot", "verify-report"])
+def test_an_output_path_that_cannot_be_written_is_a_json_error(
+        capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "FileNotFoundError"
+    assert path in doc["message"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -11,7 +11,7 @@ from noncyclic.cyclicizers import (_bit_matrix, _bit_rows, central_cosets,
                                    quotient_by_central,
                                    quotient_by_cyclicizer,
                                    quotient_pair_matrix)
-from noncyclic.errors import EmptySet, VerificationFailure
+from noncyclic.errors import EmptySet, InvalidParameter, VerificationFailure
 from noncyclic.harness import HOMOCYCLIC_REQUIRED, Catalog
 
 import oracles
@@ -54,6 +54,26 @@ def test_cyclicizer_of_set():
     assert labels_of(q8, cyclicizer_of_set(q8, range(8))) == ["a2", "e"]
     with pytest.raises(EmptySet):
         cyclicizer_of_set(h, [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.mult(-1, 1),
+    lambda g: g.mult(1, 6),
+    lambda g: g.is_pair_cyclic(0, -1),
+    lambda g: cyclicizer(g, -1),
+    lambda g: cyclicizer(g, 6),
+    lambda g: cyclicizer_of_set(g, [1, -2]),
+    lambda g: cyclicizer_of_set(g, [6]),
+    lambda g: cyclicizer_table(g).cyc_of(-1),
+    lambda g: cyclicizer_table(g).cyc_of(6),
+    lambda g: G.subgroup_generated(g, [-1]),
+], ids=["mult-1", "mult6", "pair-1", "cyc-1", "cyc6", "set-2", "set6",
+        "cyc_of-1", "cyc_of6", "generated-1"])
+def test_an_element_index_out_of_range_is_an_invalid_parameter(call):
+    # a negative index would wrap around the table or the rows
+    with pytest.raises(InvalidParameter,
+                       match="^element index out of range: -?[126]$"):
+        call(build("S3"))
 
 
 def test_cyc_group_against_oracle():

@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+
+import noncyclic
 from noncyclic import groups as G
 from noncyclic import structure
+from noncyclic.errors import InvalidParameter
 
 import oracles
 
@@ -42,14 +51,64 @@ def test_sylow_members_match_closure_oracle(catalog_groups):
     outcomes = set()
     for entry, g in catalog_groups:
         for p, _ in G.prime_factorization(g.order):
-            pel = [x for x in range(g.order)
-                   if all(q == p for q, _ in
-                          G.prime_factorization(g.elem_orders[x]))]
-            want = (tuple(pel) if len(pel) == structure.p_part(g.order, p)
-                    and oracles.closure(g, pel) == pel else None)
+            want = oracles.closure_sylow_members(g, p)
             assert structure.sylow_members(g, p) == want, (entry.label, p)
             outcomes.add(want is None)
     assert outcomes == {False, True}
+
+
+def test_census_readers_match_oracles(catalog_groups):
+    """On the order-200 catalog: the census is the count of element orders,
+    nilpotency agrees with closed Sylow sets, and the regular families and
+    abelian types agree with references that walk or recount elements."""
+    hits = Counter()
+    for entry, g in catalog_groups:
+        assert g.order_counts == Counter(g.elem_orders), entry.label
+        assert list(g.order_counts) == sorted(g.order_counts), entry.label
+        sylows = {p: oracles.closure_sylow_members(g, p)
+                  for p, _ in G.prime_factorization(g.order)}
+        nilpotent = None not in sylows.values()
+        assert structure.is_nilpotent(g) == nilpotent, entry.label
+        fam = oracles.walked_regular_family(g, sylows)
+        assert structure.regular_family(g) == fam, entry.label
+        hits["nilpotent", nilpotent] += 1
+        hits["family", fam and fam[0]] += 1
+        if structure.is_abelian(g):
+            for p in sylows:
+                assert (structure.abelian_ptype(g, p)
+                        == oracles.recounted_abelian_ptype(g, p)), \
+                    (entry.label, p)
+                hits["abelian", len(set(structure.abelian_ptype(g, p)))] += 1
+    assert set(hits) >= {
+        ("nilpotent", True), ("nilpotent", False), ("family", "P"),
+        ("family", "Q8"), ("family", None), ("abelian", 1), ("abelian", 2)}
+
+
+@pytest.mark.parametrize("p", [0, 4])
+def test_a_prime_argument_must_be_prime(p):
+    g = build("Z2xZ4")
+    for reader in (structure.sylow_members, structure.abelian_ptype):
+        with pytest.raises(InvalidParameter, match=f"^not a prime: {p}$"):
+            reader(g, p)
+
+
+def test_the_prime_argument_one_is_refused_not_looped_on():
+    # dividing out the "prime" 1 never ends, so the check runs apart from
+    # the suite, under a timeout
+    probe = ("from noncyclic import groups, structure\n"
+             "from noncyclic.errors import InvalidParameter\n"
+             "g = groups.build(groups.parse_group_expr('Z2xZ4'))\n"
+             "for reader in (structure.sylow_members,"
+             " structure.abelian_ptype):\n"
+             "    try:\n"
+             "        reader(g, 1)\n"
+             "    except InvalidParameter as exc:\n"
+             "        print(exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(noncyclic.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=30).stdout
+    assert out.splitlines() == ["not a prime: 1"] * 2
 
 
 def test_abelian_type():
